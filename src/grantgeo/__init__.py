@@ -54,7 +54,6 @@ from .agent import (
     GeocodeResult,
     ToolCallRecord,
     handle_compute_centroid,
-    handle_geocode_place,
     run_tool_chain,
     trace_statistics,
     validate_tool_call,

@@ -20,11 +20,8 @@ import jsonschema
 
 from .corpus import GrantAbstract
 from .gateway import (
-    BackendTimeout,
-    BackendUnavailable,
+    BACKEND_ERRORS,
     ChatMessage,
-    FixtureExhausted,
-    FixtureMismatch,
     ModelConfig,
     PriceTable,
     DEFAULT_PRICES,
@@ -44,8 +41,6 @@ from .geo import (
 )
 from .prompts import FINAL_NUDGE, TOOL_SYSTEM_PROMPT
 from .runners import Prediction, _error_km
-
-_BACKEND_ERRORS = (BackendUnavailable, BackendTimeout, FixtureExhausted, FixtureMismatch)
 
 GEOCODE_STRATEGIES = ("natural_feature", "restricted_va", "standard_va", "county_fallback")
 DEFAULT_STRATEGY = "standard_va"
@@ -178,15 +173,12 @@ class Geocoder:
         provider=None,
         cache_path: str | Path | None = None,
         box: BoundingBox = VIRGINIA_BBOX,
-        requests_per_second: float | None = None,
     ):
         self._provider = provider
         self._box = box
         self._cache_path = Path(cache_path) if cache_path else None
         self._cache: dict[tuple[str, str], dict | None] = {}
         self._lock = threading.Lock()
-        self._min_interval = 1.0 / requests_per_second if requests_per_second else 0.0
-        self._last_call = 0.0
         self.provider_calls = 0
         if self._cache_path and self._cache_path.exists():
             with self._cache_path.open(encoding="utf-8") as fh:
@@ -218,7 +210,6 @@ class Geocoder:
             raise NotFound(f"no cached result for {query!r} and no live provider")
 
         with self._lock:
-            self._throttle()
             self.provider_calls += 1
             candidate = self._provider.geocode(query, strategy)
             result = None
@@ -237,14 +228,6 @@ class Geocoder:
         if result is None:
             raise NotFound(f"no Virginia result for {query!r}")
         return GeocodeResult(**result)
-
-    def _throttle(self) -> None:
-        if self._min_interval <= 0:
-            return
-        wait = self._last_call + self._min_interval - time.monotonic()
-        if wait > 0:
-            time.sleep(wait)
-        self._last_call = time.monotonic()
 
     def _persist(self, query: str, strategy: str, result: dict | None) -> None:
         if self._cache_path is None:
@@ -329,11 +312,6 @@ def write_geocode_cache(path: str | Path, entries: list[dict]) -> None:
             )
 
 
-def handle_geocode_place(geocoder: Geocoder, query: str, strategy: str | None = None) -> GeocodeResult:
-    """Dispatch target for the geocode_place tool."""
-    return geocoder.lookup(query, strategy)
-
-
 def handle_compute_centroid(points: list[dict]) -> dict:
     """Dispatch target for compute_centroid; returns {"lat", "lng"}.
 
@@ -385,7 +363,7 @@ def run_tool_chain(
     while True:
         try:
             response, usage = backend.complete(cfg, messages, tools=TOOL_CATALOG)
-        except _BACKEND_ERRORS as exc:
+        except BACKEND_ERRORS as exc:
             reason = f"{type(exc).__name__}: {exc}"
             break
         usage_total = usage_total + usage
@@ -417,9 +395,7 @@ def run_tool_chain(
                     record.result = {"error": "geocode failure budget exhausted; finalize your answer"}
                 else:
                     try:
-                        record.result = handle_geocode_place(
-                            geocoder, args["query"], args.get("strategy")
-                        ).to_payload()
+                        record.result = geocoder.lookup(args["query"], args.get("strategy")).to_payload()
                     except NotFound as exc:
                         geocode_failures += 1
                         record.result = {"error": f"not found: {exc}"}

@@ -40,6 +40,10 @@ class FixtureMismatch(RuntimeError):
     """A fixture turn's request predicate did not match the request."""
 
 
+# Errors a pipeline turns into a failed row instead of aborting the run.
+BACKEND_ERRORS = (BackendUnavailable, BackendTimeout, FixtureExhausted, FixtureMismatch)
+
+
 @dataclass
 class ChatMessage:
     role: str  # system | user | assistant | tool

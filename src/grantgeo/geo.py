@@ -92,9 +92,10 @@ _DMS_RE = re.compile(
     r"\s+(\d{1,3})\s*°\s*(\d{1,2})\s*['′’]\s*(\d{1,2}(?:\.\d+)?)\s*[\"″”]\s*([EW])"
 )
 
-# Decimal pair, e.g. 37.166303, -77.240091
+# Decimal pair, e.g. 37.166303, -77.240091. The lookahead refuses a
+# following digit or ".digit" but not a full stop ending the sentence.
 _DECIMAL_RE = re.compile(
-    r"(?<![\d.])([-+]?\d{1,3}(?:\.\d+)?)\s*,\s*([-+]?\d{1,3}(?:\.\d+)?)(?![\d.])"
+    r"(?<![\d.])([-+]?\d{1,3}(?:\.\d+)?)\s*,\s*([-+]?\d{1,3}(?:\.\d+)?)(?!\.?\d)"
 )
 
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import json
 import time
+from collections.abc import Callable
 from dataclasses import dataclass, field, replace
 from decimal import Decimal
 from pathlib import Path
@@ -82,40 +83,6 @@ class AxisInapplicable(ValueError):
     """The sweep axis does not apply to the roster's model configs."""
 
 
-PIPELINES = (
-    "one_shot",
-    "tool_chain",
-    "ensemble",
-    "county_centroid",
-    "heuristic_geoparse",
-    "ner_pipeline",
-    "ingest_external",
-)
-
-_LLM_PIPELINES = ("one_shot", "tool_chain", "ensemble")
-
-# Per-pipeline field discipline: MethodSpec fields outside these sets
-# are rejected so method declarations stay minimal and unambiguous.
-_ALLOWED_FIELDS = {
-    "one_shot": {"model", "fixture_script", "redact_names", "sweep_fixtures"},
-    "ensemble": {"model", "ensemble", "fixture_script", "redact_names", "sweep_fixtures"},
-    "tool_chain": {"model", "budget", "fixture_script", "geocode_cache", "sweep_fixtures"},
-    "county_centroid": set(),
-    "heuristic_geoparse": {"params", "gazetteer"},
-    "ner_pipeline": {"gazetteer"},
-    "ingest_external": {"predictions_file", "total_cost_usd", "latency_s_per_grant"},
-}
-_REQUIRED_FIELDS = {
-    "one_shot": {"model"},
-    "ensemble": {"model", "ensemble"},
-    "tool_chain": {"model"},
-    "county_centroid": set(),
-    "heuristic_geoparse": {"params"},
-    "ner_pipeline": set(),
-    "ingest_external": {"predictions_file"},
-}
-
-
 @dataclass
 class MethodSpec:
     """One roster entry: a pipeline plus exactly the fields it needs."""
@@ -134,32 +101,6 @@ class MethodSpec:
     latency_s_per_grant: float = 0.0
     redact_names: bool = False
     sweep_fixtures: dict[str, Path] = field(default_factory=dict)
-
-    def validate(self) -> None:
-        if self.pipeline not in PIPELINES:
-            raise ConfigInvalid(f"{self.method_id}: unknown pipeline {self.pipeline!r}")
-        present = {
-            name
-            for name, value in (
-                ("model", self.model),
-                ("ensemble", self.ensemble),
-                ("budget", self.budget),
-                ("params", self.params),
-                ("fixture_script", self.fixture_script),
-                ("geocode_cache", self.geocode_cache),
-                ("gazetteer", self.gazetteer),
-                ("predictions_file", self.predictions_file),
-                ("redact_names", self.redact_names or None),
-                ("sweep_fixtures", self.sweep_fixtures or None),
-            )
-            if value is not None
-        }
-        missing = _REQUIRED_FIELDS[self.pipeline] - present
-        if missing:
-            raise ConfigInvalid(f"{self.method_id}: pipeline {self.pipeline} requires {sorted(missing)}")
-        extra = present - _ALLOWED_FIELDS[self.pipeline]
-        if extra:
-            raise ConfigInvalid(f"{self.method_id}: fields {sorted(extra)} not applicable to {self.pipeline}")
 
 
 @dataclass
@@ -251,6 +192,11 @@ def load_config(path: str | Path) -> HarnessConfig:
             spec = _parse_method(m, config_dir)
             if spec.method_id in methods:
                 raise ConfigInvalid(f"duplicate method_id {spec.method_id!r}")
+            try:
+                if PIPELINES[spec.pipeline].llm:
+                    prices.lookup(spec.model.model_id)
+            except KeyError as exc:
+                raise ConfigInvalid(f"{spec.method_id}: {exc.args[0]}; declare it under prices") from exc
             methods[spec.method_id] = spec
         if not methods:
             raise ConfigInvalid("at least one method is required")
@@ -282,6 +228,17 @@ def load_config(path: str | Path) -> HarnessConfig:
 
 def _parse_method(doc: dict, config_dir: Path) -> MethodSpec:
     try:
+        method_id = doc.get("method_id")
+        name = doc.get("pipeline")
+        pipeline = PIPELINES.get(name)
+        if pipeline is None:
+            raise ConfigInvalid(f"{method_id}: unknown pipeline {name!r}")
+        missing = [key for key in pipeline.required if doc.get(key) is None]
+        if missing:
+            raise ConfigInvalid(f"{method_id}: pipeline {name} requires {sorted(missing)}")
+        extra = set(doc) - {"method_id", "pipeline"} - set(pipeline.required) - set(pipeline.optional)
+        if extra:
+            raise ConfigInvalid(f"{method_id}: fields {sorted(extra)} are unknown or do not apply to {name}")
         model_doc = doc.get("model")
         model = None
         if model_doc is not None:
@@ -337,7 +294,6 @@ def _parse_method(doc: dict, config_dir: Path) -> MethodSpec:
         raise
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigInvalid(f"bad method declaration: {exc}") from exc
-    spec.validate()
     return spec
 
 
@@ -404,11 +360,7 @@ def _check_files(manifest: RunManifest) -> None:
         ):
             if p is not None and not Path(p).exists():
                 raise DataMissing(f"{spec.method_id}: {label} {p} is missing")
-        if (
-            config.backend_kind == "fixture"
-            and spec.pipeline in _LLM_PIPELINES
-            and spec.fixture_script is None
-        ):
+        if config.backend_kind == "fixture" and PIPELINES[spec.pipeline].llm and spec.fixture_script is None:
             raise ConfigInvalid(f"{spec.method_id}: fixture backend requires fixture_script")
 
 
@@ -418,21 +370,6 @@ def _make_backend(spec: MethodSpec, config: HarnessConfig):
     if not config.endpoint:
         raise ConfigInvalid("live backend requires backend.endpoint")
     return LiveBackend(config.endpoint)
-
-
-def _baseline_prediction(
-    method_id: str, grant: GrantAbstract, coordinate: Coordinate, flag: str, latency_s: float
-) -> Prediction:
-    run = RunRecord(
-        method_id=method_id,
-        row_id=grant.row_id,
-        usage=TokenUsage(),
-        latency_s=latency_s,
-        cost_usd=Decimal(0),
-        raw_response=f"{coordinate.lat:.6f}, {coordinate.lon:.6f} [{flag}]",
-    )
-    error = haversine_km(coordinate, grant.ground_truth) if grant.ground_truth else None
-    return Prediction(method_id, grant.row_id, coordinate, error, run)
 
 
 def ingest_external_predictions(
@@ -500,68 +437,129 @@ def _failed_prediction(method_id: str, grant: GrantAbstract, reason: str) -> Pre
     return Prediction(method_id, grant.row_id, None, None, run)
 
 
-def _run_method(
-    spec: MethodSpec, grants: list[GrantAbstract], config: HarnessConfig, seed: int = 42
-) -> list[Prediction]:
-    if spec.pipeline == "ingest_external":
-        by_id = {
-            p.row_id: p
-            for p in ingest_external_predictions(
-                spec.predictions_file, spec.method_id, grants, spec.total_cost_usd, spec.latency_s_per_grant
-            )
-        }
-        return [by_id.get(g.row_id) or _failed_prediction(spec.method_id, g, "MissingExternalRow") for g in grants]
+def _timed_baseline(spec: MethodSpec, locate: Callable[[str], tuple[Coordinate, str]]):
+    """Wrap a deterministic ``text -> (coordinate, flag)`` baseline as a pipeline."""
 
-    if spec.pipeline in ("county_centroid", "heuristic_geoparse", "ner_pipeline"):
-        gazetteer = load_gazetteer(spec.gazetteer) if spec.gazetteer else packaged_gazetteer()
-        out = []
-        for grant in grants:
-            start = time.perf_counter()
-            if spec.pipeline == "county_centroid":
-                coordinate, flag = predict_county_centroid(grant.text, config.county_table)
-            elif spec.pipeline == "heuristic_geoparse":
-                coordinate, flag = heuristic_geoparse(
-                    grant.text, gazetteer_resolver(gazetteer), config.county_table, spec.params
-                )
-            else:
-                coordinate, flag = predict_ner_pipeline(
-                    grant.text, default_entity_extractor, gazetteer, config.county_table
-                )
-            out.append(
-                _baseline_prediction(spec.method_id, grant, coordinate, flag, time.perf_counter() - start)
-            )
-        return out
+    def predict(grant: GrantAbstract) -> Prediction:
+        start = time.perf_counter()
+        coordinate, flag = locate(grant.text)
+        run = RunRecord(
+            method_id=spec.method_id,
+            row_id=grant.row_id,
+            usage=TokenUsage(),
+            latency_s=time.perf_counter() - start,
+            cost_usd=Decimal(0),
+            raw_response=f"{coordinate.lat:.6f}, {coordinate.lon:.6f} [{flag}]",
+        )
+        error = haversine_km(coordinate, grant.ground_truth) if grant.ground_truth else None
+        return Prediction(spec.method_id, grant.row_id, coordinate, error, run)
 
+    return predict
+
+
+def _gazetteer(spec: MethodSpec):
+    return load_gazetteer(spec.gazetteer) if spec.gazetteer else packaged_gazetteer()
+
+
+def _setup_county_centroid(spec: MethodSpec, config: HarnessConfig, grants, seed: int):
+    return _timed_baseline(spec, lambda text: predict_county_centroid(text, config.county_table))
+
+
+def _setup_heuristic_geoparse(spec: MethodSpec, config: HarnessConfig, grants, seed: int):
+    resolver = gazetteer_resolver(_gazetteer(spec))
+    return _timed_baseline(spec, lambda text: heuristic_geoparse(text, resolver, config.county_table, spec.params))
+
+
+def _setup_ner_pipeline(spec: MethodSpec, config: HarnessConfig, grants, seed: int):
+    gazetteer = _gazetteer(spec)
+    return _timed_baseline(
+        spec, lambda text: predict_ner_pipeline(text, default_entity_extractor, gazetteer, config.county_table)
+    )
+
+
+def _setup_ingest_external(spec: MethodSpec, config: HarnessConfig, grants: list[GrantAbstract], seed: int):
+    predictions = ingest_external_predictions(
+        spec.predictions_file, spec.method_id, grants, spec.total_cost_usd, spec.latency_s_per_grant
+    )
+    by_id = {p.row_id: p for p in predictions}
+    return lambda grant: by_id.get(grant.row_id) or _failed_prediction(spec.method_id, grant, "MissingExternalRow")
+
+
+def _seeded(model: ModelConfig, seed: int) -> ModelConfig:
+    return replace(model, seed=seed) if model.seed is None else model  # manifest seed as the default
+
+
+def _redacted(spec: MethodSpec, grant: GrantAbstract) -> GrantAbstract:
+    if not spec.redact_names:
+        return grant
+    return GrantAbstract.from_text(grant.row_id, redact_patentee(grant.text), grant.ground_truth)
+
+
+def _setup_one_shot(spec: MethodSpec, config: HarnessConfig, grants, seed: int):
     backend = _make_backend(spec, config)
-    model = spec.model
-    if model.seed is None and spec.pipeline != "ensemble":
-        model = replace(model, seed=seed)  # manifest seed as the default
-    geocoder = None
-    if spec.pipeline == "tool_chain":
-        provider = GoogleGeocodeProvider() if config.backend_kind == "live" else None
-        geocoder = Geocoder(provider=provider, cache_path=spec.geocode_cache)
-    out = []
-    for grant in grants:
-        if spec.redact_names:
-            grant = GrantAbstract.from_text(grant.row_id, redact_patentee(grant.text), grant.ground_truth)
-        if spec.pipeline == "one_shot":
-            out.append(run_one_shot(backend, model, grant, spec.method_id, config.prices))
-        elif spec.pipeline == "ensemble":
-            out.append(run_ensemble(backend, model, spec.ensemble, grant, spec.method_id, config.prices))
-        else:  # tool_chain
-            out.append(
-                run_tool_chain(
-                    backend, geocoder, model, grant,
-                    spec.budget or AgentBudget(), spec.method_id, config.prices,
-                )
-            )
-    return out
+    model = _seeded(spec.model, seed)
+    return lambda grant: run_one_shot(backend, model, _redacted(spec, grant), spec.method_id, config.prices)
 
 
-def _request_summary(spec: MethodSpec, grant: GrantAbstract) -> str:
-    if spec.pipeline in _LLM_PIPELINES:
-        return build_one_shot_prompt(grant.text)[:160] if spec.pipeline != "tool_chain" else grant.text[:160]
+def _setup_ensemble(spec: MethodSpec, config: HarnessConfig, grants, seed: int):
+    backend = _make_backend(spec, config)  # members carry their own seeds
+    return lambda grant: run_ensemble(
+        backend, spec.model, spec.ensemble, _redacted(spec, grant), spec.method_id, config.prices
+    )
+
+
+def _setup_tool_chain(spec: MethodSpec, config: HarnessConfig, grants, seed: int):
+    backend = _make_backend(spec, config)
+    model = _seeded(spec.model, seed)
+    provider = GoogleGeocodeProvider() if config.backend_kind == "live" else None
+    geocoder = Geocoder(provider=provider, cache_path=spec.geocode_cache)
+    budget = spec.budget or AgentBudget()
+    return lambda grant: run_tool_chain(backend, geocoder, model, grant, budget, spec.method_id, config.prices)
+
+
+@dataclass(frozen=True)
+class Pipeline:
+    """One pipeline: its method keys besides method_id and pipeline, whether
+    it calls a model, a once-per-method ``setup(spec, config, grants, seed)``
+    returning a ``grant -> Prediction`` callable, and its call-log request.
+    """
+
+    required: tuple[str, ...]
+    optional: tuple[str, ...]
+    llm: bool
+    setup: Callable[..., Callable[[GrantAbstract], Prediction]]
+    request_summary: Callable[[MethodSpec, GrantAbstract], str]
+
+
+def _prompt_summary(spec: MethodSpec, grant: GrantAbstract) -> str:
+    return build_one_shot_prompt(grant.text)[:160]
+
+
+def _text_summary(spec: MethodSpec, grant: GrantAbstract) -> str:
+    return grant.text[:160]
+
+
+def _row_summary(spec: MethodSpec, grant: GrantAbstract) -> str:
     return f"{spec.pipeline}:{grant.row_id}"
+
+
+_MODEL_KEYS = ("fixture_script", "sweep_fixtures")
+
+PIPELINES: dict[str, Pipeline] = {
+    "one_shot": Pipeline(("model",), _MODEL_KEYS + ("redact_names",), True, _setup_one_shot, _prompt_summary),
+    "tool_chain": Pipeline(
+        ("model",), _MODEL_KEYS + ("budget", "geocode_cache"), True, _setup_tool_chain, _text_summary
+    ),
+    "ensemble": Pipeline(
+        ("model", "ensemble"), _MODEL_KEYS + ("redact_names",), True, _setup_ensemble, _prompt_summary
+    ),
+    "county_centroid": Pipeline((), (), False, _setup_county_centroid, _row_summary),
+    "heuristic_geoparse": Pipeline(("params",), ("gazetteer",), False, _setup_heuristic_geoparse, _row_summary),
+    "ner_pipeline": Pipeline((), ("gazetteer",), False, _setup_ner_pipeline, _row_summary),
+    "ingest_external": Pipeline(
+        ("predictions_file",), ("total_cost_usd", "latency_s_per_grant"), False, _setup_ingest_external, _row_summary
+    ),
+}
 
 
 def _log_record(prediction: Prediction, request_summary: str) -> dict:
@@ -656,14 +654,16 @@ def run_evaluation(manifest: RunManifest) -> RunOutcome:
     predictions: dict[str, list[Prediction]] = {}
     failures = 0
     for spec in manifest.methods:
-        preds = _run_method(spec, grants, config, manifest.seed)
+        pipeline = PIPELINES[spec.pipeline]
+        predict = pipeline.setup(spec, config, grants, manifest.seed)
+        preds = [predict(grant) for grant in grants]
         predictions[spec.method_id] = preds
         failures += sum(1 for p in preds if p.run.failed)
         method_dir = run_dir / "runs" / spec.method_id
         method_dir.mkdir(parents=True, exist_ok=True)
         with (method_dir / "calls.jsonl").open("w", encoding="utf-8") as fh:
             for grant, p in zip(grants, preds):
-                fh.write(json.dumps(_log_record(p, _request_summary(spec, grant))) + "\n")
+                fh.write(json.dumps(_log_record(p, pipeline.request_summary(spec, grant))) + "\n")
 
     _write_results_csv(run_dir / f"results_{manifest.evalset}.csv", grants, manifest.methods, predictions)
     return RunOutcome(run_dir, len(grants) * len(manifest.methods), failures, predictions)
@@ -837,9 +837,8 @@ def generate_report(
     lines += ["", "## Processing time", ""]
     lines += ["| ID | Hours per located | Hours per 1k | Speedup vs. baseline |", "|---|---|---|---|"]
     for s in summaries:
-        lines.append(
-            f"| {s.method_id} | {s.hours_per_1k / 1000:.4f} | {s.hours_per_1k:.3f} | {s.speedup_vs_baseline:,.0f}× |"
-        )
+        speedup = f"{s.speedup_vs_baseline:,.0f}×" if s.speedup_vs_baseline is not None else "n/a"
+        lines.append(f"| {s.method_id} | {s.hours_per_1k / 1000:.4f} | {s.hours_per_1k:.3f} | {speedup} |")
     lines += ["", "## Marginal cost of high-precision accuracy", ""]
     lines += ["| ID | ≤10 km hit-rate | Cost per 1k (USD) | Cost per +1% ≤10 km hit (USD) |", "|---|---|---|---|"]
     for s in summaries:
@@ -907,7 +906,7 @@ def sweep(manifest: RunManifest, axis: str, values: list) -> Path:
     if axis not in SWEEP_AXES:
         raise AxisInapplicable(f"unknown axis {axis!r}")
     for spec in manifest.methods:
-        if spec.pipeline not in _LLM_PIPELINES or spec.model is None:
+        if not PIPELINES[spec.pipeline].llm:
             raise AxisInapplicable(f"{spec.method_id}: pipeline {spec.pipeline} has no {axis}")
         if axis == "temperature" and spec.model.reasoning_effort is not None:
             raise AxisInapplicable(f"{spec.method_id}: model is reasoning-effort based")

@@ -80,7 +80,7 @@ class OlsFit:
 class LatencySummary:
     hours_per_located: float
     hours_per_1k: float
-    speedup_vs_baseline: float
+    speedup_vs_baseline: float | None  # None when the mean latency is 0
 
 
 @dataclass
@@ -93,7 +93,7 @@ class MethodSummary:
     cost_per_located: Decimal
     cost_per_1k: Decimal
     hours_per_1k: float
-    speedup_vs_baseline: float
+    speedup_vs_baseline: float | None
     marginal_cost_per_hit_pp: float | None = None
 
 
@@ -249,6 +249,8 @@ def latency_summary(
 ) -> LatencySummary:
     """Hours per located / per 1k and the speedup against the baseline.
 
+    The speedup is None (undefined) when the mean latency is 0.
+
     ``records`` may be RunRecords or anything with a ``latency_s``
     attribute; plain numbers (seconds) are accepted too.
     """
@@ -262,5 +264,5 @@ def latency_summary(
     return LatencySummary(
         hours_per_located=hours_per_located,
         hours_per_1k=hours_per_1k,
-        speedup_vs_baseline=baseline_per_1k / hours_per_1k,
+        speedup_vs_baseline=baseline_per_1k / hours_per_1k if hours_per_1k else None,
     )

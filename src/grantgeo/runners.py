@@ -9,11 +9,8 @@ from decimal import Decimal
 
 from .corpus import GrantAbstract
 from .gateway import (
-    BackendTimeout,
-    BackendUnavailable,
+    BACKEND_ERRORS,
     ChatMessage,
-    FixtureExhausted,
-    FixtureMismatch,
     ModelConfig,
     PriceTable,
     DEFAULT_PRICES,
@@ -30,8 +27,6 @@ from .geo import (
     spherical_centroid,
 )
 from .prompts import build_one_shot_prompt
-
-_BACKEND_ERRORS = (BackendUnavailable, BackendTimeout, FixtureExhausted, FixtureMismatch)
 
 
 class AllCallsFailed(RuntimeError):
@@ -78,7 +73,7 @@ def _one_call(backend, cfg: ModelConfig, grant: GrantAbstract):
     messages = [ChatMessage("user", build_one_shot_prompt(grant.text))]
     try:
         response, usage = backend.complete(cfg, messages)
-    except _BACKEND_ERRORS as exc:
+    except BACKEND_ERRORS as exc:
         return None, TokenUsage(), "", f"{type(exc).__name__}: {exc}"
     if response.text is None:
         return None, usage, "", "UnexpectedToolCall"

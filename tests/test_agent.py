@@ -16,7 +16,6 @@ from grantgeo.agent import (
     TOOL_CATALOG,
     ToolCallRecord,
     handle_compute_centroid,
-    handle_geocode_place,
     run_tool_chain,
     trace_statistics,
     validate_tool_call,
@@ -103,8 +102,8 @@ class TestGeocoder:
         cache = tmp_path / "cache.jsonl"
         write_geocode_cache(cache, replay_trace.cache_entries())
         geocoder = Geocoder(cache_path=cache)
-        a = handle_geocode_place(geocoder, "Holloway Swamp, Sussex County, Virginia")
-        b = handle_geocode_place(geocoder, "Holloway Swamp, Sussex County, Virginia")
+        a = geocoder.lookup("Holloway Swamp, Sussex County, Virginia")
+        b = geocoder.lookup("Holloway Swamp, Sussex County, Virginia")
         assert json.dumps(a.to_payload()) == json.dumps(b.to_payload())
         assert a.lat == 36.9058167 and a.lng == -77.2405153
         assert a.formatted_address == "Sussex County, VA, USA"
@@ -113,7 +112,7 @@ class TestGeocoder:
         cache = tmp_path / "cache.jsonl"
         write_geocode_cache(cache, replay_trace.cache_entries())
         geocoder = Geocoder(cache_path=cache)
-        r = handle_geocode_place(geocoder, "Blackwater Swamp, Sussex County, Virginia")
+        r = geocoder.lookup("Blackwater Swamp, Sussex County, Virginia")
         assert (r.lat, r.lng) == (37.10810973, -77.15139208)
         assert r.formatted_address == "Blackwater Swamp, Virginia 23842, USA"
 

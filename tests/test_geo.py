@@ -82,6 +82,8 @@ class TestParseCoordinateText:
     def test_surrounding_prose_tolerated(self):
         c = parse_coordinate_text("Final answer: 37.4316, -78.6569 (statewide)")
         assert c == Coordinate(37.4316, -78.6569)
+        # a full stop ending the sentence is not part of the number
+        assert parse_coordinate_text("It is 37.166303, -77.240091.") == Coordinate(37.166303, -77.240091)
 
     def test_curly_quotes_accepted(self):
         c = parse_coordinate_text("37°00’07.2”N 77°07’58.8”W")
@@ -94,6 +96,8 @@ class TestParseCoordinateText:
     def test_two_coordinates(self):
         with pytest.raises(UnparseableCoordinate):
             parse_coordinate_text("37.0, -77.0 or maybe 38.0, -78.0")
+        with pytest.raises(UnparseableCoordinate):
+            parse_coordinate_text("Either 37.1, -77.2 or 37.3, -77.4.")
 
     def test_minutes_out_of_range(self):
         with pytest.raises(UnparseableCoordinate):

@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import json
 from decimal import Decimal
+from pathlib import Path
 
 import pytest
 import yaml
@@ -14,6 +15,7 @@ from grantgeo.cli import main
 from grantgeo.corpus import MalformedRow
 from grantgeo.gateway import text_turn, write_fixture_script
 from grantgeo.harness import (
+    PIPELINES,
     AxisInapplicable,
     ConfigInvalid,
     DataMissing,
@@ -87,6 +89,32 @@ class TestConfig:
         )
         with pytest.raises(ConfigInvalid):
             load_config(config_path)
+
+    def test_unknown_model_price_rejected_at_load(self, tmp_path):
+        config_path = hf.build_workspace(
+            tmp_path,
+            methods=[
+                {
+                    "method_id": "M-9",
+                    "pipeline": "one_shot",
+                    "model": {"model_id": "mystery-model", "temperature": 0.2},
+                    "fixture_script": "fixtures/m9.jsonl",
+                }
+            ],
+        )
+        with pytest.raises(ConfigInvalid, match="mystery-model"):
+            load_config(config_path)
+        assert main(["run", "--config", str(config_path)]) == 1
+
+    def test_readme_config_document_loads(self, tmp_path):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        section = readme.split("### Config document", 1)[1]
+        doc = yaml.safe_load(section.split("```yaml", 1)[1].split("```", 1)[0])
+        (tmp_path / doc["data"]["county_table"]).write_text("county,lat,lon\nSussex,36.92,-77.28\n", encoding="utf-8")
+        config_path = tmp_path / "config.yaml"
+        config_path.write_text(yaml.safe_dump(doc), encoding="utf-8")
+        config = load_config(config_path)
+        assert {spec.pipeline for spec in config.methods.values()} == set(PIPELINES)
 
     def test_unknown_method_in_roster(self, tmp_path):
         config_path = hf.build_workspace(tmp_path)
@@ -372,6 +400,28 @@ class TestGenerateReport:
         assert "## Tool usage" in report
         assert "| T-4 | 1.00 |" in report
 
+    def test_zero_latency_speedup_is_na(self, tmp_path):
+        grants = hf.make_grants(3)
+        fixtures = tmp_path / "fixtures"
+        fixtures.mkdir()
+        from grantgeo.corpus import write_ground_truth
+
+        write_ground_truth(fixtures / "ground_truth.csv", grants)
+        hf.external_predictions_csv(fixtures / "h1.csv", grants)
+        config = {
+            "corpus": {"ground_truth": "fixtures/ground_truth.csv"},
+            "evalsets": {"gold": {"from": "all"}},
+            "methods": [{"method_id": "H-1", "pipeline": "ingest_external", "predictions_file": "fixtures/h1.csv"}],
+            "output_dir": "out",
+        }
+        config_path = tmp_path / "config.yaml"
+        config_path.write_text(yaml.safe_dump(config), encoding="utf-8")
+        assert main(["run", "--config", str(config_path)]) == 0
+        assert main(["report", "--run-dir", str(tmp_path / "out"), "--resamples", "200"]) == 0
+        report = (tmp_path / "out" / "report.md").read_text(encoding="utf-8")
+        processing = report.split("## Processing time", 1)[1].split("##", 1)[0]
+        assert "| H-1 | 0.0000 | 0.000 | n/a |" in processing
+
     def test_no_results(self, tmp_path):
         with pytest.raises(NoResults):
             generate_report(tmp_path)
@@ -472,6 +522,23 @@ class TestCli:
         bad = tmp_path / "bad.yaml"
         bad.write_text("methods: {", encoding="utf-8")
         assert main(["run", "--config", str(bad)]) == 1
+
+    @pytest.mark.parametrize(
+        "extra",
+        [
+            {"geocode_cahce": "fixtures/geocache.jsonl"},  # misspelled key
+            {"total_cost_usd": 10},  # an ingest_external key on tool_chain
+        ],
+    )
+    def test_undeclared_method_key_exit_one(self, tmp_path, extra):
+        method = {
+            "method_id": "T-4",
+            "pipeline": "tool_chain",
+            "model": {"model_id": "gpt-4.1-2025-04-14", "temperature": 0.2},
+            "fixture_script": "fixtures/toolchain.jsonl",
+        }
+        config_path = hf.build_workspace(tmp_path, methods=[{**method, **extra}])
+        assert main(["run", "--config", str(config_path)]) == 1
 
     def test_data_error_exit_two(self, tmp_path):
         config_path = hf.build_workspace(tmp_path)

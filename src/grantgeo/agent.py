@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import jsonschema
+from jsonschema.exceptions import best_match
 
 from .corpus import GrantAbstract
 from .gateway import (
@@ -146,15 +147,29 @@ class ToolCallRecord:
     selected: bool = False
 
 
-def validate_tool_call(request: ToolCallRequest, catalog: list[dict] = TOOL_CATALOG) -> dict:
-    """Return validated arguments or raise ArgumentInvalid."""
-    schema = next((t for t in catalog if t["name"] == request.name), None)
-    if schema is None:
+def _tool_validator(schema: dict) -> jsonschema.protocols.Validator:
+    cls = jsonschema.validators.validator_for(schema)
+    cls.check_schema(schema)
+    return cls(schema)
+
+
+# One validator per catalog entry, each schema checked once; validating a
+# call then costs what the arguments cost, not a metaschema check.
+_TOOL_VALIDATORS = {tool["name"]: _tool_validator(tool["parameters"]) for tool in TOOL_CATALOG}
+
+
+def validate_tool_call(request: ToolCallRequest) -> dict:
+    """Return validated arguments or raise ArgumentInvalid.
+
+    The message is the one ``jsonschema.validate`` would give: that of the
+    best-matching error.
+    """
+    validator = _TOOL_VALIDATORS.get(request.name)
+    if validator is None:
         raise ArgumentInvalid(f"unknown tool {request.name!r}")
-    try:
-        jsonschema.validate(request.arguments, schema["parameters"])
-    except jsonschema.ValidationError as exc:
-        raise ArgumentInvalid(exc.message) from exc
+    error = best_match(validator.iter_errors(request.arguments))
+    if error is not None:
+        raise ArgumentInvalid(error.message) from error
     return request.arguments
 
 

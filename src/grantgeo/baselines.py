@@ -14,6 +14,7 @@ import csv
 import itertools
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from importlib import resources
 from pathlib import Path
 from typing import Callable, Iterable
@@ -353,9 +354,93 @@ def tune_heuristic_grid(
     return best_params  # type: ignore[return-value]
 
 
-def load_gazetteer(path: str | Path) -> list[GazetteerEntry]:
+def _normalize_entity(name: str) -> str:
+    name = name.lower().replace("st.", "saint").replace("'s", "")
+    return re.sub(r"\s+", " ", re.sub(r"[^\w\s]", " ", name)).strip()
+
+
+_WORD = re.compile(r"\w+")
+
+
+class Gazetteer(list):
+    """Gazetteer rows in file order, with name indexes built on first lookup.
+
+    A ``list`` of :class:`GazetteerEntry`, so it goes wherever the rows go.
+    The indexes make a lookup cost grow with the text, not with the number
+    of rows. They hold the rows as they were at the first lookup: build a
+    new ``Gazetteer`` rather than editing one that has been searched.
+    """
+
+    @classmethod
+    def of(cls, rows: Iterable[GazetteerEntry]) -> "Gazetteer":
+        return rows if isinstance(rows, cls) else cls(rows)
+
+    @cached_property
+    def _entity_index(self) -> tuple[dict[str, list[int]], list[int], int]:
+        """Normalized name -> positions of in-box rows; the in-box rows whose
+        name normalizes to empty; the longest normalized name, in tokens."""
+        by_name: dict[str, list[int]] = {}
+        for i, g in enumerate(self):
+            if within_bbox(g.coordinate, VIRGINIA_BBOX):
+                by_name.setdefault(_normalize_entity(g.name), []).append(i)
+        empty = by_name.pop("", [])
+        longest = max((name.count(" ") + 1 for name in by_name), default=0)
+        return by_name, empty, longest
+
+    def entity_matches(self, entity: str) -> list[GazetteerEntry]:
+        """In-box rows whose normalized name is a run of whole tokens of the
+        normalized entity, in gazetteer order. A name that normalizes to
+        empty matches every entity that does not."""
+        ent_norm = _normalize_entity(entity)
+        if not ent_norm:
+            return []
+        by_name, empty, longest = self._entity_index
+        tokens = ent_norm.split(" ")
+        grams = {
+            " ".join(tokens[i : i + n])
+            for n in range(1, min(longest, len(tokens)) + 1)
+            for i in range(len(tokens) - n + 1)
+        }
+        hits = sorted(itertools.chain(empty, *(by_name.get(gram, ()) for gram in grams)))
+        return [self[i] for i in hits]
+
+    @cached_property
+    def _word_index(self) -> tuple[dict[str, list[int]], list[int]]:
+        """First word of each lowered name -> row positions; the rows whose
+        name does not start with a word character, checked on every text."""
+        by_word: dict[str, list[int]] = {}
+        always: list[int] = []
+        for i, g in enumerate(self):
+            m = _WORD.match(g.name.lower())
+            if m:
+                by_word.setdefault(m.group(0), []).append(i)
+            else:
+                always.append(i)
+        return by_word, always
+
+    def name_matches(self, text: str) -> list[GazetteerEntry]:
+        """Rows whose lowered name occurs as whole words in the lowered text,
+        in gazetteer order.
+
+        A name that starts with a word character can only match where that
+        first word is a whole word of the text, so only those rows are
+        checked, and the whole-word pattern is built only for names that
+        occur in the text as a substring.
+        """
+        lowered = text.lower()
+        by_word, always = self._word_index
+        words = set(_WORD.findall(lowered))
+        found = []
+        for i in sorted(itertools.chain(always, *(by_word.get(word, ()) for word in words))):
+            name = self[i].name.lower()
+            if name in lowered and re.search(rf"\b{re.escape(name)}\b", lowered):
+                found.append(self[i])
+        return found
+
+
+def load_gazetteer(path: str | Path) -> Gazetteer:
     """Gazetteer CSV: ``name,lat,lon,population,feature_class``."""
-    entries = []
+    entries = Gazetteer()
     with Path(path).open(newline="", encoding="utf-8") as fh:
         for row in csv.DictReader(fh):
             entries.append(
@@ -369,7 +454,7 @@ def load_gazetteer(path: str | Path) -> list[GazetteerEntry]:
     return entries
 
 
-def packaged_gazetteer() -> list[GazetteerEntry]:
+def packaged_gazetteer() -> Gazetteer:
     with resources.as_file(resources.files("grantgeo.data") / "gazetteer_sample.csv") as p:
         return load_gazetteer(p)
 
@@ -390,11 +475,6 @@ def default_entity_extractor(text: str) -> list[str]:
     return unique
 
 
-def _normalize_entity(name: str) -> str:
-    name = name.lower().replace("st.", "saint").replace("'s", "")
-    return re.sub(r"\s+", " ", re.sub(r"[^\w\s]", " ", name)).strip()
-
-
 def predict_ner_pipeline(
     text: str,
     extractor: Extractor,
@@ -406,21 +486,12 @@ def predict_ner_pipeline(
     All candidates matching any extracted entity compete; the most
     populous wins (ties to the lexicographically first name). Falls back
     to the county centroid, then the statewide center, so coverage is
-    total.
+    total. Entities match as in :meth:`Gazetteer.entity_matches`.
     """
-    candidates: list[GazetteerEntry] = []
-    for entity in extractor(text):
-        ent_norm = _normalize_entity(entity)
-        if not ent_norm:
-            continue
-        for g in gazetteer:
-            if not within_bbox(g.coordinate, VIRGINIA_BBOX):
-                continue
-            g_norm = _normalize_entity(g.name)
-            if g_norm == ent_norm or re.search(rf"\b{re.escape(g_norm)}\b", ent_norm):
-                candidates.append(g)
+    gazetteer = Gazetteer.of(gazetteer)
+    candidates = [g for entity in extractor(text) for g in gazetteer.entity_matches(entity)]
     if candidates:
-        best = sorted(candidates, key=lambda g: (-g.population, g.name))[0]
+        best = min(candidates, key=lambda g: (-g.population, g.name))
         return best.coordinate, "entity"
     county = extract_county(text)
     if county is not None:
@@ -431,14 +502,11 @@ def predict_ner_pipeline(
 
 
 def gazetteer_resolver(gazetteer: list[GazetteerEntry], confidence: float = 1.0) -> Resolver:
-    """Resolver scanning for gazetteer names as whole-word matches."""
+    """Resolver finding gazetteer names as whole-word matches (see
+    :meth:`Gazetteer.name_matches`)."""
+    gazetteer = Gazetteer.of(gazetteer)
 
     def resolve(text: str) -> list[ResolvedToponym]:
-        found = []
-        lowered = text.lower()
-        for g in gazetteer:
-            if re.search(rf"\b{re.escape(g.name.lower())}\b", lowered):
-                found.append(ResolvedToponym(g.name, g.coordinate, confidence))
-        return found
+        return [ResolvedToponym(g.name, g.coordinate, confidence) for g in gazetteer.name_matches(text)]
 
     return resolve

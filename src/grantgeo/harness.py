@@ -23,6 +23,7 @@ import yaml
 from .agent import AgentBudget, Geocoder, GoogleGeocodeProvider, ToolCallRecord, run_tool_chain, trace_statistics
 from .baselines import (
     CountyCentroidTable,
+    Gazetteer,
     HeuristicParams,
     default_entity_extractor,
     gazetteer_resolver,
@@ -176,6 +177,9 @@ def load_config(path: str | Path) -> HarnessConfig:
 
         prices = default_price_table()
         for model_id, spec in (doc.get("prices") or {}).items():
+            missing = [key for key in ("input", "output") if not isinstance(spec, dict) or key not in spec]
+            if missing:
+                raise ConfigInvalid(f"prices.{model_id}: missing {' and '.join(missing)}")
             prices.set_price(model_id, str(spec["input"]), str(spec["output"]))
 
         backend_doc = doc.get("backend") or {"kind": "fixture"}
@@ -227,6 +231,8 @@ def load_config(path: str | Path) -> HarnessConfig:
 
 
 def _parse_method(doc: dict, config_dir: Path) -> MethodSpec:
+    if not isinstance(doc, dict):
+        raise ConfigInvalid(f"each methods entry must be a mapping, got {doc!r}")
     try:
         method_id = doc.get("method_id")
         name = doc.get("pipeline")
@@ -457,29 +463,43 @@ def _timed_baseline(spec: MethodSpec, locate: Callable[[str], tuple[Coordinate, 
     return predict
 
 
-def _gazetteer(spec: MethodSpec):
-    return load_gazetteer(spec.gazetteer) if spec.gazetteer else packaged_gazetteer()
+@dataclass
+class _RunScope:
+    """What a pipeline's setup reads: the run's config, grants and seed, and
+    its gazetteers, each path loaded (and so indexed) once per run."""
+
+    config: HarnessConfig
+    grants: list[GrantAbstract]
+    seed: int
+    _gazetteers: dict[Path | None, Gazetteer] = field(default_factory=dict, init=False, repr=False)
+
+    def gazetteer(self, path: Path | None) -> Gazetteer:
+        if path not in self._gazetteers:
+            self._gazetteers[path] = load_gazetteer(path) if path else packaged_gazetteer()
+        return self._gazetteers[path]
 
 
-def _setup_county_centroid(spec: MethodSpec, config: HarnessConfig, grants, seed: int):
-    return _timed_baseline(spec, lambda text: predict_county_centroid(text, config.county_table))
+def _setup_county_centroid(spec: MethodSpec, scope: _RunScope):
+    return _timed_baseline(spec, lambda text: predict_county_centroid(text, scope.config.county_table))
 
 
-def _setup_heuristic_geoparse(spec: MethodSpec, config: HarnessConfig, grants, seed: int):
-    resolver = gazetteer_resolver(_gazetteer(spec))
-    return _timed_baseline(spec, lambda text: heuristic_geoparse(text, resolver, config.county_table, spec.params))
-
-
-def _setup_ner_pipeline(spec: MethodSpec, config: HarnessConfig, grants, seed: int):
-    gazetteer = _gazetteer(spec)
+def _setup_heuristic_geoparse(spec: MethodSpec, scope: _RunScope):
+    resolver = gazetteer_resolver(scope.gazetteer(spec.gazetteer))
     return _timed_baseline(
-        spec, lambda text: predict_ner_pipeline(text, default_entity_extractor, gazetteer, config.county_table)
+        spec, lambda text: heuristic_geoparse(text, resolver, scope.config.county_table, spec.params)
     )
 
 
-def _setup_ingest_external(spec: MethodSpec, config: HarnessConfig, grants: list[GrantAbstract], seed: int):
+def _setup_ner_pipeline(spec: MethodSpec, scope: _RunScope):
+    gazetteer = scope.gazetteer(spec.gazetteer)
+    return _timed_baseline(
+        spec, lambda text: predict_ner_pipeline(text, default_entity_extractor, gazetteer, scope.config.county_table)
+    )
+
+
+def _setup_ingest_external(spec: MethodSpec, scope: _RunScope):
     predictions = ingest_external_predictions(
-        spec.predictions_file, spec.method_id, grants, spec.total_cost_usd, spec.latency_s_per_grant
+        spec.predictions_file, spec.method_id, scope.grants, spec.total_cost_usd, spec.latency_s_per_grant
     )
     by_id = {p.row_id: p for p in predictions}
     return lambda grant: by_id.get(grant.row_id) or _failed_prediction(spec.method_id, grant, "MissingExternalRow")
@@ -495,33 +515,33 @@ def _redacted(spec: MethodSpec, grant: GrantAbstract) -> GrantAbstract:
     return GrantAbstract.from_text(grant.row_id, redact_patentee(grant.text), grant.ground_truth)
 
 
-def _setup_one_shot(spec: MethodSpec, config: HarnessConfig, grants, seed: int):
-    backend = _make_backend(spec, config)
-    model = _seeded(spec.model, seed)
-    return lambda grant: run_one_shot(backend, model, _redacted(spec, grant), spec.method_id, config.prices)
+def _setup_one_shot(spec: MethodSpec, scope: _RunScope):
+    backend = _make_backend(spec, scope.config)
+    model = _seeded(spec.model, scope.seed)
+    return lambda grant: run_one_shot(backend, model, _redacted(spec, grant), spec.method_id, scope.config.prices)
 
 
-def _setup_ensemble(spec: MethodSpec, config: HarnessConfig, grants, seed: int):
-    backend = _make_backend(spec, config)  # members carry their own seeds
+def _setup_ensemble(spec: MethodSpec, scope: _RunScope):
+    backend = _make_backend(spec, scope.config)  # members carry their own seeds
     return lambda grant: run_ensemble(
-        backend, spec.model, spec.ensemble, _redacted(spec, grant), spec.method_id, config.prices
+        backend, spec.model, spec.ensemble, _redacted(spec, grant), spec.method_id, scope.config.prices
     )
 
 
-def _setup_tool_chain(spec: MethodSpec, config: HarnessConfig, grants, seed: int):
-    backend = _make_backend(spec, config)
-    model = _seeded(spec.model, seed)
-    provider = GoogleGeocodeProvider() if config.backend_kind == "live" else None
+def _setup_tool_chain(spec: MethodSpec, scope: _RunScope):
+    backend = _make_backend(spec, scope.config)
+    model = _seeded(spec.model, scope.seed)
+    provider = GoogleGeocodeProvider() if scope.config.backend_kind == "live" else None
     geocoder = Geocoder(provider=provider, cache_path=spec.geocode_cache)
     budget = spec.budget or AgentBudget()
-    return lambda grant: run_tool_chain(backend, geocoder, model, grant, budget, spec.method_id, config.prices)
+    return lambda grant: run_tool_chain(backend, geocoder, model, grant, budget, spec.method_id, scope.config.prices)
 
 
 @dataclass(frozen=True)
 class Pipeline:
     """One pipeline: its method keys besides method_id and pipeline, whether
-    it calls a model, a once-per-method ``setup(spec, config, grants, seed)``
-    returning a ``grant -> Prediction`` callable, and its call-log request.
+    it calls a model, a once-per-method ``setup(spec, scope)`` returning
+    a ``grant -> Prediction`` callable, and its call-log request.
     """
 
     required: tuple[str, ...]
@@ -653,10 +673,12 @@ def run_evaluation(manifest: RunManifest) -> RunOutcome:
     run_dir.mkdir(parents=True, exist_ok=True)
     predictions: dict[str, list[Prediction]] = {}
     failures = 0
+    scope = _RunScope(config, grants, manifest.seed)
     for spec in manifest.methods:
         pipeline = PIPELINES[spec.pipeline]
-        predict = pipeline.setup(spec, config, grants, manifest.seed)
+        predict = pipeline.setup(spec, scope)
         preds = [predict(grant) for grant in grants]
+        del predict  # release this method's backend and caches before the next setup runs
         predictions[spec.method_id] = preds
         failures += sum(1 for p in preds if p.run.failed)
         method_dir = run_dir / "runs" / spec.method_id

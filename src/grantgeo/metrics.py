@@ -130,6 +130,9 @@ def summarize_errors(errors: Sequence[float]) -> ErrorStats:
     )
 
 
+_BOOTSTRAP_CHUNK_CELLS = 1 << 20
+
+
 def bootstrap_ci(
     errors: Sequence[float],
     resamples: int = 10_000,
@@ -144,8 +147,14 @@ def bootstrap_ci(
     """
     arr = _validated(errors)
     rng = np.random.default_rng(seed)
-    idx = rng.integers(0, arr.size, size=(resamples, arr.size))
-    means = arr[idx].mean(axis=1)
+    # Successive draws continue one stream, so drawing the resamples x n
+    # index matrix a block of rows at a time gives the same indices while
+    # holding only about _BOOTSTRAP_CHUNK_CELLS of them at once.
+    rows = max(1, _BOOTSTRAP_CHUNK_CELLS // arr.size)
+    means = np.empty(resamples)
+    for start in range(0, resamples, rows):
+        stop = min(start + rows, resamples)
+        means[start:stop] = arr[rng.integers(0, arr.size, size=(stop - start, arr.size))].mean(axis=1)
     alpha = 1.0 - level
     lo, hi = np.quantile(means, [alpha / 2.0, 1.0 - alpha / 2.0])
     return BootstrapCI(level=level, resamples=resamples, seed=seed, lo=float(lo), hi=float(hi))

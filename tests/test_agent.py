@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 from decimal import Decimal
 
+import jsonschema
 import pytest
 
 from grantgeo.agent import (
@@ -65,6 +66,25 @@ class TestValidateToolCall:
     def test_unknown_tool(self):
         with pytest.raises(ArgumentInvalid):
             validate_tool_call(ToolCallRequest("search_web", {"query": "x"}))
+
+    @pytest.mark.parametrize(
+        "name, arguments",
+        [
+            ("geocode_place", {}),
+            ("geocode_place", {"query": 7}),
+            ("geocode_place", {"query": "x", "strategy": "web_search"}),
+            ("geocode_place", []),
+            ("compute_centroid", {"points": []}),
+            ("compute_centroid", {"points": [{"lat": 1.0}, {"lng": "2"}]}),
+        ],
+    )
+    def test_message_matches_jsonschema_validate(self, name, arguments):
+        schema = next(t["parameters"] for t in TOOL_CATALOG if t["name"] == name)
+        with pytest.raises(jsonschema.ValidationError) as expected:
+            jsonschema.validate(arguments, schema)
+        with pytest.raises(ArgumentInvalid) as got:
+            validate_tool_call(ToolCallRequest(name, arguments))
+        assert str(got.value) == expected.value.message
 
     def test_catalog_wire_format(self):
         names = [t["name"] for t in TOOL_CATALOG]

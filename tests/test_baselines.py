@@ -3,12 +3,16 @@
 from __future__ import annotations
 
 import random
+import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from grantgeo.baselines import (
     CountyCentroidTable,
     EmptyGold,
+    Gazetteer,
     GazetteerEntry,
     HeuristicParams,
     ResolvedToponym,
@@ -22,6 +26,7 @@ from grantgeo.baselines import (
     predict_county_centroid,
     predict_ner_pipeline,
     tune_heuristic_grid,
+    _normalize_entity,
 )
 from grantgeo.corpus import GrantAbstract
 from grantgeo.geo import Coordinate, VIRGINIA_BBOX, haversine_km, within_bbox
@@ -311,6 +316,129 @@ class TestPredictNerPipeline:
         assert coordinate == Coordinate(36.9051, -82.3124)
         central_va_truth = Coordinate(37.6, -77.4)
         assert haversine_km(coordinate, central_va_truth) > 350
+
+
+def _reference_resolve(rows, text, confidence=1.0):
+    """The unindexed scan: every row's whole-word pattern over the text."""
+    lowered = text.lower()
+    return [
+        ResolvedToponym(g.name, g.coordinate, confidence)
+        for g in rows
+        if re.search(rf"\b{re.escape(g.name.lower())}\b", lowered)
+    ]
+
+
+def _reference_entity_matches(rows, entity):
+    """The unindexed scan: every in-box row's normalized name against the entity."""
+    ent_norm = _normalize_entity(entity)
+    if not ent_norm:
+        return []
+    matches = []
+    for g in rows:
+        if not within_bbox(g.coordinate, VIRGINIA_BBOX):
+            continue
+        g_norm = _normalize_entity(g.name)
+        if g_norm == ent_norm or re.search(rf"\b{re.escape(g_norm)}\b", ent_norm):
+            matches.append(g)
+    return matches
+
+
+def _reference_ner(text, entities, rows):
+    candidates = [g for entity in entities for g in _reference_entity_matches(rows, entity)]
+    if candidates:
+        return sorted(candidates, key=lambda g: (-g.population, g.name))[0].coordinate, "entity"
+    return predict_county_centroid(text, TABLE)
+
+
+# Name pieces: case variants, "St."/"'s" forms, pieces that normalize to
+# nothing, digits, underscore and a letter whose lower case is two characters.
+_PIECES = ["Oak", "oak", "OAK", "Hill", "St.", "St", "John's", "'s", "Run", "Mill", "s", "1", "_", "İvy", "ß"]
+_SEPARATORS = ["", " ", "  ", "-", ", ", ". ", "'", "(", ")", "&", "\t", "."]
+_COORDINATES = [Coordinate(37.2, -77.4), Coordinate(38.9, -78.1), Coordinate(40.5, -74.0)]  # last: out of box
+
+
+def _joined(fragments):
+    return st.lists(st.tuples(st.sampled_from(_SEPARATORS), fragments), max_size=5).map(
+        lambda parts: "".join(sep + frag for sep, frag in parts)
+    )
+
+
+_NAMES = _joined(st.sampled_from(_PIECES))
+
+
+@st.composite
+def _gazetteer_case(draw):
+    """Rows drawing names from a small pool (so names repeat at other
+    places), and texts mixing pool names with fresh ones."""
+    pool = draw(st.lists(_NAMES, min_size=1, max_size=6))
+    rows = draw(
+        st.lists(
+            st.builds(
+                GazetteerEntry,
+                name=st.sampled_from(pool),
+                coordinate=st.sampled_from(_COORDINATES),
+                population=st.sampled_from([0, 50, 900]),
+                feature_class=st.just("place"),
+            ),
+            max_size=12,
+        )
+    )
+    fragment = st.one_of(st.sampled_from(pool), _NAMES)
+    texts = draw(st.lists(_joined(fragment), min_size=1, max_size=4))
+    return rows, texts
+
+
+class TestGazetteerIndex:
+    def test_sample_names_cover_the_edge_cases(self):
+        assert not within_bbox(_COORDINATES[-1], VIRGINIA_BBOX)
+        assert _normalize_entity("'s") == "" and _normalize_entity("(-)") == ""
+        assert _normalize_entity("St. John's") == "saint john"
+        assert not re.match(r"\w", "(Oak")
+
+    @given(_gazetteer_case())
+    @settings(max_examples=250, deadline=None)
+    def test_resolver_matches_reference_scan(self, case):
+        rows, texts = case
+        for resolve in (gazetteer_resolver(rows), gazetteer_resolver(Gazetteer(rows))):
+            for text in texts:
+                assert resolve(text) == _reference_resolve(rows, text)
+
+    @given(_gazetteer_case())
+    @settings(max_examples=250, deadline=None)
+    def test_entity_lookup_matches_reference_scan(self, case):
+        rows, texts = case
+        gazetteer = Gazetteer(rows)
+        for entity in texts:
+            got = [id(g) for g in gazetteer.entity_matches(entity)]
+            assert got == [id(g) for g in _reference_entity_matches(rows, entity)]
+        text = " ".join(texts)
+        assert predict_ner_pipeline(text, lambda _: texts, rows, TABLE) == _reference_ner(text, texts, rows)
+        entities = default_entity_extractor(text)
+        assert predict_ner_pipeline(text, default_entity_extractor, gazetteer, TABLE) == _reference_ner(
+            text, entities, rows
+        )
+
+    def test_resolver_order_and_repeats(self):
+        rows = [
+            GazetteerEntry("Mill Run", Coordinate(37.2, -77.4), 0, "stream"),
+            GazetteerEntry("(Old) Mill", Coordinate(37.3, -77.5), 0, "mill"),
+            GazetteerEntry("Mill", Coordinate(38.9, -78.1), 5, "mill"),
+            GazetteerEntry("Mill Run", Coordinate(38.0, -78.0), 0, "stream"),
+        ]
+        # "(old) mill" is whole-word only after a word character: the leading
+        # boundary sits between that character and the parenthesis.
+        resolved = gazetteer_resolver(rows)("by the mill(old) mill on Mill Run")
+        assert [(r.name, r.coordinate) for r in resolved] == [(g.name, g.coordinate) for g in rows]
+
+    def test_name_normalizing_to_empty_matches_every_entity(self):
+        blank = GazetteerEntry("'s", Coordinate(37.2, -77.4), 0, "place")
+        assert Gazetteer([blank]).entity_matches("Anything At All") == [blank]
+        assert Gazetteer([blank]).entity_matches("...") == []
+
+    def test_loaded_gazetteer_is_a_list(self):
+        gazetteer = packaged_gazetteer()
+        assert isinstance(gazetteer, list) and gazetteer == list(gazetteer)
+        assert Gazetteer.of(gazetteer) is gazetteer
 
 
 class TestTotality:

@@ -540,6 +540,21 @@ class TestCli:
         config_path = hf.build_workspace(tmp_path, methods=[{**method, **extra}])
         assert main(["run", "--config", str(config_path)]) == 1
 
+    def test_non_mapping_method_entry_exit_one(self, tmp_path, capsys):
+        config_path = hf.build_workspace(tmp_path, methods=["foo"])
+        assert main(["run", "--config", str(config_path), "--dry-run"]) == 1
+        assert "must be a mapping" in capsys.readouterr().err
+
+    def test_price_missing_field_named(self, tmp_path, capsys):
+        config_path = hf.build_workspace(tmp_path)
+        doc = yaml.safe_load(config_path.read_text(encoding="utf-8"))
+        doc["prices"] = {"my-model": {"input": 1}}
+        config_path.write_text(yaml.safe_dump(doc), encoding="utf-8")
+        with pytest.raises(ConfigInvalid, match=r"prices\.my-model: missing output"):
+            load_config(config_path)
+        assert main(["run", "--config", str(config_path), "--dry-run"]) == 1
+        assert "my-model" in capsys.readouterr().err
+
     def test_data_error_exit_two(self, tmp_path):
         config_path = hf.build_workspace(tmp_path)
         (tmp_path / "fixtures" / "ground_truth.csv").unlink()

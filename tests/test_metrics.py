@@ -7,6 +7,7 @@ import random
 import numpy as np
 import pytest
 
+from grantgeo import metrics
 from grantgeo.metrics import (
     DegenerateX,
     EmptyInput,
@@ -118,6 +119,20 @@ class TestBootstrapCI:
         wide = bootstrap_ci(data, resamples=4000, level=0.99, seed=5)
         narrow = bootstrap_ci(data, resamples=4000, level=0.80, seed=5)
         assert (wide.hi - wide.lo) >= (narrow.hi - narrow.lo)
+
+
+    @pytest.mark.parametrize("n", [1, 7, 1000])
+    @pytest.mark.parametrize("chunk_cells", [1, 333, 4096, 1 << 20])
+    def test_chunked_draws_match_single_draw(self, monkeypatch, n, chunk_cells):
+        errors = np.random.default_rng(n).gamma(2.0, 10.0, size=n).tolist()
+        # Reference: the whole resamples x n index matrix in one draw.
+        rng = np.random.default_rng(11)
+        means = np.asarray(errors)[rng.integers(0, n, size=(997, n))].mean(axis=1)
+        alpha = 1.0 - 0.9
+        lo, hi = np.quantile(means, [alpha / 2.0, 1.0 - alpha / 2.0])
+        monkeypatch.setattr(metrics, "_BOOTSTRAP_CHUNK_CELLS", chunk_cells)
+        ci = bootstrap_ci(errors, resamples=997, level=0.9, seed=11)
+        assert (ci.lo, ci.hi) == (float(lo), float(hi))
 
 
 class TestDropTopKMean:

@@ -76,6 +76,7 @@ from .metrics import (
     MethodSummary,
     OlsFit,
     bootstrap_ci,
+    bootstrap_cis,
     drop_top_k_mean,
     fit_ols,
     latency_summary,

@@ -19,7 +19,7 @@ from pathlib import Path
 import jsonschema
 from jsonschema.exceptions import best_match
 
-from .corpus import GrantAbstract
+from .corpus import GrantAbstract, MalformedRow
 from .gateway import (
     BACKEND_ERRORS,
     ChatMessage,
@@ -180,7 +180,9 @@ class Geocoder:
     provider and persists as JSONL so recorded lookups replay forever.
     Candidates outside the Virginia box are discarded; a discarded or
     empty lookup is cached as null. Safe for concurrent readers;
-    provider calls and cache writes are serialized.
+    provider calls and cache writes are serialized. A final line torn by
+    an interrupted append is skipped; any other bad line, or a cached
+    result that is not a geocode result, is MalformedRow.
     """
 
     def __init__(
@@ -195,14 +197,33 @@ class Geocoder:
         self._cache: dict[tuple[str, str], dict | None] = {}
         self._lock = threading.Lock()
         self.provider_calls = 0
+        # (offset, prefix) for the next append when the file does not end in
+        # a newline: cut a torn final line off, or terminate an intact one.
+        self._tail_fix: tuple[int, bytes] | None = None
         if self._cache_path and self._cache_path.exists():
-            with self._cache_path.open(encoding="utf-8") as fh:
-                for line in fh:
-                    line = line.strip()
-                    if not line:
-                        continue
-                    entry = json.loads(line)
+            self._load_cache()
+
+    def _load_cache(self) -> None:
+        data = self._cache_path.read_bytes()
+        lines = data.split(b"\n")  # the last item is whatever follows the final newline
+        offset = 0
+        for lineno, line in enumerate(lines, start=1):
+            if line.strip():
+                final = lineno == len(lines)
+                try:
+                    entry = json.loads(line.decode("utf-8"))
+                except ValueError as exc:  # UnicodeDecodeError is one too
+                    if not final:
+                        raise MalformedRow(f"{self._cache_path}:{lineno}: {exc}") from exc
+                    self._tail_fix = (offset, b"")  # an interrupted append: skip the fragment
+                    break
+                try:
                     self._cache[(entry["query"], entry["strategy"])] = entry["result"]
+                except (KeyError, TypeError) as exc:
+                    raise MalformedRow(f"{self._cache_path}:{lineno}: bad cache entry ({exc!r})") from exc
+                if final:
+                    self._tail_fix = (len(data), b"\n")
+            offset += len(line) + 1
 
     def lookup(self, query: str, strategy: str | None = None) -> GeocodeResult:
         if not query:
@@ -213,9 +234,13 @@ class Geocoder:
             cached = self._cache[key]
             if cached is None:
                 raise NotFound(f"no Virginia result for {query!r} (cached)")
-            result = GeocodeResult(**cached)
+            try:
+                result = GeocodeResult(**cached)
+                inside = within_bbox(result.coordinate(), self._box)
+            except (TypeError, ValueError) as exc:
+                raise MalformedRow(f"{self._cache_path}: bad cached result for {query!r} ({exc})") from exc
             # The box filter also guards hand-edited cache files.
-            if not within_bbox(result.coordinate(), self._box):
+            if not inside:
                 raise NotFound(f"cached result for {query!r} lies outside Virginia")
             return result
 
@@ -247,8 +272,13 @@ class Geocoder:
     def _persist(self, query: str, strategy: str, result: dict | None) -> None:
         if self._cache_path is None:
             return
-        with self._cache_path.open("a", encoding="utf-8") as fh:
-            fh.write(json.dumps({"query": query, "strategy": strategy, "result": result}) + "\n")
+        with self._cache_path.open("ab") as fh:
+            if self._tail_fix is not None:
+                offset, prefix = self._tail_fix
+                fh.truncate(offset)
+                fh.write(prefix)
+                self._tail_fix = None
+            fh.write(json.dumps({"query": query, "strategy": strategy, "result": result}).encode("utf-8") + b"\n")
 
 
 class GoogleGeocodeProvider:

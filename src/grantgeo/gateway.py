@@ -15,8 +15,6 @@ from dataclasses import dataclass, field
 from decimal import Decimal
 from pathlib import Path
 
-import requests
-
 MODEL_API_KEY_ENV = "MODEL_API_KEY"
 GEOCODER_API_KEY_ENV = "GEOCODER_API_KEY"
 
@@ -317,6 +315,8 @@ class LiveBackend:
         messages: list[ChatMessage],
         tools: list[dict] | None = None,
     ) -> tuple[ModelResponse, TokenUsage]:
+        import requests  # only live mode pays for importing the HTTP client
+
         if not self.api_key:
             raise BackendUnavailable(f"{MODEL_API_KEY_ENV} is not set")
         payload: dict = {

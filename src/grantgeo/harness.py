@@ -56,9 +56,10 @@ from .gateway import (
 from .geo import Coordinate, haversine_km
 from .metrics import (
     BASELINE_SECONDS_PER_GRANT,
+    BootstrapCI,
     MethodSummary,
     ZeroHitRate,
-    bootstrap_ci,
+    bootstrap_cis,
     latency_summary,
     marginal_cost_per_hit,
     pareto_frontier,
@@ -164,30 +165,32 @@ def load_config(path: str | Path) -> HarnessConfig:
         doc = yaml.safe_load(path.read_text(encoding="utf-8")) or {}
     except yaml.YAMLError as exc:
         raise ConfigInvalid(f"bad YAML: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise ConfigInvalid(f"the config document must be a mapping, got {type(doc).__name__}")
     config_dir = path.parent
 
     try:
-        corpus_doc = doc.get("corpus") or {}
+        corpus_doc = _section(doc, "corpus")
         ground_truth = _resolve(config_dir, corpus_doc.get("ground_truth"))
         if ground_truth is None:
             raise ConfigInvalid("corpus.ground_truth is required")
 
-        split_doc = doc.get("split") or {}
+        split_doc = _section(doc, "split")
         split = SplitConfig(seed=int(split_doc.get("seed", 42)), dev_fraction=float(split_doc.get("dev_fraction", 0.2)))
 
         prices = default_price_table()
-        for model_id, spec in (doc.get("prices") or {}).items():
+        for model_id, spec in _section(doc, "prices").items():
             missing = [key for key in ("input", "output") if not isinstance(spec, dict) or key not in spec]
             if missing:
                 raise ConfigInvalid(f"prices.{model_id}: missing {' and '.join(missing)}")
             prices.set_price(model_id, str(spec["input"]), str(spec["output"]))
 
-        backend_doc = doc.get("backend") or {"kind": "fixture"}
+        backend_doc = _section(doc, "backend")
         backend_kind = backend_doc.get("kind", "fixture")
         if backend_kind not in ("fixture", "live"):
             raise ConfigInvalid(f"backend.kind must be fixture or live, got {backend_kind!r}")
 
-        data_doc = doc.get("data") or {}
+        data_doc = _section(doc, "data")
         county_path = _resolve(config_dir, data_doc.get("county_table"))
         county_table = CountyCentroidTable.from_csv(county_path) if county_path else CountyCentroidTable.packaged()
 
@@ -205,7 +208,10 @@ def load_config(path: str | Path) -> HarnessConfig:
         if not methods:
             raise ConfigInvalid("at least one method is required")
 
-        evalsets = doc.get("evalsets") or {"all": {"from": "all"}}
+        evalsets = _section(doc, "evalsets") or {"all": {"from": "all"}}
+        for name, evalset_doc in evalsets.items():
+            if not isinstance(evalset_doc, dict):
+                raise ConfigInvalid(f"evalsets.{name} must be a mapping, got {evalset_doc!r}")
         default_evalset = doc.get("default_evalset") or next(iter(evalsets))
         if default_evalset not in evalsets:
             raise ConfigInvalid(f"default_evalset {default_evalset!r} is not declared")
@@ -228,6 +234,14 @@ def load_config(path: str | Path) -> HarnessConfig:
         raise
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigInvalid(str(exc)) from exc
+
+
+def _section(doc: dict, name: str) -> dict:
+    """The mapping under ``name`` ({} when absent or empty)."""
+    value = doc.get(name) or {}
+    if not isinstance(value, dict):
+        raise ConfigInvalid(f"{name} must be a mapping, got {value!r}")
+    return value
 
 
 def _parse_method(doc: dict, config_dir: Path) -> MethodSpec:
@@ -773,12 +787,10 @@ def build_method_summary(
     method_id: str,
     errors: list[float],
     logs: list[dict],
-    ci_seed: int = 42,
-    resamples: int = 10_000,
+    ci: BootstrapCI,
     baseline_s_per_grant: float = BASELINE_SECONDS_PER_GRANT,
 ) -> MethodSummary:
     stats = summarize_errors(errors)
-    ci = bootstrap_ci(errors, resamples=resamples, seed=ci_seed)
     located = sum(1 for rec in logs if rec.get("final_coordinate"))
     total_cost = sum((Decimal(rec["cost_usd"]) for rec in logs), Decimal(0))
     cost_per_located = (total_cost / located) if located else Decimal(0)
@@ -810,22 +822,21 @@ def generate_report(
     """Write report.md plus plot-ready CSVs for a completed run."""
     run_dir = Path(run_dir)
     methods, table = _read_results(run_dir)
+    errors = {mid: [c["error_km"] for c in table[mid].values() if c["error_km"] is not None] for mid in methods}
+    scored = [mid for mid in methods if errors[mid]]
+    cis = dict(zip(scored, bootstrap_cis([errors[mid] for mid in scored], resamples=resamples, seed=ci_seed)))
     summaries: list[MethodSummary] = []
     tool_preds: list[Prediction] = []
     seconds_per_grant: dict[str, float] = {}
     for mid in methods:
-        errors = [cells["error_km"] for cells in table[mid].values() if cells["error_km"] is not None]
         logs = _read_logs(run_dir, mid)
-        if errors:
-            summaries.append(
-                build_method_summary(mid, errors, logs, ci_seed, resamples, baseline_s_per_grant)
-            )
+        if mid in cis:
+            summaries.append(build_method_summary(mid, errors[mid], logs, cis[mid], baseline_s_per_grant))
         lat_values = [rec["latency_s"] for rec in logs]
         if lat_values:
             seconds_per_grant[mid] = sum(lat_values) / len(lat_values)
-        preds = _log_predictions(mid, logs)
-        if any(p.run.tool_calls for p in preds):
-            tool_preds.extend(preds)
+        if any(rec.get("tool_calls") for rec in logs):  # only tool-calling methods feed the trace table
+            tool_preds.extend(_log_predictions(mid, logs))
     if not summaries:
         raise NoResults(f"no scored rows in {run_dir}")
     summaries.sort(key=lambda s: s.stats.mean)

@@ -130,7 +130,7 @@ def summarize_errors(errors: Sequence[float]) -> ErrorStats:
     )
 
 
-_BOOTSTRAP_CHUNK_CELLS = 1 << 20
+_BOOTSTRAP_CHUNK_CELLS = 1 << 16
 
 
 def bootstrap_ci(
@@ -145,19 +145,44 @@ def bootstrap_ci(
     (alpha/2, 1-alpha/2) quantile pair of the resampled means.
     Deterministic for a given seed.
     """
-    arr = _validated(errors)
-    rng = np.random.default_rng(seed)
-    # Successive draws continue one stream, so drawing the resamples x n
-    # index matrix a block of rows at a time gives the same indices while
-    # holding only about _BOOTSTRAP_CHUNK_CELLS of them at once.
-    rows = max(1, _BOOTSTRAP_CHUNK_CELLS // arr.size)
-    means = np.empty(resamples)
-    for start in range(0, resamples, rows):
-        stop = min(start + rows, resamples)
-        means[start:stop] = arr[rng.integers(0, arr.size, size=(stop - start, arr.size))].mean(axis=1)
+    return bootstrap_cis([errors], resamples, level, seed)[0]
+
+
+def bootstrap_cis(
+    samples: Sequence[Sequence[float]],
+    resamples: int = 10_000,
+    level: float = 0.95,
+    seed: int = 0,
+) -> list[BootstrapCI]:
+    """``bootstrap_ci`` for each sample, drawing the indices once per size.
+
+    With one seed, every sample of size n resamples the same resamples x n
+    index matrix, so each block of it is drawn once and gathered for each
+    sample of that size in turn. The intervals equal per-sample
+    ``bootstrap_ci`` calls bit for bit.
+    """
+    arrays = [_validated(sample) for sample in samples]
+    by_size: dict[int, list[int]] = {}
+    for i, arr in enumerate(arrays):
+        by_size.setdefault(arr.size, []).append(i)
+    means = [np.empty(resamples) for _ in arrays]
+    for n, members in by_size.items():
+        rng = np.random.default_rng(seed)
+        # Successive draws continue one stream, so drawing the index matrix
+        # a block of rows at a time gives the same indices while holding
+        # only about _BOOTSTRAP_CHUNK_CELLS of them at once.
+        rows = max(1, _BOOTSTRAP_CHUNK_CELLS // n)
+        for start in range(0, resamples, rows):
+            stop = min(start + rows, resamples)
+            idx = rng.integers(0, n, size=(stop - start, n))
+            for i in members:
+                means[i][start:stop] = arrays[i][idx].mean(axis=1)
     alpha = 1.0 - level
-    lo, hi = np.quantile(means, [alpha / 2.0, 1.0 - alpha / 2.0])
-    return BootstrapCI(level=level, resamples=resamples, seed=seed, lo=float(lo), hi=float(hi))
+    out = []
+    for m in means:
+        lo, hi = np.quantile(m, [alpha / 2.0, 1.0 - alpha / 2.0])
+        out.append(BootstrapCI(level=level, resamples=resamples, seed=seed, lo=float(lo), hi=float(hi)))
+    return out
 
 
 def drop_top_k_mean(

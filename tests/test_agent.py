@@ -22,7 +22,7 @@ from grantgeo.agent import (
     validate_tool_call,
     write_geocode_cache,
 )
-from grantgeo.corpus import GrantAbstract
+from grantgeo.corpus import GrantAbstract, MalformedRow
 from grantgeo.gateway import (
     FixtureBackend,
     ModelConfig,
@@ -209,6 +209,84 @@ class TestGeocoder:
         for query, *_ in replay_trace.GEOCODE_RESULTS:
             result = geocoder.lookup(query)
             assert within_bbox(result.coordinate(), VIRGINIA_BBOX)
+
+
+HENRICO = {"lat": 37.53, "lng": -77.4, "formatted_address": "Henrico, VA"}
+
+
+class TestGeocodeCacheFile:
+    def _cache(self, tmp_path, tail: bytes):
+        cache = tmp_path / "cache.jsonl"
+        write_geocode_cache(cache, replay_trace.cache_entries())
+        with cache.open("ab") as fh:
+            fh.write(tail)
+        return cache
+
+    def test_torn_final_line_skipped(self, tmp_path):
+        cache = self._cache(tmp_path, b'{"query": "Holloway Sw')
+        geocoder = Geocoder(cache_path=cache)
+        for query, *_ in replay_trace.GEOCODE_RESULTS:
+            geocoder.lookup(query)
+
+    def test_torn_multibyte_character_skipped(self, tmp_path):
+        cache = self._cache(tmp_path, '{"query": "Caf\u00e9'.encode("utf-8")[:-1])
+        Geocoder(cache_path=cache)
+
+    @pytest.mark.parametrize(
+        "tail",
+        [
+            b"not json\n",  # terminated, so not a torn append
+            b'{"query": "x", "strategy": "standard_va"}',  # parses, but no result field
+            b"[1, 2]\n",
+        ],
+    )
+    def test_other_bad_line_names_file_and_line(self, tmp_path, tail):
+        cache = self._cache(tmp_path, tail)
+        lineno = len(replay_trace.cache_entries()) + 1
+        with pytest.raises(MalformedRow, match=rf"cache\.jsonl:{lineno}: "):
+            Geocoder(cache_path=cache)
+
+    @pytest.mark.parametrize(
+        "result",
+        [
+            {"lat": 37.5},
+            {"lat": 137.5, "lng": -77.4, "formatted_address": "", "strategy": "standard_va", "query_used": "x"},
+            [37.5, -77.4],
+        ],
+    )
+    def test_bad_cached_result_is_malformed_row(self, tmp_path, result):
+        cache = tmp_path / "cache.jsonl"
+        write_geocode_cache(cache, [{"query": "x", "result": result}])
+        with pytest.raises(MalformedRow, match=r"cache\.jsonl: bad cached result for 'x'"):
+            Geocoder(cache_path=cache).lookup("x")
+
+    def test_bad_middle_line_names_file_and_line(self, tmp_path):
+        cache = tmp_path / "cache.jsonl"
+        good = json.dumps({"query": "a", "strategy": "standard_va", "result": None})
+        cache.write_text(f"{good}\n{{oops\n{good}\n", encoding="utf-8")
+        with pytest.raises(MalformedRow, match=r"cache\.jsonl:2: "):
+            Geocoder(cache_path=cache)
+
+    def test_append_after_torn_tail_reloads(self, tmp_path):
+        cache = self._cache(tmp_path, b'{"query": "Holloway Sw')
+        Geocoder(provider=CountingProvider({"Henrico": HENRICO}), cache_path=cache).lookup("Henrico")
+        replayed = Geocoder(cache_path=cache)
+        assert replayed.lookup("Henrico").lat == 37.53
+        for query, *_ in replay_trace.GEOCODE_RESULTS:
+            replayed.lookup(query)
+        lines = cache.read_text(encoding="utf-8").split("\n")
+        assert lines[-1] == ""  # the fragment is gone and the new record is terminated
+        assert [json.loads(line)["query"] for line in lines[:-1]][-1] == "Henrico"
+
+    def test_append_after_unterminated_line_keeps_it(self, tmp_path):
+        cache = tmp_path / "cache.jsonl"
+        cache.write_text(json.dumps({"query": "a", "strategy": "standard_va", "result": None}), encoding="utf-8")
+        Geocoder(provider=CountingProvider({"Henrico": HENRICO}), cache_path=cache).lookup("Henrico")
+        replayed = Geocoder(cache_path=cache)
+        assert replayed.lookup("Henrico").lat == 37.53
+        with pytest.raises(NotFound, match="cached"):
+            replayed.lookup("a")
+        assert len(cache.read_text(encoding="utf-8").splitlines()) == 2
 
 
 class TestHandleComputeCentroid:

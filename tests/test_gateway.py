@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
 from decimal import Decimal
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -184,6 +188,14 @@ class TestFixtureBackend:
 
 
 class TestLiveBackend:
+    def test_importing_the_cli_leaves_requests_unloaded(self):
+        import grantgeo
+
+        code = "import sys, grantgeo, grantgeo.cli; sys.exit('requests' in sys.modules)"
+        src = str(Path(grantgeo.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+
     def test_missing_credential(self, monkeypatch):
         from grantgeo.gateway import BackendUnavailable, LiveBackend
 

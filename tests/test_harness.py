@@ -11,6 +11,7 @@ import pytest
 import yaml
 
 import harness_fixtures as hf
+from grantgeo import harness
 from grantgeo.cli import main
 from grantgeo.corpus import MalformedRow
 from grantgeo.gateway import text_turn, write_fixture_script
@@ -27,6 +28,7 @@ from grantgeo.harness import (
     run_evaluation,
     sweep,
 )
+from grantgeo.metrics import bootstrap_ci
 
 
 def _run(config_path, **kwargs):
@@ -320,6 +322,37 @@ class TestIngestExternal:
         assert sum(1 for r in rows if r["H-1_failed"] == "true") == 1
 
 
+def _mixed_workspace(tmp_path: Path) -> Path:
+    """M-3 calls tools; M-3, M-5 and H-4 score all 4 grants, X-1 only 3."""
+    grants = hf.make_grants(4)
+    config_path = hf.build_workspace(
+        tmp_path,
+        n_grants=4,
+        methods=[
+            {
+                "method_id": "M-3",
+                "pipeline": "tool_chain",
+                "model": {"model_id": "gpt-4.1-2025-04-14", "temperature": 0.2},
+                "fixture_script": "fixtures/toolchain.jsonl",
+                "geocode_cache": "fixtures/geocache.jsonl",
+            },
+            {
+                "method_id": "M-5",
+                "pipeline": "one_shot",
+                "model": {"model_id": "gpt-4o-2024-08-06", "temperature": 0.2},
+                "fixture_script": "fixtures/m5.jsonl",
+            },
+            {"method_id": "H-4", "pipeline": "county_centroid"},
+            {"method_id": "X-1", "pipeline": "ingest_external", "predictions_file": "fixtures/x1.csv"},
+        ],
+    )
+    fixtures = tmp_path / "fixtures"
+    hf.tool_chain_fixture(grants, fixtures)
+    write_fixture_script(fixtures / "m5.jsonl", hf.one_shot_script(grants, errors_km=[1, 2, 3]))
+    hf.external_predictions_csv(fixtures / "x1.csv", grants[:3])
+    return config_path
+
+
 class TestGenerateReport:
     def test_single_method_errors_one_two_three(self, tmp_path):
         config_path = hf.build_workspace(tmp_path, n_grants=3)
@@ -425,6 +458,31 @@ class TestGenerateReport:
     def test_no_results(self, tmp_path):
         with pytest.raises(NoResults):
             generate_report(tmp_path)
+
+    def test_shared_draws_match_per_method_bootstrap(self, tmp_path, monkeypatch):
+        _, outcome = _run(_mixed_workspace(tmp_path))
+        seen = {}
+        original = harness.build_method_summary
+
+        def spy(method_id, errors, logs, ci, *args):
+            seen[method_id] = (list(errors), ci)
+            return original(method_id, errors, logs, ci, *args)
+
+        monkeypatch.setattr(harness, "build_method_summary", spy)
+        generate_report(outcome.run_dir, resamples=700)
+        assert {mid: len(errors) for mid, (errors, _) in seen.items()} == {"M-3": 4, "M-5": 4, "H-4": 4, "X-1": 3}
+        for errors, ci in seen.values():
+            assert ci == bootstrap_ci(errors, resamples=700, seed=42)
+
+    def test_tool_usage_table_with_one_tool_method_among_others(self, tmp_path):
+        _, outcome = _run(_mixed_workspace(tmp_path))
+        report = generate_report(outcome.run_dir, resamples=200).read_text(encoding="utf-8")
+        assert report.split("## Tool usage", 1)[1] == (
+            "\n\n"
+            "| Method | Calls / entry (mean) | geo:cent ratio | First-call success | Mean selected index |\n"
+            "|---|---|---|---|---|\n"
+            "| M-3 | 1.00 | n/a | 100.0% | 1.00 |\n"
+        )
 
 
 class TestSweep:
@@ -554,6 +612,41 @@ class TestCli:
             load_config(config_path)
         assert main(["run", "--config", str(config_path), "--dry-run"]) == 1
         assert "my-model" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "document, named",
+        [
+            ("- a\n", "config document"),
+            ("corpus: foo\n", "corpus"),
+            ("corpus: {ground_truth: g.csv}\nprices: [1]\n", "prices"),
+            ("corpus: {ground_truth: g.csv}\nsplit: 3\n", "split"),
+            ("corpus: {ground_truth: g.csv}\nbackend: x\n", "backend"),
+            ("corpus: {ground_truth: g.csv}\ndata: [x]\n", "data"),
+            ("corpus: {ground_truth: g.csv}\nevalsets: [a]\n", "evalsets"),
+            ("corpus: {ground_truth: g.csv}\nevalsets: {a: b}\n", "evalsets.a"),
+        ],
+    )
+    def test_non_mapping_section_exit_one(self, tmp_path, capsys, document, named):
+        methods = "methods: [{method_id: H-4, pipeline: county_centroid}]\n"
+        config_path = tmp_path / "c.yaml"
+        config_path.write_text(document if document.startswith("-") else document + methods, encoding="utf-8")
+        assert main(["run", "--config", str(config_path), "--dry-run"]) == 1
+        assert f"{named} must be a mapping" in capsys.readouterr().err
+
+    def test_bad_geocode_cache_line_exit_two(self, tmp_path, capsys):
+        config_path = _mixed_workspace(tmp_path)
+        cache = tmp_path / "fixtures" / "geocache.jsonl"
+        lines = cache.read_text(encoding="utf-8").splitlines()
+        cache.write_text("\n".join([lines[0], "{oops"] + lines[1:]) + "\n", encoding="utf-8")
+        assert main(["run", "--config", str(config_path)]) == 2
+        assert "geocache.jsonl:2:" in capsys.readouterr().err
+
+    def test_torn_geocode_cache_tail_still_runs(self, tmp_path):
+        config_path = _mixed_workspace(tmp_path)
+        with (tmp_path / "fixtures" / "geocache.jsonl").open("a", encoding="utf-8") as fh:
+            fh.write('{"query": "landmark for')
+        _, outcome = _run(config_path)
+        assert [p.run.failed for p in outcome.predictions["M-3"]] == [False] * 4
 
     def test_data_error_exit_two(self, tmp_path):
         config_path = hf.build_workspace(tmp_path)

@@ -14,6 +14,7 @@ from grantgeo.metrics import (
     KTooLarge,
     ZeroHitRate,
     bootstrap_ci,
+    bootstrap_cis,
     drop_top_k_mean,
     fit_ols,
     latency_summary,
@@ -133,6 +134,35 @@ class TestBootstrapCI:
         monkeypatch.setattr(metrics, "_BOOTSTRAP_CHUNK_CELLS", chunk_cells)
         ci = bootstrap_ci(errors, resamples=997, level=0.9, seed=11)
         assert (ci.lo, ci.hi) == (float(lo), float(hi))
+
+
+class TestBootstrapCIs:
+    SIZES = [5, 7, 5, 1, 7, 5]
+
+    @pytest.mark.parametrize("level", [0.9, 0.95])
+    @pytest.mark.parametrize("chunk_cells", [1, 333, 4096, 1 << 20])
+    def test_each_sample_matches_single_draw(self, monkeypatch, chunk_cells, level):
+        rng = np.random.default_rng(5)
+        samples = [rng.gamma(2.0, 10.0, size=n).tolist() for n in self.SIZES]
+        expected = []
+        for errors in samples:
+            # Reference: this sample's whole resamples x n index matrix in one draw.
+            idx = np.random.default_rng(11).integers(0, len(errors), size=(997, len(errors)))
+            means = np.asarray(errors)[idx].mean(axis=1)
+            alpha = 1.0 - level
+            lo, hi = np.quantile(means, [alpha / 2.0, 1.0 - alpha / 2.0])
+            expected.append((float(lo), float(hi)))
+        monkeypatch.setattr(metrics, "_BOOTSTRAP_CHUNK_CELLS", chunk_cells)
+        cis = bootstrap_cis(samples, resamples=997, level=level, seed=11)
+        assert [(ci.lo, ci.hi) for ci in cis] == expected
+        assert all((ci.level, ci.resamples, ci.seed) == (level, 997, 11) for ci in cis)
+
+    @pytest.mark.parametrize("position", [0, 2, 3])
+    def test_empty_sample_anywhere_raises(self, position):
+        samples = [[1.0, 2.0], [3.0], [4.0, 5.0]]
+        samples.insert(position, [])
+        with pytest.raises(EmptyInput):
+            bootstrap_cis(samples, resamples=100)
 
 
 class TestDropTopKMean:

@@ -14,6 +14,9 @@ import threading
 from dataclasses import dataclass, field
 from decimal import Decimal
 from pathlib import Path
+from typing import NamedTuple
+
+from .corpus import MalformedRow
 
 MODEL_API_KEY_ENV = "MODEL_API_KEY"
 GEOCODER_API_KEY_ENV = "GEOCODER_API_KEY"
@@ -183,6 +186,44 @@ class RunRecord:
             raise ValueError("latency_s must be >= 0")
 
 
+class _Turn(NamedTuple):
+    """One checked script turn: the request predicate and what ``complete`` returns."""
+
+    expect_contains: str | None
+    response: ModelResponse
+    usage: TokenUsage
+
+
+def _parse_turn(doc) -> _Turn:
+    """Check one decoded script turn; raises ValueError naming what is wrong."""
+    if isinstance(doc, _Turn):  # already checked by from_jsonl
+        return doc
+    if not isinstance(doc, dict):
+        raise ValueError("a turn must be a JSON object")
+    expect = doc.get("expect") or {}
+    if not isinstance(expect, dict) or not isinstance(expect.get("contains", ""), str):
+        raise ValueError("expect must be an object whose contains is a string")
+    response = doc.get("response")
+    if not isinstance(response, dict):
+        raise ValueError("response must be a JSON object")
+    if response.get("type") == "text":
+        if not isinstance(response.get("text"), str):
+            raise ValueError("a text response needs a string text")
+        model_response = ModelResponse(text=response["text"])
+    elif response.get("type") == "tool_call":
+        name, arguments = response.get("name"), response.get("arguments", {})
+        if not isinstance(name, str) or not isinstance(arguments, dict):
+            raise ValueError("a tool_call response needs a string name and object arguments")
+        model_response = ModelResponse(tool_call=ToolCallRequest(name, dict(arguments)))
+    else:
+        raise ValueError(f"unknown response type {response.get('type')!r}")
+    usage = doc.get("usage") or {}
+    n_in, n_out = (usage.get("input_tokens", 0), usage.get("output_tokens", 0)) if isinstance(usage, dict) else (0, None)
+    if type(n_in) is not int or type(n_out) is not int or n_in < 0 or n_out < 0:  # type(): JSON true is no count
+        raise ValueError("usage must hold non-negative integer token counts")
+    return _Turn(expect.get("contains"), model_response, TokenUsage(n_in, n_out))
+
+
 class FixtureBackend:
     """Deterministic replay backend driven by a JSONL script.
 
@@ -193,25 +234,30 @@ class FixtureBackend:
                    | {"type": "tool_call", "name": "...", "arguments": {...}},
          "usage": {"input_tokens": N, "output_tokens": N}}
 
-    Turns are consumed in order; the predicate (a substring of the
-    concatenated request messages) guards against scripts drifting out
-    of sync with the conversation. Thread-safe; identical scripts and
-    inputs produce identical transcripts.
+    Every turn is checked when the backend is built, so a bad script stops
+    a run before its first call. Turns are consumed in order; the
+    predicate (a substring of the concatenated request messages) guards
+    against scripts drifting out of sync with the conversation.
+    Thread-safe; identical scripts and inputs produce identical transcripts.
     """
 
     def __init__(self, turns: list[dict]):
-        self._turns = list(turns)
+        self._turns = [_parse_turn(turn) for turn in turns]
         self._pos = 0
         self._lock = threading.Lock()
 
     @classmethod
     def from_jsonl(cls, path: str | Path) -> "FixtureBackend":
+        path = Path(path)
         turns = []
-        with Path(path).open(encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if line:
-                    turns.append(json.loads(line))
+        with path.open("rb") as fh:
+            for lineno, line in enumerate(fh, start=1):
+                if not line.strip():
+                    continue
+                try:
+                    turns.append(_parse_turn(json.loads(line.decode("utf-8"))))
+                except ValueError as exc:  # UnicodeDecodeError and JSONDecodeError included
+                    raise MalformedRow(f"{path}:{lineno}: {exc}") from exc
         return cls(turns)
 
     @property
@@ -230,30 +276,9 @@ class FixtureBackend:
             turn = self._turns[self._pos]
             self._pos += 1
 
-        expect = turn.get("expect")
-        if expect and "contains" in expect:
-            transcript = "\n".join(m.content for m in messages)
-            if expect["contains"] not in transcript:
-                raise FixtureMismatch(
-                    f"turn {self._pos}: expected request to contain {expect['contains']!r}"
-                )
-
-        response = turn["response"]
-        if response["type"] == "text":
-            model_response = ModelResponse(text=response["text"])
-        elif response["type"] == "tool_call":
-            model_response = ModelResponse(
-                tool_call=ToolCallRequest(response["name"], dict(response.get("arguments", {})))
-            )
-        else:
-            raise ValueError(f"unknown fixture response type {response['type']!r}")
-
-        usage_doc = turn.get("usage", {})
-        usage = TokenUsage(
-            int(usage_doc.get("input_tokens", 0)),
-            int(usage_doc.get("output_tokens", 0)),
-        )
-        return model_response, usage
+        if turn.expect_contains is not None and turn.expect_contains not in "\n".join(m.content for m in messages):
+            raise FixtureMismatch(f"turn {self._pos}: expected request to contain {turn.expect_contains!r}")
+        return turn.response, turn.usage
 
 
 def text_turn(text: str, input_tokens: int = 0, output_tokens: int = 0, expect_contains: str | None = None) -> dict:

@@ -2,8 +2,9 @@
 
 A YAML config declares corpus paths, prices, and a method roster; the
 driver runs each method over an evaluation set, writing one JSONL call
-log per method (``runs/<method>/calls.jsonl``) and a row-level results
-CSV (``results_<evalset>.csv``). Reports aggregate those artifacts into
+log per method (``runs/<method>/calls.jsonl``), a row-level results CSV
+(``results_<evalset>.csv``) and, once every method has run, the roster
+(``run.json``). Reports read ``run.json`` and the listed call logs into
 accuracy, cost, latency, marginal-cost, and tool-usage tables plus
 plot-ready scatter CSVs.
 """
@@ -78,7 +79,7 @@ class DataMissing(FileNotFoundError):
 
 
 class NoResults(ValueError):
-    """Report generation found no results CSV in the run directory."""
+    """Report generation found no finished run (or no scored row) in the run directory."""
 
 
 class AxisInapplicable(ValueError):
@@ -119,7 +120,6 @@ class HarnessConfig:
     endpoint: str | None
     county_table: CountyCentroidTable
     methods: dict[str, MethodSpec]
-    parallelism: int
     output_dir: Path
 
 
@@ -131,14 +131,9 @@ class RunManifest:
     evalset: str
     methods: list[MethodSpec]
     seed: int = 42
-    parallelism: int = 1
     dry_run: bool = False
     max_rows: int | None = None
     output_dir: Path = Path("runs_out")
-
-    def __post_init__(self):
-        if self.parallelism < 1:
-            raise ConfigInvalid("parallelism must be >= 1")
 
 
 @dataclass
@@ -227,7 +222,6 @@ def load_config(path: str | Path) -> HarnessConfig:
             endpoint=backend_doc.get("endpoint"),
             county_table=county_table,
             methods=methods,
-            parallelism=int(doc.get("parallelism", 1)),
             output_dir=_resolve(config_dir, doc.get("output_dir", "runs_out")),
         )
     except ConfigInvalid:
@@ -341,7 +335,6 @@ def build_manifest(
         evalset=name,
         methods=roster,
         seed=seed,
-        parallelism=config.parallelism,
         dry_run=dry_run,
         max_rows=max_rows,
         output_dir=Path(output_dir) if output_dir else config.output_dir,
@@ -596,6 +589,9 @@ PIPELINES: dict[str, Pipeline] = {
 }
 
 
+RUN_FILE = "run.json"
+
+
 def _log_record(prediction: Prediction, request_summary: str) -> dict:
     run = prediction.run
     return {
@@ -620,6 +616,7 @@ def _log_record(prediction: Prediction, request_summary: str) -> dict:
         "final_coordinate": (
             [prediction.coordinate.lat, prediction.coordinate.lon] if prediction.coordinate else None
         ),
+        "error_km": round(prediction.error_km, 6) if prediction.error_km is not None else None,  # as the CSV prints it
         "failed": run.failed,
         "reason": run.reason,
     }
@@ -661,11 +658,13 @@ def _write_results_csv(
 def run_evaluation(manifest: RunManifest) -> RunOutcome:
     """Run every roster method over the evaluation set.
 
-    Writes ``runs/<method>/calls.jsonl`` and ``results_<evalset>.csv``
-    under the manifest's output directory. Per-row failures are recorded
-    as failed rows, never aborting the run. In dry-run mode the config
-    and data files are validated and the planned call matrix is printed;
-    nothing external is touched and nothing is written.
+    Writes ``runs/<method>/calls.jsonl``, ``results_<evalset>.csv`` and
+    then ``run.json`` (the evalset and roster) under the manifest's output
+    directory; an older ``run.json`` is removed first, so a run that stops
+    early leaves none. Per-row failures are recorded as failed rows, never
+    aborting the run. In dry-run mode the config and data files are
+    validated and the planned call matrix is printed; nothing external is
+    touched and nothing is written.
     """
     config = manifest.config
     _check_files(manifest)
@@ -685,6 +684,7 @@ def run_evaluation(manifest: RunManifest) -> RunOutcome:
 
     run_dir = manifest.output_dir
     run_dir.mkdir(parents=True, exist_ok=True)
+    (run_dir / RUN_FILE).unlink(missing_ok=True)
     predictions: dict[str, list[Prediction]] = {}
     failures = 0
     scope = _RunScope(config, grants, manifest.seed)
@@ -702,85 +702,56 @@ def run_evaluation(manifest: RunManifest) -> RunOutcome:
                 fh.write(json.dumps(_log_record(p, pipeline.request_summary(spec, grant))) + "\n")
 
     _write_results_csv(run_dir / f"results_{manifest.evalset}.csv", grants, manifest.methods, predictions)
+    roster = {"evalset": manifest.evalset, "methods": [spec.method_id for spec in manifest.methods]}
+    (run_dir / RUN_FILE).write_text(json.dumps(roster) + "\n", encoding="utf-8")
     return RunOutcome(run_dir, len(grants) * len(manifest.methods), failures, predictions)
 
 
 # --- report generation -----------------------------------------------------
 
 
-def _read_results(run_dir: Path) -> tuple[list[str], dict[str, dict[str, dict]]]:
-    """Parse results CSVs into {method: {row_id: cells}}."""
-    paths = sorted(run_dir.glob("results_*.csv"))
-    if not paths:
-        raise NoResults(f"no results_*.csv under {run_dir}")
-    methods: list[str] = []
-    table: dict[str, dict[str, dict]] = {}
-    for path in paths:
-        with path.open(newline="", encoding="utf-8") as fh:
-            reader = csv.DictReader(fh)
-            for col in reader.fieldnames or []:
-                if col.endswith("_error_km"):
-                    mid = col[: -len("_error_km")]
-                    if mid not in methods:
-                        methods.append(mid)
-                        table[mid] = {}
-            for row in reader:
-                for mid in methods:
-                    table[mid][row["row_id"]] = {
-                        "error_km": float(row[f"{mid}_error_km"]) if row.get(f"{mid}_error_km") else None,
-                        "failed": row.get(f"{mid}_failed") == "true",
-                    }
-    return methods, table
+def _read_roster(run_dir: Path) -> list[str]:
+    """The method ids ``run.json`` lists, in roster order."""
+    path = run_dir / RUN_FILE
+    try:
+        doc = json.loads(path.read_bytes())
+    except FileNotFoundError as exc:
+        raise NoResults(f"no finished run under {run_dir}: {RUN_FILE} is missing") from exc
+    except ValueError as exc:
+        raise MalformedRow(f"{path}: not JSON ({exc})") from exc
+    methods = doc.get("methods") if isinstance(doc, dict) else None
+    if not isinstance(methods, list) or not all(isinstance(mid, str) for mid in methods):
+        raise MalformedRow(f"{path}: expected an object with a list of method ids under methods")
+    return methods
 
 
-def _read_logs(run_dir: Path, method_id: str) -> list[dict]:
+def _read_log(run_dir: Path, method_id: str) -> list[dict]:
+    """One listed method's call log: per record, the fields the report reads."""
     path = run_dir / "runs" / method_id / "calls.jsonl"
-    if not path.exists():
-        return []
+    try:
+        fh = path.open("rb")
+    except FileNotFoundError as exc:
+        raise DataMissing(f"{method_id}: call log {path} is missing") from exc
     records = []
-    with path.open(encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                records.append(json.loads(line))
-    return records
-
-
-def _log_predictions(method_id: str, logs: list[dict]) -> list[Prediction]:
-    """Rebuild lightweight Predictions from a call log for trace stats."""
-    preds = []
-    for rec in logs:
-        run = RunRecord(
-            method_id=method_id,
-            row_id=rec["row_id"],
-            usage=TokenUsage(rec["usage"]["input_tokens"], rec["usage"]["output_tokens"]),
-            latency_s=rec["latency_s"],
-            cost_usd=Decimal(rec["cost_usd"]),
-            tool_calls=[
-                ToolCallRecord(
-                    turn_index=tc["turn_index"],
-                    tool_name=tc["tool_name"],
-                    arguments=tc["arguments"],
-                    result=tc["result"],
-                    selected=tc["selected"],
+    with fh:
+        for lineno, line in enumerate(fh, start=1):
+            if not line.strip():
+                continue
+            try:
+                rec = json.loads(line.decode("utf-8"))
+                records.append(
+                    {  # only these, so that every listed log fits in memory at once
+                        "row_id": rec["row_id"],
+                        "error_km": None if rec["error_km"] is None else float(rec["error_km"]),
+                        "final_coordinate": rec["final_coordinate"],
+                        "latency_s": float(rec["latency_s"]),
+                        "cost_usd": Decimal(rec["cost_usd"]),
+                        "tool_calls": [ToolCallRecord(**tc) for tc in rec["tool_calls"]],
+                    }
                 )
-                for tc in rec.get("tool_calls", [])
-            ],
-            raw_response=rec.get("response", ""),
-            failed=rec["failed"],
-            reason=rec.get("reason"),
-        )
-        coord = rec.get("final_coordinate")
-        preds.append(
-            Prediction(
-                method_id,
-                rec["row_id"],
-                Coordinate(coord[0], coord[1]) if coord else None,
-                None,
-                run,
-            )
-        )
-    return preds
+            except (ValueError, KeyError, TypeError, ArithmeticError) as exc:  # bad UTF-8 and JSON are ValueErrors
+                raise MalformedRow(f"{path}:{lineno}: not a call-log record ({type(exc).__name__}: {exc})") from exc
+    return records
 
 
 def build_method_summary(
@@ -819,26 +790,28 @@ def generate_report(
     resamples: int = 10_000,
     baseline_s_per_grant: float = BASELINE_SECONDS_PER_GRANT,
 ) -> Path:
-    """Write report.md plus plot-ready CSVs for a completed run."""
+    """Write report.md plus plot-ready CSVs for the run in ``run_dir``.
+
+    Reads ``run.json`` and the call log of each method it lists, and
+    nothing else: the results CSV is an export, never read back.
+    """
     run_dir = Path(run_dir)
-    methods, table = _read_results(run_dir)
-    errors = {mid: [c["error_km"] for c in table[mid].values() if c["error_km"] is not None] for mid in methods}
+    methods = _read_roster(run_dir)
+    logs = {mid: _read_log(run_dir, mid) for mid in methods}
+    errors = {mid: [rec["error_km"] for rec in logs[mid] if rec["error_km"] is not None] for mid in methods}
     scored = [mid for mid in methods if errors[mid]]
-    cis = dict(zip(scored, bootstrap_cis([errors[mid] for mid in scored], resamples=resamples, seed=ci_seed)))
-    summaries: list[MethodSummary] = []
-    tool_preds: list[Prediction] = []
-    seconds_per_grant: dict[str, float] = {}
-    for mid in methods:
-        logs = _read_logs(run_dir, mid)
-        if mid in cis:
-            summaries.append(build_method_summary(mid, errors[mid], logs, cis[mid], baseline_s_per_grant))
-        lat_values = [rec["latency_s"] for rec in logs]
-        if lat_values:
-            seconds_per_grant[mid] = sum(lat_values) / len(lat_values)
-        if any(rec.get("tool_calls") for rec in logs):  # only tool-calling methods feed the trace table
-            tool_preds.extend(_log_predictions(mid, logs))
-    if not summaries:
+    if not scored:
         raise NoResults(f"no scored rows in {run_dir}")
+    cis = bootstrap_cis([errors[mid] for mid in scored], resamples=resamples, seed=ci_seed)
+    summaries = [
+        build_method_summary(mid, errors[mid], logs[mid], ci, baseline_s_per_grant) for mid, ci in zip(scored, cis)
+    ]
+    tool_preds: list[Prediction] = []  # trace_statistics reads only method_id and run.tool_calls
+    for mid in methods:
+        if any(rec["tool_calls"] for rec in logs[mid]):  # only tool-calling methods feed the trace table
+            for rec in logs[mid]:
+                run = RunRecord(mid, rec["row_id"], TokenUsage(), 0.0, Decimal(0), tool_calls=rec["tool_calls"])
+                tool_preds.append(Prediction(mid, rec["row_id"], None, None, run))
     summaries.sort(key=lambda s: s.stats.mean)
 
     lines = ["# Run report", ""]
@@ -902,7 +875,7 @@ def generate_report(
     latency_points = [
         {
             "id": s.method_id,
-            "seconds_per_grant": seconds_per_grant.get(s.method_id, 0.0),
+            "seconds_per_grant": sum(rec["latency_s"] for rec in logs[s.method_id]) / len(logs[s.method_id]),
             "mean_error_km": s.stats.mean,
         }
         for s in summaries
@@ -968,7 +941,6 @@ def sweep(manifest: RunManifest, axis: str, values: list) -> Path:
             evalset=manifest.evalset,
             methods=clones,
             seed=manifest.seed,
-            parallelism=manifest.parallelism,
             dry_run=False,
             max_rows=manifest.max_rows,
             output_dir=run_dir / f"{axis}_{value}",

@@ -125,7 +125,6 @@ def build_workspace(tmp_path: Path, n_grants: int = 10, methods: list[dict] | No
         "default_evalset": "gold",
         "backend": {"kind": "fixture"},
         "methods": methods,
-        "parallelism": 1,
         "output_dir": "out",
     }
     config_path = tmp_path / "config.yaml"

@@ -147,6 +147,10 @@ class TestFixtureBackend:
         with pytest.raises(FixtureExhausted):
             backend.complete(ModelConfig("m"), [])
 
+    def test_bad_turn_rejected_when_built(self):
+        with pytest.raises(ValueError, match="unknown response type"):
+            FixtureBackend([text_turn("x"), {"response": {"type": "image"}}])
+
     def test_predicate_mismatch(self):
         backend = FixtureBackend([text_turn("x", expect_contains="needle")])
         with pytest.raises(FixtureMismatch):

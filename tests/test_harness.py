@@ -124,6 +124,12 @@ class TestConfig:
         with pytest.raises(ConfigInvalid):
             build_manifest(config, methods=["M-404"])
 
+    def test_parallelism_key_is_ignored(self, tmp_path):
+        config_path = hf.build_workspace(tmp_path)
+        with config_path.open("a", encoding="utf-8") as fh:
+            fh.write("parallelism: 1\n")
+        assert not hasattr(load_config(config_path), "parallelism")
+
     def test_missing_ground_truth_is_data_error(self, tmp_path):
         config_path = hf.build_workspace(tmp_path)
         (tmp_path / "fixtures" / "ground_truth.csv").unlink()
@@ -188,6 +194,18 @@ class TestRunEvaluation:
                 assert any(
                     abs(coord[0] - f[0]) < 1e-6 and abs(coord[1] - f[1]) < 1e-6 for f in finals
                 )
+
+    def test_logs_carry_the_csv_error_and_run_json_the_roster(self, tmp_path):
+        config_path = hf.build_workspace(tmp_path, n_grants=4)
+        _, outcome = _run(config_path)
+        with (outcome.run_dir / "results_gold.csv").open() as fh:
+            rows = list(csv.DictReader(fh))
+        for method in ("M-5", "M-6", "H-4"):
+            log_path = outcome.run_dir / "runs" / method / "calls.jsonl"
+            logged = [json.loads(line)["error_km"] for line in log_path.read_text().splitlines()]
+            assert logged == [float(row[f"{method}_error_km"]) for row in rows]
+        roster = json.loads((outcome.run_dir / "run.json").read_text(encoding="utf-8"))
+        assert roster == {"evalset": "gold", "methods": ["M-5", "M-6", "H-4"]}
 
     def test_failed_rows_kept_with_flag(self, tmp_path):
         grants = hf.make_grants(3)
@@ -455,6 +473,18 @@ class TestGenerateReport:
         processing = report.split("## Processing time", 1)[1].split("##", 1)[0]
         assert "| H-1 | 0.0000 | 0.000 | n/a |" in processing
 
+    def test_only_the_last_run_into_a_directory_is_reported(self, tmp_path):
+        config_path = hf.build_workspace(tmp_path, n_grants=20)
+        doc = yaml.safe_load(config_path.read_text(encoding="utf-8"))
+        doc["evalsets"] = {"dev": {"from": "dev"}, "test": {"from": "test"}}
+        doc["default_evalset"] = "dev"
+        config_path.write_text(yaml.safe_dump(doc), encoding="utf-8")
+        _run(config_path, methods=["H-4"], evalset="dev")
+        _, outcome = _run(config_path, methods=["H-4"], evalset="test")
+        report = generate_report(outcome.run_dir, resamples=200).read_text(encoding="utf-8")
+        assert outcome.cells == 16
+        assert "| H-4 | 16 | " in report
+
     def test_no_results(self, tmp_path):
         with pytest.raises(NoResults):
             generate_report(tmp_path)
@@ -647,6 +677,70 @@ class TestCli:
             fh.write('{"query": "landmark for')
         _, outcome = _run(config_path)
         assert [p.run.failed for p in outcome.predictions["M-3"]] == [False] * 4
+
+    @pytest.mark.parametrize(
+        "turn",
+        [
+            "{oops",
+            '{"response": {"type": "image"}}',
+            '{"response": {"type": "text"}}',
+            '{"response": {"type": "tool_call", "arguments": {}}}',
+            '{"response": {"type": "text", "text": "37.0, -77.0"}, "usage": {"input_tokens": -1}}',
+            '{"response": {"type": "text", "text": "37.0, -77.0"}, "usage": {"output_tokens": 1.5}}',
+        ],
+        ids=["not-json", "unknown-type", "missing-text", "missing-name", "negative-usage", "fractional-usage"],
+    )
+    def test_malformed_fixture_turn_exit_two(self, tmp_path, capsys, turn):
+        config_path = hf.build_workspace(tmp_path, n_grants=2)
+        script = tmp_path / "fixtures" / "m5.jsonl"
+        lines = script.read_text(encoding="utf-8").splitlines()
+        script.write_text("\n".join([lines[0], turn] + lines[1:]) + "\n", encoding="utf-8")
+        assert main(["run", "--config", str(config_path)]) == 2
+        assert "m5.jsonl:2:" in capsys.readouterr().err
+
+    def test_report_after_a_run_that_stopped_exit_two(self, tmp_path, capsys):
+        config_path = hf.build_workspace(tmp_path, n_grants=2)
+        out_dir = tmp_path / "out"
+        assert main(["run", "--config", str(config_path)]) == 0
+        assert main(["report", "--run-dir", str(out_dir), "--resamples", "100"]) == 0
+        with (tmp_path / "fixtures" / "m6.jsonl").open("a", encoding="utf-8") as fh:
+            fh.write("{oops\n")  # the rerun rewrites M-5's log, then stops at M-6's script
+        assert main(["run", "--config", str(config_path)]) == 2
+        assert not (out_dir / "run.json").exists()
+        capsys.readouterr()
+        assert main(["report", "--run-dir", str(out_dir), "--resamples", "100"]) == 2
+        assert "run.json is missing" in capsys.readouterr().err
+
+    def test_missing_call_log_exit_two(self, tmp_path, capsys):
+        config_path = hf.build_workspace(tmp_path, n_grants=2)
+        assert main(["run", "--config", str(config_path)]) == 0
+        (tmp_path / "out" / "runs" / "M-6" / "calls.jsonl").unlink()
+        assert main(["report", "--run-dir", str(tmp_path / "out"), "--resamples", "100"]) == 2
+        assert "M-6: call log" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            lambda line: line[: len(line) // 2],
+            lambda line: b"\xff\xfe" + line,
+            lambda line: b"[1, 2]",
+            lambda line: json.dumps({"row_id": "r"}).encode(),
+            lambda line: line.replace(b'"cost_usd": "', b'"cost_usd": "x'),
+            lambda line: line.replace(b'"tool_calls": []', b'"tool_calls": [1]'),
+        ],
+        ids=["torn", "bad-utf8", "not-an-object", "missing-fields", "bad-cost", "bad-tool-call"],
+    )
+    def test_bad_call_log_line_exit_two(self, tmp_path, capsys, damage):
+        config_path = hf.build_workspace(tmp_path, n_grants=3)
+        assert main(["run", "--config", str(config_path)]) == 0
+        log = tmp_path / "out" / "runs" / "M-5" / "calls.jsonl"
+        lines = log.read_bytes().splitlines()
+        damaged = damage(lines[1])
+        assert damaged != lines[1]
+        lines[1] = damaged
+        log.write_bytes(b"\n".join(lines) + b"\n")
+        assert main(["report", "--run-dir", str(tmp_path / "out"), "--resamples", "100"]) == 2
+        assert f"{log}:2:" in capsys.readouterr().err
 
     def test_data_error_exit_two(self, tmp_path):
         config_path = hf.build_workspace(tmp_path)

@@ -36,6 +36,7 @@ from .geo import (
     Coordinate,
     UnparseableCoordinate,
     VIRGINIA_BBOX,
+    is_int,
     parse_coordinate_text,
     spherical_centroid,
     within_bbox,
@@ -110,8 +111,8 @@ class AgentBudget:
     max_geocode_failures: int = 6
 
     def __post_init__(self):
-        if self.max_tool_calls < 1 or self.max_geocode_failures < 1:
-            raise ValueError("budget fields must be positive")
+        if not all(is_int(v) and v >= 1 for v in (self.max_tool_calls, self.max_geocode_failures)):
+            raise ValueError("budget fields must be positive integers")
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,7 @@ from pathlib import Path
 from typing import Callable, Iterable
 
 from .corpus import GrantAbstract
-from .geo import Coordinate, VIRGINIA_BBOX, haversine_km, within_bbox
+from .geo import Coordinate, VIRGINIA_BBOX, haversine_km, is_real, within_bbox
 
 VIRGINIA_CENTER = Coordinate(37.4316, -78.6569)
 """Statewide fallback: Virginia's geographic center."""
@@ -37,8 +37,10 @@ class HeuristicParams:
     distance_gate_km: float
 
     def __post_init__(self):
-        if not 0.0 <= self.confidence_threshold <= 1.0:
-            raise ValueError("confidence_threshold must lie in [0, 1]")
+        if not all(is_real(v) for v in (self.confidence_threshold, self.bbox_margin_deg, self.distance_gate_km)):
+            raise ValueError("confidence_threshold, bbox_margin_deg and distance_gate_km must be numbers")
+        if not (0.0 <= self.confidence_threshold <= 1.0 and self.bbox_margin_deg >= 0 and self.distance_gate_km > 0):
+            raise ValueError("need 0 <= confidence_threshold <= 1, bbox_margin_deg >= 0 and distance_gate_km > 0")
 
 
 @dataclass(frozen=True)

@@ -32,7 +32,7 @@ EXIT_DATA = 2
 EXIT_PARTIAL = 3
 
 _CONFIG_ERRORS = (ConfigInvalid, AxisInapplicable)
-_DATA_ERRORS = (DataMissing, MalformedRow, DuplicateId, NoResults, FileNotFoundError)
+_DATA_ERRORS = (DataMissing, MalformedRow, DuplicateId, NoResults, FileNotFoundError, IsADirectoryError)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -100,10 +100,13 @@ def _cmd_sweep(args) -> int:
         output_dir=args.output_dir,
     )
     axis = "reasoning_effort" if args.axis in ("effort", "reasoning_effort") else "temperature"
-    values = [float(v) for v in args.values] if axis == "temperature" else list(args.values)
-    path = sweep(manifest, axis, values)
+    try:
+        values = [float(v) for v in args.values] if axis == "temperature" else list(args.values)
+    except ValueError as exc:
+        raise ConfigInvalid(f"--values: temperatures must be numbers ({exc})") from exc
+    path, failures = sweep(manifest, axis, values)
     print(f"sweep report written: {path}")
-    return EXIT_OK
+    return EXIT_PARTIAL if failures else EXIT_OK
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -10,7 +10,7 @@ import re
 from dataclasses import dataclass
 from pathlib import Path
 
-from .geo import Coordinate
+from .geo import Coordinate, is_int, is_real
 
 GROUND_TRUTH_HEADER = ["row_id", "abstract_text", "word_count", "sha256", "truth_lat", "truth_lon"]
 """Bit-exact column header for ground-truth/results CSV files."""
@@ -59,7 +59,9 @@ class SplitConfig:
     dev_fraction: float = 0.20
 
     def __post_init__(self):
-        if not 0.0 < self.dev_fraction < 1.0:
+        if not is_int(self.seed):
+            raise ValueError(f"seed must be an integer, got {self.seed!r}")
+        if not (is_real(self.dev_fraction) and 0.0 < self.dev_fraction < 1.0):
             raise ValueError("dev_fraction must lie strictly between 0 and 1")
 
 

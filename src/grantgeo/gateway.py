@@ -17,6 +17,7 @@ from pathlib import Path
 from typing import NamedTuple
 
 from .corpus import MalformedRow
+from .geo import is_int, is_real
 
 MODEL_API_KEY_ENV = "MODEL_API_KEY"
 GEOCODER_API_KEY_ENV = "GEOCODER_API_KEY"
@@ -96,6 +97,13 @@ class ModelConfig:
     max_output_tokens: int | None = None
 
     def __post_init__(self):
+        if not isinstance(self.model_id, str) or not self.model_id:
+            raise ValueError(f"model_id must be a non-empty string, got {self.model_id!r}")
+        checks = ((self.temperature, is_real), (self.seed, is_int), (self.max_output_tokens, is_int))
+        if not all(value is None or ok(value) for value, ok in checks):
+            raise ValueError("temperature must be a number, and seed and max_output_tokens integers")
+        if (self.temperature or 0) < 0 or (self.max_output_tokens is not None and self.max_output_tokens < 1):
+            raise ValueError("temperature must be >= 0 and max_output_tokens >= 1")
         if self.temperature is not None and self.reasoning_effort is not None:
             raise ValueError("temperature and reasoning_effort are mutually exclusive")
         if self.reasoning_effort is not None and self.reasoning_effort not in _REASONING_EFFORTS:
@@ -124,8 +132,8 @@ class PriceTable:
 
     def set_price(self, model_id: str, p_in, p_out) -> None:
         p_in, p_out = _to_decimal(p_in), _to_decimal(p_out)
-        if p_in < 0 or p_out < 0:
-            raise ValueError("prices must be non-negative")
+        if not all(p.is_finite() and p >= 0 for p in (p_in, p_out)):
+            raise ValueError("prices must be finite and non-negative")
         self._prices[model_id] = (p_in, p_out)
 
     def lookup(self, model_id: str) -> tuple[Decimal, Decimal]:

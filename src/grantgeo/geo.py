@@ -20,6 +20,16 @@ NOISE = -1
 """Cluster label assigned to points that belong to no cluster."""
 
 
+def is_int(value) -> bool:
+    """An int that is not a bool (a YAML ``true`` is a bool, which ``isinstance`` counts as an int)."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def is_real(value) -> bool:
+    """A finite int or float that is not a bool."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
+
+
 class UnparseableCoordinate(ValueError):
     """Raised when a text holds no coordinate, several, or an invalid one."""
 

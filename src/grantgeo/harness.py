@@ -15,7 +15,7 @@ import csv
 import json
 import time
 from collections.abc import Callable
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from decimal import Decimal
 from pathlib import Path
 
@@ -39,6 +39,7 @@ from .corpus import (
     EvalSet,
     GrantAbstract,
     MalformedRow,
+    SampleTooLarge,
     SplitConfig,
     load_ground_truth,
     redact_patentee,
@@ -54,7 +55,7 @@ from .gateway import (
     TokenUsage,
     default_price_table,
 )
-from .geo import Coordinate, haversine_km
+from .geo import Coordinate, haversine_km, is_int, is_real
 from .metrics import (
     BASELINE_SECONDS_PER_GRANT,
     BootstrapCI,
@@ -103,14 +104,21 @@ class MethodSpec:
     total_cost_usd: Decimal = Decimal(0)
     latency_s_per_grant: float = 0.0
     redact_names: bool = False
-    sweep_fixtures: dict[str, Path] = field(default_factory=dict)
+    sweep_fixtures: dict[str | float, Path] = field(default_factory=dict)  # keyed by axis value
+
+    def __post_init__(self):
+        cost = self.total_cost_usd = Decimal(str(self.total_cost_usd))  # a YAML number or a string such as "140.00"
+        if not (isinstance(self.method_id, str) and self.method_id and isinstance(self.redact_names, bool)):
+            raise ValueError("method_id must be a non-empty string and redact_names true or false")
+        if not (cost.is_finite() and cost >= 0 and is_real(self.latency_s_per_grant) and self.latency_s_per_grant >= 0):
+            raise ValueError("total_cost_usd and latency_s_per_grant must be finite numbers >= 0")
+        self.latency_s_per_grant = float(self.latency_s_per_grant)
 
 
 @dataclass
 class HarnessConfig:
     """Parsed configuration document."""
 
-    config_dir: Path
     ground_truth: Path
     split: SplitConfig
     evalsets: dict[str, dict]
@@ -144,11 +152,38 @@ class RunOutcome:
     predictions: dict[str, list[Prediction]]
 
 
-def _resolve(config_dir: Path, value: str | None) -> Path | None:
+_CONSTRUCTOR_ERRORS = (TypeError, ValueError, ArithmeticError)
+_PATH_KEYS = ("fixture_script", "geocode_cache", "gazetteer", "predictions_file")
+_METHOD_SECTIONS = {"model": ModelConfig, "ensemble": EnsembleConfig, "budget": AgentBudget, "params": HeuristicParams}
+
+
+def _resolve(config_dir: Path, value, path: str) -> Path | None:
     if value is None:
         return None
+    if not isinstance(value, str) or not value:
+        raise ConfigInvalid(f"{path} must be a file path, got {value!r}")
     p = Path(value)
     return p if p.is_absolute() else config_dir / p
+
+
+def _mapping(value, path: str, keys=None) -> dict:
+    """``value`` as a mapping ({} when absent), holding only ``keys`` when given."""
+    value = {} if value is None else value
+    if not isinstance(value, dict):
+        raise ConfigInvalid(f"{path} must be a mapping, got {value!r}")
+    unknown = sorted(str(key) for key in value if keys is not None and key not in keys)
+    if unknown:
+        raise ConfigInvalid(f"{path}: unknown keys {unknown}")
+    return value
+
+
+def _build(cls, value, path: str):
+    """``cls`` built from the mapping ``value`` of its fields; the constructor holds the defaults and checks."""
+    kwargs = _mapping(value, path, {f.name for f in fields(cls)})
+    try:
+        return cls(**kwargs)
+    except _CONSTRUCTOR_ERRORS as exc:
+        raise ConfigInvalid(f"{path}: {exc}") from exc
 
 
 def load_config(path: str | Path) -> HarnessConfig:
@@ -165,28 +200,34 @@ def load_config(path: str | Path) -> HarnessConfig:
     config_dir = path.parent
 
     try:
-        corpus_doc = _section(doc, "corpus")
-        ground_truth = _resolve(config_dir, corpus_doc.get("ground_truth"))
+        corpus_doc = _mapping(doc.get("corpus"), "corpus", ("ground_truth",))
+        ground_truth = _resolve(config_dir, corpus_doc.get("ground_truth"), "corpus.ground_truth")
         if ground_truth is None:
             raise ConfigInvalid("corpus.ground_truth is required")
 
-        split_doc = _section(doc, "split")
-        split = SplitConfig(seed=int(split_doc.get("seed", 42)), dev_fraction=float(split_doc.get("dev_fraction", 0.2)))
+        split = _build(SplitConfig, doc.get("split"), "split")
 
         prices = default_price_table()
-        for model_id, spec in _section(doc, "prices").items():
-            missing = [key for key in ("input", "output") if not isinstance(spec, dict) or key not in spec]
+        for model_id, spec in _mapping(doc.get("prices"), "prices").items():
+            spec = _mapping(spec, f"prices.{model_id}", ("input", "output"))
+            missing = [key for key in ("input", "output") if key not in spec]
             if missing:
                 raise ConfigInvalid(f"prices.{model_id}: missing {' and '.join(missing)}")
-            prices.set_price(model_id, str(spec["input"]), str(spec["output"]))
+            try:
+                prices.set_price(str(model_id), str(spec["input"]), str(spec["output"]))
+            except _CONSTRUCTOR_ERRORS as exc:
+                raise ConfigInvalid(f"prices.{model_id}: {exc}") from exc
 
-        backend_doc = _section(doc, "backend")
+        backend_doc = _mapping(doc.get("backend"), "backend", ("kind", "endpoint"))
         backend_kind = backend_doc.get("kind", "fixture")
         if backend_kind not in ("fixture", "live"):
             raise ConfigInvalid(f"backend.kind must be fixture or live, got {backend_kind!r}")
+        endpoint = backend_doc.get("endpoint")
+        if backend_kind == "live" and not (isinstance(endpoint, str) and endpoint):
+            raise ConfigInvalid(f"the live backend requires a backend.endpoint URL, got {endpoint!r}")
 
-        data_doc = _section(doc, "data")
-        county_path = _resolve(config_dir, data_doc.get("county_table"))
+        data_doc = _mapping(doc.get("data"), "data", ("county_table",))
+        county_path = _resolve(config_dir, data_doc.get("county_table"), "data.county_table")
         county_table = CountyCentroidTable.from_csv(county_path) if county_path else CountyCentroidTable.packaged()
 
         methods: dict[str, MethodSpec] = {}
@@ -203,26 +244,23 @@ def load_config(path: str | Path) -> HarnessConfig:
         if not methods:
             raise ConfigInvalid("at least one method is required")
 
-        evalsets = _section(doc, "evalsets") or {"all": {"from": "all"}}
-        for name, evalset_doc in evalsets.items():
-            if not isinstance(evalset_doc, dict):
-                raise ConfigInvalid(f"evalsets.{name} must be a mapping, got {evalset_doc!r}")
+        evalsets = _mapping(doc.get("evalsets"), "evalsets") or {"all": {"from": "all"}}
+        evalsets = {name: _evalset(name, evalset_doc) for name, evalset_doc in evalsets.items()}
         default_evalset = doc.get("default_evalset") or next(iter(evalsets))
         if default_evalset not in evalsets:
             raise ConfigInvalid(f"default_evalset {default_evalset!r} is not declared")
 
         return HarnessConfig(
-            config_dir=config_dir,
             ground_truth=ground_truth,
             split=split,
             evalsets=evalsets,
             default_evalset=default_evalset,
             prices=prices,
             backend_kind=backend_kind,
-            endpoint=backend_doc.get("endpoint"),
+            endpoint=endpoint,
             county_table=county_table,
             methods=methods,
-            output_dir=_resolve(config_dir, doc.get("output_dir", "runs_out")),
+            output_dir=_resolve(config_dir, doc.get("output_dir") or "runs_out", "output_dir"),
         )
     except ConfigInvalid:
         raise
@@ -230,85 +268,40 @@ def load_config(path: str | Path) -> HarnessConfig:
         raise ConfigInvalid(str(exc)) from exc
 
 
-def _section(doc: dict, name: str) -> dict:
-    """The mapping under ``name`` ({} when absent or empty)."""
-    value = doc.get(name) or {}
-    if not isinstance(value, dict):
-        raise ConfigInvalid(f"{name} must be a mapping, got {value!r}")
-    return value
+def _evalset(name, value) -> dict:
+    """One evalset declaration; whether ``n`` fits its set is checked once the corpus is loaded."""
+    doc = _mapping(value, f"evalsets.{name}", ("from", "n", "seed", "require_truth"))
+    n, seed = doc.get("n", 0), doc.get("seed", 0)
+    if not (doc.get("from", "all") in ("all", "dev", "test") and is_int(n) and n >= 0 and is_int(seed)):
+        raise ConfigInvalid(f"evalsets.{name}: need from all, dev or test and integers n >= 0 and seed, got {doc}")
+    if not isinstance(doc.get("require_truth", False), bool):
+        raise ConfigInvalid(f"evalsets.{name}.require_truth must be true or false, got {doc['require_truth']!r}")
+    return doc
 
 
-def _parse_method(doc: dict, config_dir: Path) -> MethodSpec:
+def _parse_method(doc, config_dir: Path) -> MethodSpec:
     if not isinstance(doc, dict):
         raise ConfigInvalid(f"each methods entry must be a mapping, got {doc!r}")
-    try:
-        method_id = doc.get("method_id")
-        name = doc.get("pipeline")
-        pipeline = PIPELINES.get(name)
-        if pipeline is None:
-            raise ConfigInvalid(f"{method_id}: unknown pipeline {name!r}")
-        missing = [key for key in pipeline.required if doc.get(key) is None]
-        if missing:
-            raise ConfigInvalid(f"{method_id}: pipeline {name} requires {sorted(missing)}")
-        extra = set(doc) - {"method_id", "pipeline"} - set(pipeline.required) - set(pipeline.optional)
-        if extra:
-            raise ConfigInvalid(f"{method_id}: fields {sorted(extra)} are unknown or do not apply to {name}")
-        model_doc = doc.get("model")
-        model = None
-        if model_doc is not None:
-            model = ModelConfig(
-                model_id=model_doc["model_id"],
-                temperature=model_doc.get("temperature"),
-                reasoning_effort=model_doc.get("reasoning_effort"),
-                seed=model_doc.get("seed"),
-                max_output_tokens=model_doc.get("max_output_tokens"),
-            )
-        ensemble_doc = doc.get("ensemble")
-        ensemble = None
-        if ensemble_doc is not None:
-            seeds = tuple(ensemble_doc.get("seeds", range(ensemble_doc.get("k", 5))))
-            ensemble = EnsembleConfig(
-                k=int(ensemble_doc.get("k", 5)),
-                eps_km=float(ensemble_doc.get("eps_km", 0.5)),
-                min_cluster=int(ensemble_doc.get("min_cluster", 3)),
-                seeds=seeds,
-            )
-        budget_doc = doc.get("budget")
-        budget = None
-        if budget_doc is not None:
-            budget = AgentBudget(
-                max_tool_calls=int(budget_doc.get("max_tool_calls", 10)),
-                max_geocode_failures=int(budget_doc.get("max_geocode_failures", 6)),
-            )
-        params_doc = doc.get("params")
-        params = None
-        if params_doc is not None:
-            params = HeuristicParams(
-                confidence_threshold=float(params_doc["confidence_threshold"]),
-                bbox_margin_deg=float(params_doc["bbox_margin_deg"]),
-                distance_gate_km=float(params_doc["distance_gate_km"]),
-            )
-        spec = MethodSpec(
-            method_id=str(doc["method_id"]),
-            pipeline=str(doc["pipeline"]),
-            model=model,
-            ensemble=ensemble,
-            budget=budget,
-            params=params,
-            fixture_script=_resolve(config_dir, doc.get("fixture_script")),
-            geocode_cache=_resolve(config_dir, doc.get("geocode_cache")),
-            gazetteer=_resolve(config_dir, doc.get("gazetteer")),
-            predictions_file=_resolve(config_dir, doc.get("predictions_file")),
-            total_cost_usd=Decimal(str(doc.get("total_cost_usd", 0))),
-            latency_s_per_grant=float(doc.get("latency_s_per_grant", 0.0)),
-            redact_names=bool(doc.get("redact_names", False)),
-            sweep_fixtures={str(k): _resolve(config_dir, v) for k, v in (doc.get("sweep_fixtures") or {}).items()},
-        )
-    except ConfigInvalid:
-        raise
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigInvalid(f"bad method declaration: {exc}") from exc
-    return spec
+    method_id = doc.get("method_id")
+    name = doc.get("pipeline")
+    pipeline = PIPELINES.get(name) if isinstance(name, str) else None
+    if pipeline is None:
+        raise ConfigInvalid(f"{method_id}: unknown pipeline {name!r}")
+    missing = [key for key in pipeline.required if doc.get(key) is None]
+    if missing:
+        raise ConfigInvalid(f"{method_id}: pipeline {name} requires {sorted(missing)}")
+    extra = set(doc) - {"method_id", "pipeline"} - set(pipeline.required) - set(pipeline.optional)
+    if extra:
+        raise ConfigInvalid(f"{method_id}: fields {sorted(map(str, extra))} are unknown or do not apply to {name}")
+    values = {key: value for key, value in doc.items() if value is not None}  # a null key takes its default
+    for key, cls in _METHOD_SECTIONS.items():
+        if key in values:
+            values[key] = _build(cls, values[key], f"{method_id}.{key}")
+    for key in _PATH_KEYS:
+        values[key] = _resolve(config_dir, values.get(key), f"{method_id}.{key}")
+    sweeps = _mapping(values.get("sweep_fixtures"), f"{method_id}.sweep_fixtures")
+    values["sweep_fixtures"] = {k: _resolve(config_dir, v, f"{method_id}.sweep_fixtures.{k}") for k, v in sweeps.items()}
+    return _build(MethodSpec, values, str(method_id))
 
 
 def build_manifest(
@@ -347,16 +340,17 @@ def resolve_evalset(config: HarnessConfig, name: str, rows: list[GrantAbstract])
     source = doc.get("from", "all")
     if source == "all":
         members = EvalSet("all", tuple(sorted(r.row_id for r in rows)))
-    elif source in ("dev", "test"):
+    else:  # dev or test, checked at load
         dev, test = split_corpus(rows, config.split)
         members = dev if source == "dev" else test
-    else:
-        raise ConfigInvalid(f"evalset {name!r}: unknown source {source!r}")
     if doc.get("require_truth"):
         with_truth = {r.row_id for r in rows if r.ground_truth is not None}
         members = EvalSet(members.name, tuple(m for m in members.members if m in with_truth))
     if "n" in doc:
-        members = sample_fixed(members, int(doc["n"]), int(doc.get("seed", config.split.seed)))
+        try:
+            members = sample_fixed(members, doc["n"], doc.get("seed", config.split.seed))
+        except SampleTooLarge as exc:
+            raise ConfigInvalid(f"evalsets.{name}: {exc}") from exc
     return EvalSet(name, members.members)
 
 
@@ -365,14 +359,10 @@ def _check_files(manifest: RunManifest) -> None:
     if not config.ground_truth.exists():
         raise DataMissing(f"ground truth file {config.ground_truth} is missing")
     for spec in manifest.methods:
-        for label, p in (
-            ("fixture_script", spec.fixture_script),
-            ("geocode_cache", spec.geocode_cache),
-            ("gazetteer", spec.gazetteer),
-            ("predictions_file", spec.predictions_file),
-        ):
+        for key in _PATH_KEYS:
+            p = getattr(spec, key)
             if p is not None and not Path(p).exists():
-                raise DataMissing(f"{spec.method_id}: {label} {p} is missing")
+                raise DataMissing(f"{spec.method_id}: {key} {p} is missing")
         if config.backend_kind == "fixture" and PIPELINES[spec.pipeline].llm and spec.fixture_script is None:
             raise ConfigInvalid(f"{spec.method_id}: fixture backend requires fixture_script")
 
@@ -380,8 +370,6 @@ def _check_files(manifest: RunManifest) -> None:
 def _make_backend(spec: MethodSpec, config: HarnessConfig):
     if config.backend_kind == "fixture":
         return FixtureBackend.from_jsonl(spec.fixture_script)
-    if not config.endpoint:
-        raise ConfigInvalid("live backend requires backend.endpoint")
     return LiveBackend(config.endpoint)
 
 
@@ -702,7 +690,8 @@ def run_evaluation(manifest: RunManifest) -> RunOutcome:
                 fh.write(json.dumps(_log_record(p, pipeline.request_summary(spec, grant))) + "\n")
 
     _write_results_csv(run_dir / f"results_{manifest.evalset}.csv", grants, manifest.methods, predictions)
-    roster = {"evalset": manifest.evalset, "methods": [spec.method_id for spec in manifest.methods]}
+    rows = [g.row_id for g in grants]
+    roster = {"evalset": manifest.evalset, "methods": [spec.method_id for spec in manifest.methods], "rows": rows}
     (run_dir / RUN_FILE).write_text(json.dumps(roster) + "\n", encoding="utf-8")
     return RunOutcome(run_dir, len(grants) * len(manifest.methods), failures, predictions)
 
@@ -710,8 +699,8 @@ def run_evaluation(manifest: RunManifest) -> RunOutcome:
 # --- report generation -----------------------------------------------------
 
 
-def _read_roster(run_dir: Path) -> list[str]:
-    """The method ids ``run.json`` lists, in roster order."""
+def _read_roster(run_dir: Path) -> tuple[list[str], list[str]]:
+    """The method ids and row ids ``run.json`` lists, each in run order."""
     path = run_dir / RUN_FILE
     try:
         doc = json.loads(path.read_bytes())
@@ -719,14 +708,14 @@ def _read_roster(run_dir: Path) -> list[str]:
         raise NoResults(f"no finished run under {run_dir}: {RUN_FILE} is missing") from exc
     except ValueError as exc:
         raise MalformedRow(f"{path}: not JSON ({exc})") from exc
-    methods = doc.get("methods") if isinstance(doc, dict) else None
-    if not isinstance(methods, list) or not all(isinstance(mid, str) for mid in methods):
-        raise MalformedRow(f"{path}: expected an object with a list of method ids under methods")
-    return methods
+    lists = [doc.get(key) if isinstance(doc, dict) else None for key in ("methods", "rows")]
+    if not all(isinstance(ids, list) and all(isinstance(i, str) for i in ids) for ids in lists):
+        raise MalformedRow(f"{path}: expected an object with lists of method ids under methods and row ids under rows")
+    return lists[0], lists[1]
 
 
-def _read_log(run_dir: Path, method_id: str) -> list[dict]:
-    """One listed method's call log: per record, the fields the report reads."""
+def _read_log(run_dir: Path, method_id: str, rows: list[str]) -> list[dict]:
+    """One listed method's call log, a record per listed row: the fields the report reads."""
     path = run_dir / "runs" / method_id / "calls.jsonl"
     try:
         fh = path.open("rb")
@@ -751,6 +740,8 @@ def _read_log(run_dir: Path, method_id: str) -> list[dict]:
                 )
             except (ValueError, KeyError, TypeError, ArithmeticError) as exc:  # bad UTF-8 and JSON are ValueErrors
                 raise MalformedRow(f"{path}:{lineno}: not a call-log record ({type(exc).__name__}: {exc})") from exc
+    if [rec["row_id"] for rec in records] != rows:
+        raise MalformedRow(f"{path}: holds {len(records)} records, not one per {RUN_FILE} row ({len(rows)}) in order")
     return records
 
 
@@ -796,8 +787,8 @@ def generate_report(
     nothing else: the results CSV is an export, never read back.
     """
     run_dir = Path(run_dir)
-    methods = _read_roster(run_dir)
-    logs = {mid: _read_log(run_dir, mid) for mid in methods}
+    methods, rows = _read_roster(run_dir)
+    logs = {mid: _read_log(run_dir, mid, rows) for mid in methods}
     errors = {mid: [rec["error_km"] for rec in logs[mid] if rec["error_km"] is not None] for mid in methods}
     scored = [mid for mid in methods if errors[mid]]
     if not scored:
@@ -902,12 +893,27 @@ def _write_scatter_csv(path: Path, header: list[str], points: list[dict]) -> Non
 SWEEP_AXES = ("temperature", "reasoning_effort")
 
 
-def sweep(manifest: RunManifest, axis: str, values: list) -> Path:
+def _sweep_clone(spec: MethodSpec, axis: str, value) -> MethodSpec:
+    """``spec`` at one axis value, replaying the sweep fixture whose key, read as the axis's type, equals it."""
+    typed = is_real if axis == "temperature" else lambda key: isinstance(key, str)
+    fixtures = [path for key, path in spec.sweep_fixtures.items() if typed(key) and key == value]
+    if spec.sweep_fixtures and not fixtures:
+        raise AxisInapplicable(f"{spec.method_id}: sweep_fixtures has no entry for {axis} {value}")
+    try:
+        model = replace(spec.model, **{axis: value})
+    except ValueError as exc:
+        raise AxisInapplicable(f"{spec.method_id}: {axis} {value}: {exc}") from exc
+    fixture_script = fixtures[0] if fixtures else spec.fixture_script  # a method without sweep_fixtures replays its own
+    return replace(spec, method_id=f"{spec.method_id}__{axis}_{value}", model=model, fixture_script=fixture_script)
+
+
+def sweep(manifest: RunManifest, axis: str, values: list) -> tuple[Path, int]:
     """Clone the roster per axis value, run each, and tabulate results.
 
     temperature sweeps require rosters whose models use temperature (not
     reasoning effort), and vice versa; a mismatch raises
-    AxisInapplicable. Writes sweep.csv and sweep_report.md.
+    AxisInapplicable. Writes sweep.csv and sweep_report.md; returns the
+    report's path and the number of failed cells.
     """
     if axis not in SWEEP_AXES:
         raise AxisInapplicable(f"unknown axis {axis!r}")
@@ -919,23 +925,14 @@ def sweep(manifest: RunManifest, axis: str, values: list) -> Path:
         if axis == "reasoning_effort" and spec.model.temperature is not None:
             raise AxisInapplicable(f"{spec.method_id}: model is temperature based")
 
+    values = [float(v) if axis == "temperature" else str(v) for v in values]
+    rosters = [(v, [_sweep_clone(spec, axis, v) for spec in manifest.methods]) for v in values]  # before any run
+
     run_dir = manifest.output_dir
     run_dir.mkdir(parents=True, exist_ok=True)
     rows_out: list[dict] = []
-    for value in values:
-        clones = []
-        for spec in manifest.methods:
-            if axis == "temperature":
-                model = replace(spec.model, temperature=float(value))
-            else:
-                model = replace(spec.model, reasoning_effort=str(value))
-            clone = replace(
-                spec,
-                method_id=f"{spec.method_id}__{axis}_{value}",
-                model=model,
-                fixture_script=spec.sweep_fixtures.get(str(value), spec.fixture_script),
-            )
-            clones.append(clone)
+    failures = 0
+    for value, clones in rosters:
         sub = RunManifest(
             config=manifest.config,
             evalset=manifest.evalset,
@@ -946,6 +943,7 @@ def sweep(manifest: RunManifest, axis: str, values: list) -> Path:
             output_dir=run_dir / f"{axis}_{value}",
         )
         outcome = run_evaluation(sub)
+        failures += outcome.failures
         for clone, base in zip(clones, manifest.methods):
             preds = outcome.predictions[clone.method_id]
             errors = [p.error_km for p in preds if p.error_km is not None]
@@ -973,4 +971,4 @@ def sweep(manifest: RunManifest, axis: str, values: list) -> Path:
         lines.append(f"| {r['axis_value']} | {r['method_id']} | {mean} | {r['tokens_per_entry']:.1f} |")
     report_path = run_dir / "sweep_report.md"
     report_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    return report_path
+    return report_path, failures

@@ -23,6 +23,8 @@ from .geo import (
     UnparseableCoordinate,
     geodesic_dbscan,
     haversine_km,
+    is_int,
+    is_real,
     parse_coordinate_text,
     spherical_centroid,
 )
@@ -46,20 +48,23 @@ class Prediction:
 
 @dataclass(frozen=True)
 class EnsembleConfig:
-    """Vote parameters: k member calls, DBSCAN eps, cluster threshold."""
+    """Vote parameters: k member calls, DBSCAN eps, cluster threshold, and
+    one seed per member (``0..k-1`` when not given)."""
 
     k: int = 5
     eps_km: float = 0.5
     min_cluster: int = 3
-    seeds: tuple[int, ...] = (0, 1, 2, 3, 4)
+    seeds: tuple[int, ...] | None = None
 
     def __post_init__(self):
-        if self.eps_km <= 0:
-            raise ValueError("eps_km must be > 0")
-        if self.min_cluster > self.k:
-            raise ValueError("min_cluster must be <= k")
-        if len(self.seeds) != self.k:
-            raise ValueError(f"need exactly {self.k} seeds, got {len(self.seeds)}")
+        if not (is_int(self.k) and is_int(self.min_cluster) and 1 <= self.min_cluster <= self.k):
+            raise ValueError(f"need integers 1 <= min_cluster <= k, got k={self.k!r}, min_cluster={self.min_cluster!r}")
+        if not (is_real(self.eps_km) and self.eps_km > 0):
+            raise ValueError(f"eps_km must be a number > 0, got {self.eps_km!r}")
+        seeds = tuple(range(self.k)) if self.seeds is None else self.seeds
+        if not (isinstance(seeds, (list, tuple)) and len(seeds) == self.k and all(is_int(s) for s in seeds)):
+            raise ValueError(f"need exactly {self.k} integer seeds, got {seeds!r}")
+        object.__setattr__(self, "seeds", tuple(seeds))
 
 
 def _error_km(coordinate: Coordinate | None, grant: GrantAbstract) -> float | None:

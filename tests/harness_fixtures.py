@@ -130,3 +130,76 @@ def build_workspace(tmp_path: Path, n_grants: int = 10, methods: list[dict] | No
     config_path = tmp_path / "config.yaml"
     config_path.write_text(yaml.safe_dump(config, sort_keys=False), encoding="utf-8")
     return config_path
+
+
+def full_config() -> dict:
+    """A config using every section and every pipeline, with every optional key
+    set; ``build_full_workspace`` writes the files it names."""
+    model = {"model_id": "gpt-4.1-2025-04-14", "temperature": 0.2}
+    return {
+        "corpus": {"ground_truth": "fixtures/ground_truth.csv"},
+        "split": {"seed": 42, "dev_fraction": 0.5},
+        "evalsets": {"gold": {"from": "all", "require_truth": True}, "one": {"from": "dev", "n": 1, "seed": 3}},
+        "default_evalset": "gold",
+        "backend": {"kind": "fixture"},
+        "prices": {"my-model": {"input": 1.0, "output": 4.0}},
+        "data": {"county_table": "fixtures/counties.csv"},
+        "output_dir": "out",
+        "methods": [
+            {
+                "method_id": "M-5",
+                "pipeline": "one_shot",
+                "model": {"model_id": "my-model", "temperature": 0.2, "seed": 7, "max_output_tokens": 200},
+                "fixture_script": "fixtures/m5.jsonl",
+                "sweep_fixtures": {0.2: "fixtures/m5.jsonl"},
+                "redact_names": True,
+            },
+            {
+                "method_id": "E-1",
+                "pipeline": "ensemble",
+                "model": {"model_id": "o3-2025-04-16", "reasoning_effort": "low"},
+                "ensemble": {"k": 5, "eps_km": 0.5, "min_cluster": 3, "seeds": [11, 12, 13, 14, 15]},
+                "fixture_script": "fixtures/e1.jsonl",
+            },
+            {
+                "method_id": "T-4",
+                "pipeline": "tool_chain",
+                "model": model,
+                "budget": {"max_tool_calls": 10, "max_geocode_failures": 6},
+                "fixture_script": "fixtures/toolchain.jsonl",
+                "geocode_cache": "fixtures/geocache.jsonl",
+            },
+            {"method_id": "H-4", "pipeline": "county_centroid"},
+            {
+                "method_id": "H-2",
+                "pipeline": "heuristic_geoparse",
+                "params": {"confidence_threshold": 0.5, "bbox_margin_deg": 0.1, "distance_gate_km": 50.0},
+                "gazetteer": "fixtures/gazetteer.csv",
+            },
+            {"method_id": "H-3", "pipeline": "ner_pipeline", "gazetteer": "fixtures/gazetteer.csv"},
+            {
+                "method_id": "X-1",
+                "pipeline": "ingest_external",
+                "predictions_file": "fixtures/external.csv",
+                "total_cost_usd": "140.00",
+                "latency_s_per_grant": 502.0,
+            },
+        ],
+    }
+
+
+def build_full_workspace(root: Path, n_grants: int = 2) -> None:
+    """Write the corpus and every fixture ``full_config`` names under ``root``."""
+    fixtures = root / "fixtures"
+    fixtures.mkdir(parents=True, exist_ok=True)
+    grants = make_grants(n_grants)
+    write_ground_truth(fixtures / "ground_truth.csv", grants)
+    write_fixture_script(fixtures / "m5.jsonl", one_shot_script(grants, errors_km=[1, 2]))
+    write_fixture_script(fixtures / "e1.jsonl", ensemble_script(grants))
+    tool_chain_fixture(grants, fixtures)
+    external_predictions_csv(fixtures / "external.csv", grants)
+    table = CountyCentroidTable.packaged()
+    with (fixtures / "counties.csv").open("w", encoding="utf-8") as fh:
+        fh.write("county,lat,lon\n" + "".join(f"{c},{table.get(c).lat},{table.get(c).lon}\n" for c in _COUNTIES))
+    with (fixtures / "gazetteer.csv").open("w", encoding="utf-8") as fh:
+        fh.write("name,lat,lon,population,feature_class\nBlackwater Swamp,37.1081,-77.1514,0,swamp\n")

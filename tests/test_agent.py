@@ -312,6 +312,11 @@ def _replay_setup(tmp_path):
 
 
 class TestRunToolChain:
+    def test_budget_fields_are_positive_integers(self):
+        for bad in ({"max_tool_calls": 0}, {"max_tool_calls": 2.5}, {"max_geocode_failures": "6"}, {"max_tool_calls": True}):
+            with pytest.raises(ValueError):
+                AgentBudget(**bad)
+
     def test_full_replay(self, tmp_path):
         backend, geocoder = _replay_setup(tmp_path)
         prediction = run_tool_chain(backend, geocoder, CFG, GRANT, AgentBudget(), "T-2")

@@ -130,6 +130,11 @@ def _resolver_returning(candidates):
 
 
 class TestHeuristicGeoparse:
+    def test_params_validation(self):
+        for bad in (("0.5", 0.1, 25.0), (0.5, -1, 25.0), (0.5, 0.1, 0.0), (0.5, True, 25.0), (1.5, 0.1, 25.0)):
+            with pytest.raises(ValueError):
+                HeuristicParams(*bad)
+
     PARAMS = HeuristicParams(confidence_threshold=0.5, bbox_margin_deg=0.0, distance_gate_km=25.0)
 
     def test_in_state_candidate_within_gate(self):

@@ -147,6 +147,11 @@ def _corpus(n):
 
 
 class TestSplitCorpus:
+    def test_config_types(self):
+        for bad in ({"seed": "7"}, {"seed": 7.0}, {"seed": True}, {"dev_fraction": "0.2"}, {"dev_fraction": 1.0}):
+            with pytest.raises(ValueError):
+                SplitConfig(**bad)
+
     def test_floor_sizes_full_corpus(self):
         rows = _corpus(5471)
         dev, test = split_corpus(rows, SplitConfig(seed=42, dev_fraction=0.20))

@@ -41,6 +41,12 @@ class TestModelConfig:
         with pytest.raises(ValueError):
             ModelConfig("m", reasoning_effort="max")
 
+    def test_field_types(self):
+        for bad in ({"model_id": 5}, {"model_id": ""}, {"temperature": "hot"}, {"temperature": True},
+                    {"temperature": -0.1}, {"seed": 1.5}, {"max_output_tokens": "100"}, {"max_output_tokens": 0}):
+            with pytest.raises(ValueError):
+                ModelConfig(**{"model_id": "m", **bad})
+
 
 class TestTokenUsage:
     def test_non_negative(self):
@@ -74,8 +80,9 @@ class TestPriceTable:
             DEFAULT_PRICES.lookup("mystery-model")
 
     def test_negative_price_rejected(self):
-        with pytest.raises(ValueError):
-            PriceTable({"m": ("-1", "0")})
+        for bad in ("-1", "Infinity", "NaN", 1e400):
+            with pytest.raises(ValueError):
+                PriceTable({"m": (bad, "0")})
 
 
 class TestCallCost:

@@ -205,7 +205,7 @@ class TestRunEvaluation:
             logged = [json.loads(line)["error_km"] for line in log_path.read_text().splitlines()]
             assert logged == [float(row[f"{method}_error_km"]) for row in rows]
         roster = json.loads((outcome.run_dir / "run.json").read_text(encoding="utf-8"))
-        assert roster == {"evalset": "gold", "methods": ["M-5", "M-6", "H-4"]}
+        assert roster == {"evalset": "gold", "methods": ["M-5", "M-6", "H-4"], "rows": ["r000", "r001", "r002", "r003"]}
 
     def test_failed_rows_kept_with_flag(self, tmp_path):
         grants = hf.make_grants(3)
@@ -663,6 +663,77 @@ class TestCli:
         assert main(["run", "--config", str(config_path), "--dry-run"]) == 1
         assert f"{named} must be a mapping" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "section, value, named",
+        [
+            ("model", {"model_id": "gpt-4o-2024-08-06", "temprature": 0.7}, "M-5.model: unknown keys ['temprature']"),
+            ("ensemble", {"k": 5, "eps": 5.0}, "E-1.ensemble: unknown keys ['eps']"),
+            ("budget", {"max_calls": 2}, "T-4.budget: unknown keys ['max_calls']"),
+            ("params", {"confidence_threshold": 0.5, "bbox_margin": 0.1}, "H-2.params: unknown keys ['bbox_margin']"),
+            ("data", {"county_tabel": "x.csv"}, "data: unknown keys ['county_tabel']"),
+            ("evalsets", {"gold": {"from": "all", "requre_truth": True}}, "evalsets.gold: unknown keys ['requre_truth']"),
+            ("split", {"sed": 7}, "split: unknown keys ['sed']"),
+            ("corpus", {"ground_truth": "fixtures/ground_truth.csv", "groundtruth": "g.csv"}, "corpus: unknown keys"),
+            ("backend", {"kind": "fixture", "endpiont": "http://x"}, "backend: unknown keys ['endpiont']"),
+        ],
+    )
+    def test_misspelled_nested_key_exit_one(self, tmp_path, capsys, section, value, named):
+        config_path = hf.build_workspace(tmp_path, n_grants=2)
+        methods = {m["method_id"]: m for m in hf.full_config()["methods"]}
+        doc = yaml.safe_load(config_path.read_text(encoding="utf-8"))
+        method = {"model": "M-5", "ensemble": "E-1", "budget": "T-4", "params": "H-2"}.get(section)
+        if method:
+            doc["methods"] = [{**methods[method], section: value}]
+        else:
+            doc[section] = value
+        config_path.write_text(yaml.safe_dump(doc), encoding="utf-8")
+        assert main(["run", "--config", str(config_path), "--dry-run"]) == 1
+        assert named in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "change, named",
+        [
+            (lambda doc: doc["methods"][4]["params"].update(bbox_margin_deg=-1), "H-2.params"),
+            (lambda doc: doc["evalsets"]["one"].update(n="x"), "evalsets.one"),
+            (lambda doc: doc["evalsets"]["one"].update(n=2), "evalsets.one"),  # dev holds one of the two grants
+            (lambda doc: doc["split"].update(seed="7"), "split"),
+            (lambda doc: doc["methods"][0]["model"].update(model_id=5), "M-5.model"),
+            (lambda doc: doc["methods"][6].update(total_cost_usd="abc"), "X-1"),
+            (lambda doc: doc["methods"][6].update(total_cost_usd=float("inf")), "X-1"),
+            (lambda doc: doc["prices"]["my-model"].update(input="abc"), "prices.my-model"),
+            (lambda doc: doc["prices"]["my-model"].update(output=float("inf")), "prices.my-model"),
+        ],
+        ids=[
+            "negative-margin", "n-not-int", "n-too-large", "seed-string", "model-id-int",
+            "cost-text", "cost-infinite", "price-text", "price-infinite",
+        ],
+    )
+    def test_bad_value_exit_one(self, tmp_path, capsys, change, named):
+        hf.build_full_workspace(tmp_path)
+        doc = hf.full_config()
+        change(doc)
+        config_path = tmp_path / "config.yaml"
+        config_path.write_text(yaml.safe_dump(doc), encoding="utf-8")
+        assert main(["run", "--config", str(config_path), "--evalset", "one", "--dry-run"]) == 1
+        assert named in capsys.readouterr().err
+
+    def test_ensemble_k_alone_gets_seeds_zero_to_k(self, tmp_path):
+        hf.build_full_workspace(tmp_path)
+        doc = hf.full_config()
+        doc["methods"][1]["ensemble"] = {"k": 3, "min_cluster": 2}
+        config_path = tmp_path / "config.yaml"
+        config_path.write_text(yaml.safe_dump(doc), encoding="utf-8")
+        assert load_config(config_path).methods["E-1"].ensemble.seeds == (0, 1, 2)
+
+    def test_truncated_call_log_exit_two(self, tmp_path, capsys):
+        config_path = hf.build_workspace(tmp_path, n_grants=4)
+        assert main(["run", "--config", str(config_path)]) == 0
+        log = tmp_path / "out" / "runs" / "M-5" / "calls.jsonl"
+        log.write_text(log.read_text(encoding="utf-8").splitlines()[0] + "\n", encoding="utf-8")
+        capsys.readouterr()
+        assert main(["report", "--run-dir", str(tmp_path / "out"), "--resamples", "100"]) == 2
+        assert str(log) in capsys.readouterr().err
+
     def test_bad_geocode_cache_line_exit_two(self, tmp_path, capsys):
         config_path = _mixed_workspace(tmp_path)
         cache = tmp_path / "fixtures" / "geocache.jsonl"
@@ -803,6 +874,61 @@ class TestCli:
         )
         assert code == 0
         assert (out_dir / "sweep.csv").exists()
+
+    def _sweep_workspace(self, tmp_path, sweep_fixtures=None):
+        grants = hf.make_grants(2)
+        fixtures = tmp_path / "fixtures"
+        fixtures.mkdir()
+        from grantgeo.corpus import write_ground_truth
+
+        write_ground_truth(fixtures / "ground_truth.csv", grants)
+        write_fixture_script(fixtures / "base.jsonl", hf.one_shot_script(grants, errors_km=[2], usage=(100, 20)))
+        write_fixture_script(fixtures / "t1.jsonl", hf.one_shot_script(grants, errors_km=[50], usage=(0, 999)))
+        write_fixture_script(fixtures / "bad.jsonl", [text_turn("no coordinate here")] * 2)
+        method = {
+            "method_id": "M-5",
+            "pipeline": "one_shot",
+            "model": {"model_id": "gpt-4o-2024-08-06", "temperature": 0.2},
+            "fixture_script": "fixtures/base.jsonl",
+        }
+        if sweep_fixtures is not None:
+            method["sweep_fixtures"] = sweep_fixtures
+        return hf.build_workspace(tmp_path, n_grants=2, methods=[method])
+
+    def _sweep(self, config_path, *values):
+        args = ["sweep", "--config", str(config_path), "--axis", "temperature", "--values", *values]
+        return main(args + ["--output-dir", str(config_path.parent / "sweep_out")])
+
+    def test_sweep_fixture_keys_match_the_axis_value(self, tmp_path):
+        config_path = self._sweep_workspace(tmp_path, sweep_fixtures={1: "fixtures/t1.jsonl"})
+        assert self._sweep(config_path, "1") == 0
+        with (tmp_path / "sweep_out" / "sweep.csv").open() as fh:
+            rows = list(csv.DictReader(fh))
+        assert float(rows[0]["mean_error_km"]) == pytest.approx(50.0, abs=1e-3)
+        assert rows[0]["tokens_per_entry"] == "999.0"
+
+    def test_sweep_value_without_fixture_entry_exit_one(self, tmp_path, capsys):
+        config_path = self._sweep_workspace(tmp_path, sweep_fixtures={1: "fixtures/t1.jsonl"})
+        assert self._sweep(config_path, "1", "0.5") == 1
+        err = capsys.readouterr().err
+        assert "M-5" in err and "0.5" in err
+        assert not (tmp_path / "sweep_out").exists()  # nothing ran
+
+    def test_sweep_without_fixture_entries_replays_the_base_script(self, tmp_path):
+        config_path = self._sweep_workspace(tmp_path)
+        assert self._sweep(config_path, "0.5") == 0
+        with (tmp_path / "sweep_out" / "sweep.csv").open() as fh:
+            assert float(next(csv.DictReader(fh))["mean_error_km"]) == pytest.approx(2.0, abs=1e-3)
+
+    @pytest.mark.parametrize("value", ["warm", "-1"])
+    def test_sweep_value_the_model_rejects_exit_one(self, tmp_path, capsys, value):
+        config_path = self._sweep_workspace(tmp_path)
+        assert self._sweep(config_path, value) == 1
+        assert value in capsys.readouterr().err
+
+    def test_sweep_with_failed_cells_exit_three(self, tmp_path):
+        config_path = self._sweep_workspace(tmp_path, sweep_fixtures={0.5: "fixtures/bad.jsonl"})
+        assert self._sweep(config_path, "0.5") == 3
 
     def test_sweep_axis_error_exit_one(self, tmp_path):
         config_path = hf.build_workspace(tmp_path, n_grants=2)

@@ -32,6 +32,9 @@ class TestEnsembleConfig:
     def test_defaults(self):
         cfg = EnsembleConfig()
         assert cfg.k == 5 and cfg.eps_km == 0.5 and cfg.min_cluster == 3
+        assert cfg.seeds == (0, 1, 2, 3, 4)
+        assert EnsembleConfig(k=3, min_cluster=2).seeds == (0, 1, 2)
+        assert EnsembleConfig(k=2, min_cluster=1, seeds=[7, 8]).seeds == (7, 8)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -40,6 +43,9 @@ class TestEnsembleConfig:
             EnsembleConfig(eps_km=0.0)
         with pytest.raises(ValueError):
             EnsembleConfig(seeds=(1, 2))
+        for bad in ({"k": 5.0}, {"k": True}, {"min_cluster": 0}, {"eps_km": "0.5"}, {"seeds": ("a",) * 5}, {"seeds": "abcde"}):
+            with pytest.raises(ValueError):
+                EnsembleConfig(**bad)
 
 
 class TestRunOneShot:

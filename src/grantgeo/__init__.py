@@ -7,8 +7,12 @@ deterministic fixture replay (:mod:`grantgeo.gateway`), one-shot and
 ensemble runners (:mod:`grantgeo.runners`), a tool-calling agent loop
 (:mod:`grantgeo.agent`), deterministic baselines
 (:mod:`grantgeo.baselines`), evaluation statistics
-(:mod:`grantgeo.metrics`), and the run driver (:mod:`grantgeo.harness`).
+(:mod:`grantgeo.metrics`), the run driver (:mod:`grantgeo.harness`) and
+the run report (:mod:`grantgeo.report`). The statistics and the report
+load numpy, so their names here are imported on first access.
 """
+
+import importlib
 
 from .geo import (
     EARTH_RADIUS_KM,
@@ -70,29 +74,48 @@ from .baselines import (
     predict_ner_pipeline,
     tune_heuristic_grid,
 )
-from .metrics import (
-    BootstrapCI,
-    ErrorStats,
-    MethodSummary,
-    OlsFit,
-    bootstrap_ci,
-    bootstrap_cis,
-    drop_top_k_mean,
-    fit_ols,
-    latency_summary,
-    marginal_cost_per_hit,
-    pareto_frontier,
-    summarize_errors,
-)
 from .harness import (
     MethodSpec,
     RunManifest,
     build_manifest,
-    generate_report,
     ingest_external_predictions,
     load_config,
     run_evaluation,
     sweep,
 )
+
+# Names whose modules load numpy, imported on first access (PEP 562) so
+# that ``import grantgeo`` and ``grantgeo run`` never pay for numpy.
+_LAZY = {
+    **dict.fromkeys(
+        (
+            "BootstrapCI",
+            "ErrorStats",
+            "MethodSummary",
+            "OlsFit",
+            "bootstrap_ci",
+            "bootstrap_cis",
+            "drop_top_k_mean",
+            "fit_ols",
+            "latency_summary",
+            "marginal_cost_per_hit",
+            "pareto_frontier",
+            "summarize_errors",
+        ),
+        "metrics",
+    ),
+    "generate_report": "report",
+}
+
+
+def __getattr__(name: str):
+    if name in _LAZY:
+        return getattr(importlib.import_module(f".{_LAZY[name]}", __name__), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_LAZY})
+
 
 __version__ = "0.1.0"

@@ -8,6 +8,7 @@ budget, and keeps a full trace so runs can be audited and replayed.
 
 from __future__ import annotations
 
+import functools
 import json
 import re
 import statistics
@@ -15,9 +16,6 @@ import threading
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-
-import jsonschema
-from jsonschema.exceptions import best_match
 
 from .corpus import GrantAbstract, MalformedRow
 from .gateway import (
@@ -148,15 +146,22 @@ class ToolCallRecord:
     selected: bool = False
 
 
-def _tool_validator(schema: dict) -> jsonschema.protocols.Validator:
-    cls = jsonschema.validators.validator_for(schema)
-    cls.check_schema(schema)
-    return cls(schema)
+@functools.cache
+def tool_validators() -> dict:
+    """One jsonschema validator per catalog entry, by tool name.
 
+    Built, and each schema checked, on first use: jsonschema loads only in
+    a process that runs the tool agent. Validating a call then costs what
+    the arguments cost, not a metaschema check.
+    """
+    import jsonschema
 
-# One validator per catalog entry, each schema checked once; validating a
-# call then costs what the arguments cost, not a metaschema check.
-_TOOL_VALIDATORS = {tool["name"]: _tool_validator(tool["parameters"]) for tool in TOOL_CATALOG}
+    validators = {}
+    for tool in TOOL_CATALOG:
+        cls = jsonschema.validators.validator_for(tool["parameters"])
+        cls.check_schema(tool["parameters"])
+        validators[tool["name"]] = cls(tool["parameters"])
+    return validators
 
 
 def validate_tool_call(request: ToolCallRequest) -> dict:
@@ -165,11 +170,14 @@ def validate_tool_call(request: ToolCallRequest) -> dict:
     The message is the one ``jsonschema.validate`` would give: that of the
     best-matching error.
     """
-    validator = _TOOL_VALIDATORS.get(request.name)
+    validator = tool_validators().get(request.name)
     if validator is None:
         raise ArgumentInvalid(f"unknown tool {request.name!r}")
-    error = best_match(validator.iter_errors(request.arguments))
-    if error is not None:
+    errors = list(validator.iter_errors(request.arguments))
+    if errors:
+        from jsonschema.exceptions import best_match
+
+        error = best_match(errors)
         raise ArgumentInvalid(error.message) from error
     return request.arguments
 

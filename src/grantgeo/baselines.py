@@ -19,7 +19,7 @@ from importlib import resources
 from pathlib import Path
 from typing import Callable, Iterable
 
-from .corpus import GrantAbstract
+from .corpus import GrantAbstract, MalformedRow
 from .geo import Coordinate, VIRGINIA_BBOX, haversine_km, is_real, within_bbox
 
 VIRGINIA_CENTER = Coordinate(37.4316, -78.6569)
@@ -84,6 +84,15 @@ def _display_county(name: str) -> str:
     return " ".join(tokens)
 
 
+# A missing column is a KeyError, a short row a TypeError (its value is
+# None) and a value that is not a number, or not a coordinate, a ValueError.
+_ROW_ERRORS = (KeyError, TypeError, ValueError)
+
+
+def _why(exc: Exception) -> str:
+    return f"missing column {exc}" if isinstance(exc, KeyError) else f"{type(exc).__name__}: {exc}"
+
+
 class CountyCentroidTable:
     """Name-to-centroid lookup over historic and modern Virginia counties."""
 
@@ -99,7 +108,10 @@ class CountyCentroidTable:
         with Path(path).open(newline="", encoding="utf-8") as fh:
             reader = csv.DictReader(fh)
             for row in reader:
-                entries[row["county"]] = Coordinate(float(row["lat"]), float(row["lon"]))
+                try:
+                    entries[row["county"]] = Coordinate(float(row["lat"]), float(row["lon"]))
+                except _ROW_ERRORS as exc:
+                    raise MalformedRow(f"{path}:{reader.line_num}: not a county,lat,lon row ({_why(exc)})") from exc
         return cls(entries)
 
     @classmethod
@@ -444,15 +456,19 @@ def load_gazetteer(path: str | Path) -> Gazetteer:
     """Gazetteer CSV: ``name,lat,lon,population,feature_class``."""
     entries = Gazetteer()
     with Path(path).open(newline="", encoding="utf-8") as fh:
-        for row in csv.DictReader(fh):
-            entries.append(
-                GazetteerEntry(
-                    name=row["name"],
-                    coordinate=Coordinate(float(row["lat"]), float(row["lon"])),
-                    population=int(row["population"] or 0),
-                    feature_class=row["feature_class"],
+        reader = csv.DictReader(fh)
+        for row in reader:
+            try:
+                entries.append(
+                    GazetteerEntry(
+                        name=row["name"],
+                        coordinate=Coordinate(float(row["lat"]), float(row["lon"])),
+                        population=int(row["population"] or 0),
+                        feature_class=row["feature_class"],
+                    )
                 )
-            )
+            except _ROW_ERRORS as exc:
+                raise MalformedRow(f"{path}:{reader.line_num}: not a gazetteer row ({_why(exc)})") from exc
     return entries
 
 

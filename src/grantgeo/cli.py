@@ -20,7 +20,6 @@ from .harness import (
     DataMissing,
     NoResults,
     build_manifest,
-    generate_report,
     load_config,
     run_evaluation,
     sweep,
@@ -84,6 +83,8 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_report(args) -> int:
+    from .report import generate_report  # numpy loads for the report only
+
     path = generate_report(args.run_dir, ci_seed=args.seed, resamples=args.resamples)
     print(f"report written: {path}")
     return EXIT_OK

@@ -13,6 +13,7 @@ from decimal import Decimal
 from typing import Mapping, Sequence
 
 import numpy as np
+from numpy.random import default_rng  # numpy would otherwise load numpy.random on the first draw, inside a report
 
 BAND_THRESHOLDS_KM = (1.0, 5.0, 10.0, 25.0, 50.0)
 """Inclusive accuracy-band thresholds used in the detail tables."""
@@ -167,7 +168,7 @@ def bootstrap_cis(
         by_size.setdefault(arr.size, []).append(i)
     means = [np.empty(resamples) for _ in arrays]
     for n, members in by_size.items():
-        rng = np.random.default_rng(seed)
+        rng = default_rng(seed)
         # Successive draws continue one stream, so drawing the index matrix
         # a block of rows at a time gives the same indices while holding
         # only about _BOOTSTRAP_CHUNK_CELLS of them at once.

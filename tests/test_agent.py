@@ -8,6 +8,7 @@ from decimal import Decimal
 import jsonschema
 import pytest
 
+from grantgeo import agent
 from grantgeo.agent import (
     AgentBudget,
     ArgumentInvalid,
@@ -18,6 +19,7 @@ from grantgeo.agent import (
     ToolCallRecord,
     handle_compute_centroid,
     run_tool_chain,
+    tool_validators,
     trace_statistics,
     validate_tool_call,
     write_geocode_cache,
@@ -85,6 +87,16 @@ class TestValidateToolCall:
         with pytest.raises(ArgumentInvalid) as got:
             validate_tool_call(ToolCallRequest(name, arguments))
         assert str(got.value) == expected.value.message
+
+    def test_validators_check_each_schema(self, monkeypatch):
+        bad = {"name": "geocode_place", "parameters": {"type": "object", "required": "query"}}
+        monkeypatch.setattr(agent, "TOOL_CATALOG", [bad])
+        tool_validators.cache_clear()
+        try:
+            with pytest.raises(jsonschema.SchemaError):
+                tool_validators()
+        finally:
+            tool_validators.cache_clear()
 
     def test_catalog_wire_format(self):
         names = [t["name"] for t in TOOL_CATALOG]

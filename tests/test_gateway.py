@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import os
 import subprocess
 import sys
@@ -9,8 +10,11 @@ from decimal import Decimal
 from pathlib import Path
 
 import pytest
+import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
+
+import harness_fixtures as hf
 
 from grantgeo.gateway import (
     ChatMessage,
@@ -198,14 +202,52 @@ class TestFixtureBackend:
         assert transcript() == transcript()
 
 
+def _python(code: str, *args: str) -> subprocess.CompletedProcess:
+    """Run ``code`` in a fresh interpreter that imports this checkout's package."""
+    import grantgeo
+
+    src = str(Path(grantgeo.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, "-c", code, *args], env=env, capture_output=True, text=True)
+
+
+class TestImportLayering:
+    def test_numpy_and_jsonschema_load_only_where_used(self, tmp_path):
+        plain = hf.build_workspace(tmp_path / "plain", n_grants=2)  # no tool_chain method
+        hf.build_full_workspace(tmp_path / "full")
+        tools = tmp_path / "full" / "config.yaml"
+        tools.write_text(yaml.safe_dump(hf.full_config()), encoding="utf-8")
+        code = (
+            "import json, sys, grantgeo, grantgeo.cli, grantgeo.harness\n"
+            "from grantgeo.harness import build_manifest, load_config\n"
+            "seen = lambda: [name in sys.modules for name in ('numpy', 'numpy.random', 'jsonschema')]\n"
+            "build_manifest(load_config(sys.argv[1]))\n"
+            "states = [seen()]\n"
+            "build_manifest(load_config(sys.argv[2]))\n"
+            "states.append(seen())\n"
+            "from grantgeo.harness import generate_report\n"
+            "states.append(seen())\n"
+            "print(json.dumps(states))\n"
+        )
+        done = _python(code, str(plain), str(tools))
+        assert done.returncode == 0, done.stderr
+        assert json.loads(done.stdout) == [[False, False, False], [False, False, True], [True, True, True]]
+
+    def test_package_serves_the_lazily_imported_names(self):
+        import grantgeo
+        from grantgeo import metrics, report
+
+        assert grantgeo.bootstrap_ci is metrics.bootstrap_ci
+        assert grantgeo.generate_report is report.generate_report
+        assert {"bootstrap_ci", "bootstrap_cis", "generate_report", "load_config", "__version__"} <= set(dir(grantgeo))
+        with pytest.raises(AttributeError, match="no_such_name"):
+            grantgeo.no_such_name
+
+
 class TestLiveBackend:
     def test_importing_the_cli_leaves_requests_unloaded(self):
-        import grantgeo
-
         code = "import sys, grantgeo, grantgeo.cli; sys.exit('requests' in sys.modules)"
-        src = str(Path(grantgeo.__file__).resolve().parents[1])
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-        assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+        assert _python(code).returncode == 0
 
     def test_missing_credential(self, monkeypatch):
         from grantgeo.gateway import BackendUnavailable, LiveBackend

@@ -11,7 +11,7 @@ import pytest
 import yaml
 
 import harness_fixtures as hf
-from grantgeo import harness
+from grantgeo import report
 from grantgeo.cli import main
 from grantgeo.corpus import MalformedRow
 from grantgeo.gateway import text_turn, write_fixture_script
@@ -492,13 +492,13 @@ class TestGenerateReport:
     def test_shared_draws_match_per_method_bootstrap(self, tmp_path, monkeypatch):
         _, outcome = _run(_mixed_workspace(tmp_path))
         seen = {}
-        original = harness.build_method_summary
+        original = report.build_method_summary
 
         def spy(method_id, errors, logs, ci, *args):
             seen[method_id] = (list(errors), ci)
             return original(method_id, errors, logs, ci, *args)
 
-        monkeypatch.setattr(harness, "build_method_summary", spy)
+        monkeypatch.setattr(report, "build_method_summary", spy)
         generate_report(outcome.run_dir, resamples=700)
         assert {mid: len(errors) for mid, (errors, _) in seen.items()} == {"M-3": 4, "M-5": 4, "H-4": 4, "X-1": 3}
         for errors, ci in seen.values():
@@ -716,6 +716,48 @@ class TestCli:
         config_path.write_text(yaml.safe_dump(doc), encoding="utf-8")
         assert main(["run", "--config", str(config_path), "--evalset", "one", "--dry-run"]) == 1
         assert named in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key", ["default_evalset", "output_dir"])
+    @pytest.mark.parametrize("value", [[], {}, 3, ""])
+    def test_non_string_default_key_exit_one(self, tmp_path, capsys, key, value):
+        hf.build_full_workspace(tmp_path)
+        config_path = tmp_path / "config.yaml"
+        config_path.write_text(yaml.safe_dump({**hf.full_config(), key: value}), encoding="utf-8")
+        assert main(["run", "--config", str(config_path), "--dry-run"]) == 1
+        assert key in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", [None, "absent"])
+    def test_absent_or_null_default_key_takes_the_default(self, tmp_path, value):
+        hf.build_full_workspace(tmp_path)
+        doc = {**hf.full_config(), "default_evalset": None, "output_dir": None}
+        if value == "absent":
+            del doc["default_evalset"], doc["output_dir"]
+        config_path = tmp_path / "config.yaml"
+        config_path.write_text(yaml.safe_dump(doc), encoding="utf-8")
+        config = load_config(config_path)
+        assert (config.default_evalset, config.output_dir) == ("gold", tmp_path / "runs_out")
+
+    @pytest.mark.parametrize(
+        "name, text, named",
+        [
+            ("gazetteer.csv", "name,lat,population,feature_class\nBlackwater Swamp,37.1,0,swamp\n", ":2: "),
+            (
+                "gazetteer.csv",
+                "name,lat,lon,population,feature_class\nBlackwater Swamp,37.1,-77.1,0,swamp\nSurry,abc,-76.9,0,x\n",
+                ":3: ",
+            ),
+            ("counties.csv", "county,lat\nSussex,36.92\n", ":2: "),
+            ("counties.csv", "county,lat,lon\nSussex,36.92,-77.28\nSurry,abc,-76.9\n", ":3: "),
+        ],
+        ids=["gazetteer-no-lon", "gazetteer-lat-text", "counties-no-lon", "counties-lat-text"],
+    )
+    def test_bad_baseline_csv_exit_two(self, tmp_path, capsys, name, text, named):
+        hf.build_full_workspace(tmp_path)
+        (tmp_path / "fixtures" / name).write_text(text, encoding="utf-8")
+        config_path = tmp_path / "config.yaml"
+        config_path.write_text(yaml.safe_dump(hf.full_config()), encoding="utf-8")
+        assert main(["run", "--config", str(config_path), "--method", "H-2"]) == 2
+        assert f"{name}{named}" in capsys.readouterr().err
 
     def test_ensemble_k_alone_gets_seeds_zero_to_k(self, tmp_path):
         hf.build_full_workspace(tmp_path)

@@ -22,9 +22,9 @@ from .gateway import (
     BACKEND_ERRORS,
     ChatMessage,
     ModelConfig,
+    GEOCODER_API_KEY_ENV,
     PriceTable,
     DEFAULT_PRICES,
-    RunRecord,
     TokenUsage,
     ToolCallRequest,
     call_cost,
@@ -40,7 +40,7 @@ from .geo import (
     within_bbox,
 )
 from .prompts import FINAL_NUDGE, TOOL_SYSTEM_PROMPT
-from .runners import Prediction, _error_km
+from .runners import Prediction
 
 GEOCODE_STRATEGIES = ("natural_feature", "restricted_va", "standard_va", "county_fallback")
 DEFAULT_STRATEGY = "standard_va"
@@ -59,7 +59,7 @@ GEOCODE_PLACE_SCHEMA = {
             },
             "strategy": {
                 "type": "string",
-                "enum": ["natural_feature", "restricted_va", "standard_va", "county_fallback"],
+                "enum": list(GEOCODE_STRATEGIES),
                 "description": "Search heuristic controlling how the backend constructs variant queries.",
             },
         },
@@ -307,7 +307,7 @@ class GoogleGeocodeProvider:
     def __init__(self, api_key: str | None = None, timeout_s: float = 30.0):
         import os
 
-        self.api_key = api_key if api_key is not None else os.environ.get("GEOCODER_API_KEY")
+        self.api_key = api_key if api_key is not None else os.environ.get(GEOCODER_API_KEY_ENV)
         self.timeout_s = timeout_s
 
     def _build_query(self, query: str, strategy: str) -> str:
@@ -324,7 +324,7 @@ class GoogleGeocodeProvider:
         import requests
 
         if not self.api_key:
-            raise ProviderError("GEOCODER_API_KEY is not set")
+            raise ProviderError(f"{GEOCODER_API_KEY_ENV} is not set")
         params = {
             "address": self._build_query(query, strategy),
             "components": "administrative_area:VA|country:US",
@@ -372,7 +372,10 @@ def handle_compute_centroid(points: list[dict]) -> dict:
     Results carry 8 fractional digits, matching the wire rendering.
     """
     validate_tool_call(ToolCallRequest("compute_centroid", {"points": points}))
-    centroid = spherical_centroid([Coordinate(float(p["lat"]), float(p["lng"])) for p in points])
+    try:
+        centroid = spherical_centroid([Coordinate(float(p["lat"]), float(p["lng"])) for p in points])
+    except ValueError as exc:  # a point off the globe, or points with no defined mean such as antipodes
+        raise ArgumentInvalid(str(exc)) from exc
     return {"lat": round(centroid.lat, 8), "lng": round(centroid.lon, 8)}
 
 
@@ -466,18 +469,17 @@ def run_tool_chain(
     latency = time.perf_counter() - start
     if coordinate is not None:
         _mark_selected(trace, coordinate)
-    run = RunRecord(
-        method_id=method_id,
-        row_id=grant.row_id,
+    return Prediction.of(
+        method_id,
+        grant,
+        coordinate,
         usage=usage_total,
         latency_s=latency,
         cost_usd=call_cost(usage_total, *prices.lookup(cfg.model_id)),
         tool_calls=trace,
         raw_response=raw,
-        failed=coordinate is None,
         reason=reason,
     )
-    return Prediction(method_id, grant.row_id, coordinate, _error_km(coordinate, grant), run)
 
 
 _SELECT_TOL_DEG = 1e-6

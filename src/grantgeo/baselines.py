@@ -93,26 +93,39 @@ def _why(exc: Exception) -> str:
     return f"missing column {exc}" if isinstance(exc, KeyError) else f"{type(exc).__name__}: {exc}"
 
 
+def _read_csv(path: str | Path, kind: str, parse: Callable[[dict], object]) -> list:
+    """``parse`` of each row of a CSV file; a bad row, or a byte that is not UTF-8, is MalformedRow."""
+    out = []
+    try:
+        with Path(path).open(newline="", encoding="utf-8") as fh:
+            reader = csv.DictReader(fh)
+            for row in reader:
+                try:
+                    out.append(parse(row))
+                except _ROW_ERRORS as exc:
+                    raise MalformedRow(f"{path}:{reader.line_num}: not a {kind} row ({_why(exc)})") from exc
+    except UnicodeDecodeError as exc:  # decoded a block at a time, so no line is named
+        raise MalformedRow(f"{path}: not UTF-8 text ({exc})") from exc
+    return out
+
+
+def _county_row(row: dict) -> tuple[str, Coordinate]:
+    coordinate = Coordinate(float(row["lat"]), float(row["lon"]))
+    if not within_bbox(coordinate, VIRGINIA_BBOX):
+        raise ValueError(f"county {row['county']!r} centroid outside the Virginia box")
+    return row["county"], coordinate
+
+
 class CountyCentroidTable:
     """Name-to-centroid lookup over historic and modern Virginia counties."""
 
     def __init__(self, entries: dict[str, Coordinate]):
         self._entries = {_normalize_county(k): v for k, v in entries.items()}
-        for name, coord in self._entries.items():
-            if not within_bbox(coord, VIRGINIA_BBOX):
-                raise ValueError(f"county {name!r} centroid outside the Virginia box")
 
     @classmethod
     def from_csv(cls, path: str | Path) -> "CountyCentroidTable":
-        entries: dict[str, Coordinate] = {}
-        with Path(path).open(newline="", encoding="utf-8") as fh:
-            reader = csv.DictReader(fh)
-            for row in reader:
-                try:
-                    entries[row["county"]] = Coordinate(float(row["lat"]), float(row["lon"]))
-                except _ROW_ERRORS as exc:
-                    raise MalformedRow(f"{path}:{reader.line_num}: not a county,lat,lon row ({_why(exc)})") from exc
-        return cls(entries)
+        """The table in a ``county,lat,lon`` CSV, each centroid inside the Virginia box."""
+        return cls(dict(_read_csv(path, "county,lat,lon", _county_row)))
 
     @classmethod
     def packaged(cls) -> "CountyCentroidTable":
@@ -454,22 +467,16 @@ class Gazetteer(list):
 
 def load_gazetteer(path: str | Path) -> Gazetteer:
     """Gazetteer CSV: ``name,lat,lon,population,feature_class``."""
-    entries = Gazetteer()
-    with Path(path).open(newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        for row in reader:
-            try:
-                entries.append(
-                    GazetteerEntry(
-                        name=row["name"],
-                        coordinate=Coordinate(float(row["lat"]), float(row["lon"])),
-                        population=int(row["population"] or 0),
-                        feature_class=row["feature_class"],
-                    )
-                )
-            except _ROW_ERRORS as exc:
-                raise MalformedRow(f"{path}:{reader.line_num}: not a gazetteer row ({_why(exc)})") from exc
-    return entries
+    return Gazetteer(_read_csv(path, "gazetteer", _gazetteer_row))
+
+
+def _gazetteer_row(row: dict) -> GazetteerEntry:
+    return GazetteerEntry(
+        name=row["name"],
+        coordinate=Coordinate(float(row["lat"]), float(row["lon"])),
+        population=int(row["population"] or 0),
+        feature_class=row["feature_class"],
+    )
 
 
 def packaged_gazetteer() -> Gazetteer:
@@ -511,12 +518,7 @@ def predict_ner_pipeline(
     if candidates:
         best = min(candidates, key=lambda g: (-g.population, g.name))
         return best.coordinate, "entity"
-    county = extract_county(text)
-    if county is not None:
-        centroid = table.get(county)
-        if centroid is not None:
-            return centroid, "county"
-    return VIRGINIA_CENTER, "statewide"
+    return predict_county_centroid(text, table)
 
 
 def gazetteer_resolver(gazetteer: list[GazetteerEntry], confidence: float = 1.0) -> Resolver:

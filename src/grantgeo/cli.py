@@ -101,11 +101,7 @@ def _cmd_sweep(args) -> int:
         output_dir=args.output_dir,
     )
     axis = "reasoning_effort" if args.axis in ("effort", "reasoning_effort") else "temperature"
-    try:
-        values = [float(v) for v in args.values] if axis == "temperature" else list(args.values)
-    except ValueError as exc:
-        raise ConfigInvalid(f"--values: temperatures must be numbers ({exc})") from exc
-    path, failures = sweep(manifest, axis, values)
+    path, failures = sweep(manifest, axis, args.values)
     print(f"sweep report written: {path}")
     return EXIT_PARTIAL if failures else EXIT_OK
 

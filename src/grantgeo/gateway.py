@@ -72,8 +72,8 @@ class TokenUsage:
     output_tokens: int = 0
 
     def __post_init__(self):
-        if self.input_tokens < 0 or self.output_tokens < 0:
-            raise ValueError("token counts must be non-negative")
+        if not all(is_int(n) and n >= 0 for n in (self.input_tokens, self.output_tokens)):
+            raise ValueError("token counts must be integers >= 0")
 
     def __add__(self, other: "TokenUsage") -> "TokenUsage":
         return TokenUsage(
@@ -181,9 +181,9 @@ class RunRecord:
 
     method_id: str
     row_id: str
-    usage: TokenUsage
-    latency_s: float
-    cost_usd: Decimal
+    usage: TokenUsage = TokenUsage()
+    latency_s: float = 0.0
+    cost_usd: Decimal = Decimal(0)
     tool_calls: list = field(default_factory=list)
     raw_response: str = ""
     failed: bool = False
@@ -226,10 +226,10 @@ def _parse_turn(doc) -> _Turn:
     else:
         raise ValueError(f"unknown response type {response.get('type')!r}")
     usage = doc.get("usage") or {}
-    n_in, n_out = (usage.get("input_tokens", 0), usage.get("output_tokens", 0)) if isinstance(usage, dict) else (0, None)
-    if type(n_in) is not int or type(n_out) is not int or n_in < 0 or n_out < 0:  # type(): JSON true is no count
-        raise ValueError("usage must hold non-negative integer token counts")
-    return _Turn(expect.get("contains"), model_response, TokenUsage(n_in, n_out))
+    if not isinstance(usage, dict):
+        raise ValueError("usage must be an object of token counts")
+    usage = TokenUsage(usage.get("input_tokens", 0), usage.get("output_tokens", 0))  # checks the counts
+    return _Turn(expect.get("contains"), model_response, usage)
 
 
 class FixtureBackend:

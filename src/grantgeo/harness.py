@@ -51,11 +51,9 @@ from .gateway import (
     LiveBackend,
     ModelConfig,
     PriceTable,
-    RunRecord,
-    TokenUsage,
     default_price_table,
 )
-from .geo import Coordinate, haversine_km, is_int, is_real
+from .geo import Coordinate, is_int, is_real
 from .prompts import build_one_shot_prompt
 from .runners import EnsembleConfig, Prediction, run_ensemble, run_one_shot
 
@@ -376,8 +374,8 @@ def ingest_external_predictions(
     """Load externally produced coordinates (CSV ``row_id,lat,lon``).
 
     Predictions carry zero token usage; the configured total cost is
-    spread evenly across the file's rows. Unknown row ids and bad
-    coordinates are malformed.
+    spread evenly across the file's rows. Row ids not among ``grants``
+    and bad coordinates are malformed.
     """
     path = Path(path)
     known = {g.row_id: g for g in grants}
@@ -393,7 +391,7 @@ def ingest_external_predictions(
         data_rows = [row for row in reader if row]
     if not data_rows:
         return []
-    per_row_cost = Decimal(total_cost_usd) / len(data_rows)
+    accounting = {"latency_s": latency_s_per_grant, "cost_usd": Decimal(total_cost_usd) / len(data_rows)}
     for lineno, row in enumerate(data_rows, start=2):
         if len(row) != 3:
             raise MalformedRow(f"{path}:{lineno}: expected 3 columns")
@@ -405,30 +403,9 @@ def ingest_external_predictions(
             coordinate = Coordinate(float(lat_txt), float(lon_txt))
         except ValueError as exc:
             raise MalformedRow(f"{path}:{lineno}: {exc}") from exc
-        run = RunRecord(
-            method_id=method_id,
-            row_id=row_id,
-            usage=TokenUsage(),
-            latency_s=latency_s_per_grant,
-            cost_usd=per_row_cost,
-            raw_response=f"{coordinate.lat}, {coordinate.lon}",
-        )
-        error = haversine_km(coordinate, grant.ground_truth) if grant.ground_truth else None
-        out.append(Prediction(method_id, row_id, coordinate, error, run))
+        raw = f"{coordinate.lat}, {coordinate.lon}"
+        out.append(Prediction.of(method_id, grant, coordinate, raw_response=raw, **accounting))
     return out
-
-
-def _failed_prediction(method_id: str, grant: GrantAbstract, reason: str) -> Prediction:
-    run = RunRecord(
-        method_id=method_id,
-        row_id=grant.row_id,
-        usage=TokenUsage(),
-        latency_s=0.0,
-        cost_usd=Decimal(0),
-        failed=True,
-        reason=reason,
-    )
-    return Prediction(method_id, grant.row_id, None, None, run)
 
 
 def _timed_baseline(spec: MethodSpec, locate: Callable[[str], tuple[Coordinate, str]]):
@@ -437,27 +414,20 @@ def _timed_baseline(spec: MethodSpec, locate: Callable[[str], tuple[Coordinate, 
     def predict(grant: GrantAbstract) -> Prediction:
         start = time.perf_counter()
         coordinate, flag = locate(grant.text)
-        run = RunRecord(
-            method_id=spec.method_id,
-            row_id=grant.row_id,
-            usage=TokenUsage(),
-            latency_s=time.perf_counter() - start,
-            cost_usd=Decimal(0),
-            raw_response=f"{coordinate.lat:.6f}, {coordinate.lon:.6f} [{flag}]",
-        )
-        error = haversine_km(coordinate, grant.ground_truth) if grant.ground_truth else None
-        return Prediction(spec.method_id, grant.row_id, coordinate, error, run)
+        latency = time.perf_counter() - start
+        raw = f"{coordinate.lat:.6f}, {coordinate.lon:.6f} [{flag}]"
+        return Prediction.of(spec.method_id, grant, coordinate, latency_s=latency, raw_response=raw)
 
     return predict
 
 
 @dataclass
 class _RunScope:
-    """What a pipeline's setup reads: the run's config, grants and seed, and
-    its gazetteers, each path loaded (and so indexed) once per run."""
+    """What a pipeline's setup reads: the run's config, loaded corpus and
+    seed, and its gazetteers, each path loaded (and so indexed) once per run."""
 
     config: HarnessConfig
-    grants: list[GrantAbstract]
+    corpus: list[GrantAbstract]
     seed: int
     _gazetteers: dict[Path | None, Gazetteer] = field(default_factory=dict, init=False, repr=False)
 
@@ -487,10 +457,10 @@ def _setup_ner_pipeline(spec: MethodSpec, scope: _RunScope):
 
 def _setup_ingest_external(spec: MethodSpec, scope: _RunScope):
     predictions = ingest_external_predictions(
-        spec.predictions_file, spec.method_id, scope.grants, spec.total_cost_usd, spec.latency_s_per_grant
+        spec.predictions_file, spec.method_id, scope.corpus, spec.total_cost_usd, spec.latency_s_per_grant
     )
-    by_id = {p.row_id: p for p in predictions}
-    return lambda grant: by_id.get(grant.row_id) or _failed_prediction(spec.method_id, grant, "MissingExternalRow")
+    by_id = {p.row_id: p for p in predictions}  # read only for the evaluated grants
+    return lambda g: by_id.get(g.row_id) or Prediction.of(spec.method_id, g, None, reason="MissingExternalRow")
 
 
 def _seeded(model: ModelConfig, seed: int) -> ModelConfig:
@@ -581,16 +551,7 @@ def _log_record(prediction: Prediction, request_summary: str) -> dict:
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
         "request": request_summary,
         "response": run.raw_response[:500],
-        "tool_calls": [
-            {
-                "turn_index": r.turn_index,
-                "tool_name": r.tool_name,
-                "arguments": r.arguments,
-                "result": r.result,
-                "selected": r.selected,
-            }
-            for r in run.tool_calls
-        ],
+        "tool_calls": [vars(r) for r in run.tool_calls],  # a ToolCallRecord's fields, in order
         "usage": {"input_tokens": run.usage.input_tokens, "output_tokens": run.usage.output_tokens},
         "latency_s": run.latency_s,
         "cost_usd": str(run.cost_usd),
@@ -668,7 +629,7 @@ def run_evaluation(manifest: RunManifest) -> RunOutcome:
     (run_dir / RUN_FILE).unlink(missing_ok=True)
     predictions: dict[str, list[Prediction]] = {}
     failures = 0
-    scope = _RunScope(config, grants, manifest.seed)
+    scope = _RunScope(config, rows, manifest.seed)
     for spec in manifest.methods:
         pipeline = PIPELINES[spec.pipeline]
         predict = pipeline.setup(spec, scope)
@@ -722,8 +683,9 @@ def sweep(manifest: RunManifest, axis: str, values: list) -> tuple[Path, int]:
 
     temperature sweeps require rosters whose models use temperature (not
     reasoning effort), and vice versa; a mismatch raises
-    AxisInapplicable. Writes sweep.csv and sweep_report.md; returns the
-    report's path and the number of failed cells.
+    AxisInapplicable, and a temperature that is not a number ConfigInvalid.
+    Each value is a run in ``<axis>_<value>/``; :mod:`grantgeo.report`
+    tabulates those runs. Returns the report's path and the failed cells.
     """
     if axis not in SWEEP_AXES:
         raise AxisInapplicable(f"unknown axis {axis!r}")
@@ -735,50 +697,19 @@ def sweep(manifest: RunManifest, axis: str, values: list) -> tuple[Path, int]:
         if axis == "reasoning_effort" and spec.model.temperature is not None:
             raise AxisInapplicable(f"{spec.method_id}: model is temperature based")
 
-    values = [float(v) if axis == "temperature" else str(v) for v in values]
+    try:
+        values = [float(v) if axis == "temperature" else str(v) for v in values]
+    except ValueError as exc:
+        raise ConfigInvalid(f"sweep values: temperatures must be numbers ({exc})") from exc
     rosters = [(v, [_sweep_clone(spec, axis, v) for spec in manifest.methods]) for v in values]  # before any run
 
-    run_dir = manifest.output_dir
-    run_dir.mkdir(parents=True, exist_ok=True)
-    rows_out: list[dict] = []
+    runs: list[tuple[object, Path]] = []
     failures = 0
     for value, clones in rosters:
-        sub = RunManifest(
-            config=manifest.config,
-            evalset=manifest.evalset,
-            methods=clones,
-            seed=manifest.seed,
-            dry_run=False,
-            max_rows=manifest.max_rows,
-            output_dir=run_dir / f"{axis}_{value}",
-        )
+        sub = replace(manifest, methods=clones, dry_run=False, output_dir=manifest.output_dir / f"{axis}_{value}")
         outcome = run_evaluation(sub)
         failures += outcome.failures
-        for clone, base in zip(clones, manifest.methods):
-            preds = outcome.predictions[clone.method_id]
-            errors = [p.error_km for p in preds if p.error_km is not None]
-            tokens = [p.run.usage.input_tokens + p.run.usage.output_tokens for p in preds]
-            rows_out.append(
-                {
-                    "axis_value": value,
-                    "method_id": base.method_id,
-                    "mean_error_km": sum(errors) / len(errors) if errors else None,
-                    "tokens_per_entry": sum(tokens) / len(tokens) if tokens else 0.0,
-                }
-            )
+        runs.append((value, outcome.run_dir))
+    from .report import write_sweep_report  # numpy loads once the runs are done
 
-    csv_path = run_dir / "sweep.csv"
-    with csv_path.open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["axis_value", "method_id", "mean_error_km", "tokens_per_entry"])
-        for r in rows_out:
-            mean = f"{r['mean_error_km']:.4f}" if r["mean_error_km"] is not None else ""
-            writer.writerow([r["axis_value"], r["method_id"], mean, f"{r['tokens_per_entry']:.1f}"])
-
-    lines = [f"# Sweep report: {axis}", "", "| Value | Method | Mean error (km) | Tokens / entry |", "|---|---|---|---|"]
-    for r in rows_out:
-        mean = f"{r['mean_error_km']:.2f}" if r["mean_error_km"] is not None else "n/a"
-        lines.append(f"| {r['axis_value']} | {r['method_id']} | {mean} | {r['tokens_per_entry']:.1f} |")
-    report_path = run_dir / "sweep_report.md"
-    report_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    return report_path, failures
+    return write_sweep_report(manifest.output_dir, axis, runs, [s.method_id for s in manifest.methods]), failures

@@ -3,9 +3,10 @@
 A report reads one finished run: ``run.json`` (evalset, roster and row
 ids, written by :func:`grantgeo.harness.run_evaluation`) and the call log
 of each listed method, and nothing else. It writes ``report.md`` plus
-plot-ready scatter CSVs beside them. Through :mod:`grantgeo.metrics` it
-loads numpy, so the harness and the package import it only on demand and
-``grantgeo run`` never pays for numpy.
+plot-ready scatter CSVs beside them; a sweep's table is built from the
+same summaries. Through :mod:`grantgeo.metrics` it loads numpy, so the
+harness and the package import it only on demand and ``grantgeo run``
+never pays for numpy.
 """
 
 from __future__ import annotations
@@ -62,6 +63,7 @@ def _read_log(run_dir: Path, method_id: str, rows: list[str]) -> list[dict]:
                 continue
             try:
                 rec = json.loads(line.decode("utf-8"))
+                usage = TokenUsage(rec["usage"]["input_tokens"], rec["usage"]["output_tokens"])  # checks the counts
                 records.append(
                     {  # only these, so that every listed log fits in memory at once
                         "row_id": rec["row_id"],
@@ -70,6 +72,7 @@ def _read_log(run_dir: Path, method_id: str, rows: list[str]) -> list[dict]:
                         "latency_s": float(rec["latency_s"]),
                         "cost_usd": Decimal(rec["cost_usd"]),
                         "tool_calls": [ToolCallRecord(**tc) for tc in rec["tool_calls"]],
+                        "tokens": usage.input_tokens + usage.output_tokens,
                     }
                 )
             except (ValueError, KeyError, TypeError, ArithmeticError) as exc:  # bad UTF-8 and JSON are ValueErrors
@@ -109,33 +112,42 @@ def build_method_summary(
     )
 
 
+def summarize_run(
+    run_dir: Path,
+    ci_seed: int = 42,
+    resamples: int = 10_000,
+    baseline_s_per_grant: float = BASELINE_SECONDS_PER_GRANT,
+) -> tuple[list[str], dict[str, list[dict]], list[MethodSummary]]:
+    """The run in ``run_dir``: its method ids, each one's call-log records
+    and a summary of each method with a scored row, in roster order. Reads
+    ``run.json`` and the listed call logs; the results CSV is never read."""
+    methods, rows = _read_roster(run_dir)
+    logs = {mid: _read_log(run_dir, mid, rows) for mid in methods}
+    errors = {mid: [rec["error_km"] for rec in logs[mid] if rec["error_km"] is not None] for mid in methods}
+    scored = [mid for mid in methods if errors[mid]]
+    cis = bootstrap_cis([errors[mid] for mid in scored], resamples=resamples, seed=ci_seed)
+    summaries = [
+        build_method_summary(mid, errors[mid], logs[mid], ci, baseline_s_per_grant) for mid, ci in zip(scored, cis)
+    ]
+    return methods, logs, summaries
+
+
 def generate_report(
     run_dir: str | Path,
     ci_seed: int = 42,
     resamples: int = 10_000,
     baseline_s_per_grant: float = BASELINE_SECONDS_PER_GRANT,
 ) -> Path:
-    """Write report.md plus plot-ready CSVs for the run in ``run_dir``.
-
-    Reads ``run.json`` and the call log of each method it lists, and
-    nothing else: the results CSV is an export, never read back.
-    """
+    """Write report.md plus plot-ready CSVs for the run in ``run_dir``."""
     run_dir = Path(run_dir)
-    methods, rows = _read_roster(run_dir)
-    logs = {mid: _read_log(run_dir, mid, rows) for mid in methods}
-    errors = {mid: [rec["error_km"] for rec in logs[mid] if rec["error_km"] is not None] for mid in methods}
-    scored = [mid for mid in methods if errors[mid]]
-    if not scored:
+    methods, logs, summaries = summarize_run(run_dir, ci_seed, resamples, baseline_s_per_grant)
+    if not summaries:
         raise NoResults(f"no scored rows in {run_dir}")
-    cis = bootstrap_cis([errors[mid] for mid in scored], resamples=resamples, seed=ci_seed)
-    summaries = [
-        build_method_summary(mid, errors[mid], logs[mid], ci, baseline_s_per_grant) for mid, ci in zip(scored, cis)
-    ]
     tool_preds: list[Prediction] = []  # trace_statistics reads only method_id and run.tool_calls
     for mid in methods:
         if any(rec["tool_calls"] for rec in logs[mid]):  # only tool-calling methods feed the trace table
             for rec in logs[mid]:
-                run = RunRecord(mid, rec["row_id"], TokenUsage(), 0.0, Decimal(0), tool_calls=rec["tool_calls"])
+                run = RunRecord(mid, rec["row_id"], tool_calls=rec["tool_calls"])
                 tool_preds.append(Prediction(mid, rec["row_id"], None, None, run))
     summaries.sort(key=lambda s: s.stats.mean)
 
@@ -220,3 +232,38 @@ def _write_scatter_csv(path: Path, header: list[str], points: list[dict]) -> Non
         writer.writerow(header)
         for p in points:
             writer.writerow([p[h] for h in header])
+
+
+def write_sweep_report(out_dir: Path, axis: str, runs: list[tuple], method_ids: list[str]) -> Path:
+    """Write sweep.csv and sweep_report.md: per axis value and method, the
+    numbers :func:`summarize_run` gives for that value's run. ``runs`` pairs
+    each value with its run directory, whose roster lists ``method_ids`` in
+    order; a method with no scored row has n 0 and only its tokens."""
+    header = "axis_value,method_id,n,mean_error_km,ci_lo_km,ci_hi_km,within_10km_pct,cost_per_1k,tokens_per_entry"
+    table, lines = [header.split(",")], [f"# Sweep report: {axis}", ""]
+    lines += [
+        "| Value | Method | n | Mean error (km) | 95% CI (km) | ≤10 km (%) | Cost per 1k (USD) | Tokens / entry |",
+        "|---|---|---|---|---|---|---|---|",
+    ]
+    for value, run_dir in runs:
+        methods, logs, summaries = summarize_run(run_dir)  # the report's default CI seed and resamples
+        by_id = {s.method_id: s for s in summaries}
+        for mid, method_id in zip(methods, method_ids):
+            tokens = f"{sum(rec['tokens'] for rec in logs[mid]) / max(len(logs[mid]), 1):.1f}"
+            s = by_id.get(mid)
+            if s is None:
+                table.append([value, method_id, 0, "", "", "", "", "", tokens])
+                lines.append(f"| {value} | {method_id} | 0 | n/a | n/a | n/a | n/a | {tokens} |")
+                continue
+            st, ci, hits = s.stats, s.ci, s.stats.bands[10.0] * 100
+            cells = [st.n, f"{st.mean:.4f}", f"{ci.lo:.4f}", f"{ci.hi:.4f}", f"{hits:.1f}", f"{s.cost_per_1k:.2f}"]
+            table.append([value, method_id, *cells, tokens])
+            lines.append(
+                f"| {value} | {method_id} | {st.n} | {st.mean:.2f} | [{ci.lo:.2f}, {ci.hi:.2f}] | {hits:.1f} "
+                f"| {s.cost_per_1k:.2f} | {tokens} |"
+            )
+    with (out_dir / "sweep.csv").open("w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh, lineterminator="\n").writerows(table)
+    report_path = out_dir / "sweep_report.md"
+    report_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return report_path

@@ -45,6 +45,14 @@ class Prediction:
     error_km: float | None
     run: RunRecord
 
+    @classmethod
+    def of(cls, method_id: str, grant: GrantAbstract, coordinate: Coordinate | None, **accounting) -> Prediction:
+        """Every pipeline's cell: failed exactly when there is no coordinate,
+        scored when the grant has a ground truth. ``accounting`` holds the
+        other :class:`RunRecord` fields, which default to zero and empty."""
+        run = RunRecord(method_id, grant.row_id, failed=coordinate is None, **accounting)
+        return cls(method_id, grant.row_id, coordinate, _error_km(coordinate, grant), run)
+
 
 @dataclass(frozen=True)
 class EnsembleConfig:
@@ -103,17 +111,10 @@ def run_one_shot(
     start = time.perf_counter()
     coordinate, usage, raw, reason = _one_call(backend, cfg, grant)
     latency = time.perf_counter() - start
-    run = RunRecord(
-        method_id=method_id,
-        row_id=grant.row_id,
-        usage=usage,
-        latency_s=latency,
-        cost_usd=call_cost(usage, *prices.lookup(cfg.model_id)),
-        raw_response=raw,
-        failed=coordinate is None,
-        reason=reason,
+    cost = call_cost(usage, *prices.lookup(cfg.model_id))
+    return Prediction.of(
+        method_id, grant, coordinate, usage=usage, latency_s=latency, cost_usd=cost, raw_response=raw, reason=reason
     )
-    return Prediction(method_id, grant.row_id, coordinate, _error_km(coordinate, grant), run)
 
 
 def _centroid(points: list[Coordinate]) -> Coordinate:
@@ -190,14 +191,13 @@ def run_ensemble(
     latency = time.perf_counter() - start
 
     coordinate = aggregate_ensemble(points, ens) if points else None
-    run = RunRecord(
-        method_id=method_id,
-        row_id=grant.row_id,
+    return Prediction.of(
+        method_id,
+        grant,
+        coordinate,
         usage=usage_total,
         latency_s=latency,
         cost_usd=cost_total,
         raw_response=json.dumps(raws),
-        failed=coordinate is None,
         reason=None if coordinate is not None else "AllCallsFailed",
     )
-    return Prediction(method_id, grant.row_id, coordinate, _error_km(coordinate, grant), run)

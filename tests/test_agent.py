@@ -315,6 +315,18 @@ class TestHandleComputeCentroid:
         out = handle_compute_centroid([{"lat": 37.5, "lng": -77.5}, {"lat": 37.5, "lng": -77.5}])
         assert out == {"lat": 37.5, "lng": -77.5}
 
+    @pytest.mark.parametrize(
+        "points, why",
+        [
+            ([{"lat": 95, "lng": 0}, {"lat": 37.5, "lng": -77.5}], "latitude 95"),
+            ([{"lat": 0, "lng": 0}, {"lat": 0, "lng": 180}], "mean vector"),
+        ],
+        ids=["latitude-off-the-globe", "antipodes"],
+    )
+    def test_points_without_a_centroid_invalid(self, points, why):
+        with pytest.raises(ArgumentInvalid, match=why):
+            handle_compute_centroid(points)
+
 
 def _replay_setup(tmp_path):
     cache = tmp_path / "cache.jsonl"
@@ -397,6 +409,17 @@ class TestRunToolChain:
         assert not prediction.run.failed
         assert len(prediction.run.tool_calls) == 1
         assert "invalid arguments" in prediction.run.tool_calls[0].result["error"]
+
+    @pytest.mark.parametrize(
+        "points",
+        [[{"lat": 95, "lng": 0}, {"lat": 37.5, "lng": -77.5}], [{"lat": 0, "lng": 0}, {"lat": 0, "lng": 180}]],
+        ids=["latitude-off-the-globe", "antipodes"],
+    )
+    def test_centroid_of_bad_points_reported_to_model(self, points):
+        turns = [tool_call_turn("compute_centroid", {"points": points}), text_turn("37.000000, -77.000000")]
+        prediction = run_tool_chain(FixtureBackend(turns), Geocoder(), CFG, GRANT)
+        assert not prediction.run.failed
+        assert prediction.run.tool_calls[0].result["error"].startswith("invalid arguments: ")
 
     def test_unknown_tool_reported_to_model(self):
         turns = [

@@ -567,6 +567,40 @@ class TestSweep:
             rows = {r["axis_value"]: float(r["tokens_per_entry"]) for r in csv.DictReader(fh)}
         assert rows == {"low": 1100.0, "medium": 3200.0, "high": 7000.0}
 
+    def test_rows_are_what_the_report_gives_for_each_value(self, tmp_path, monkeypatch):
+        config_path = hf.build_workspace(tmp_path, n_grants=10)
+        errors_km = [0.3, 1.7, 2.9, 4.4, 7.5, 11.2, 0.9, 3.3, 6.1, 9.8]  # distinct, so the CI depends on every draw
+        write_fixture_script(tmp_path / "fixtures" / "m5.jsonl", hf.one_shot_script(hf.make_grants(10), errors_km))
+        manifest = build_manifest(load_config(config_path), methods=["M-5", "M-6"], output_dir=tmp_path / "sweep_out")
+        sweep(manifest, "temperature", [0.2])
+        with (tmp_path / "sweep_out" / "sweep.csv").open() as fh:
+            rows = {r["method_id"]: r for r in csv.DictReader(fh)}
+        seen = {}
+        original = report.build_method_summary
+
+        def spy(*args):
+            summary = original(*args)
+            seen[summary.method_id.split("__")[0]] = summary
+            return summary
+
+        monkeypatch.setattr(report, "build_method_summary", spy)
+        generate_report(tmp_path / "sweep_out" / "temperature_0.2")  # the value's directory is a run
+        assert sorted(seen) == sorted(rows) == ["M-5", "M-6"]
+        for method_id, s in seen.items():
+            row = rows[method_id]
+            assert row["axis_value"] == "0.2"
+            assert int(row["n"]) == s.stats.n == 10
+            assert row["mean_error_km"] == f"{s.stats.mean:.4f}"
+            assert (row["ci_lo_km"], row["ci_hi_km"]) == (f"{s.ci.lo:.4f}", f"{s.ci.hi:.4f}")
+            assert row["within_10km_pct"] == f"{s.stats.bands[10.0] * 100:.1f}"
+            assert row["cost_per_1k"] == f"{s.cost_per_1k:.2f}"
+        assert (rows["M-5"]["tokens_per_entry"], rows["M-6"]["tokens_per_entry"]) == ("120.0", "176.0")
+
+    def test_non_number_temperature_is_config_invalid(self, tmp_path):
+        manifest = build_manifest(load_config(hf.build_workspace(tmp_path)), methods=["M-5"])
+        with pytest.raises(ConfigInvalid, match="warm"):
+            sweep(manifest, "temperature", ["0.2", "warm"])
+
     def test_temperature_sweep_on_effort_model_rejected(self, tmp_path):
         config_path = hf.build_workspace(
             tmp_path,
@@ -748,16 +782,62 @@ class TestCli:
             ),
             ("counties.csv", "county,lat\nSussex,36.92\n", ":2: "),
             ("counties.csv", "county,lat,lon\nSussex,36.92,-77.28\nSurry,abc,-76.9\n", ":3: "),
+            ("gazetteer.csv", "name,lat,lon,population,feature_class\nBlackwater Sw\udcffamp,37.1,-77.1,0,x\n", ": "),
+            ("counties.csv", "county,lat,lon\nSuss\udcffex,36.92,-77.28\n", ": "),
+            ("counties.csv", "county,lat,lon\nSussex,36.92,-77.28\nFoo,45.0,-77.0\n", ":3: "),
         ],
-        ids=["gazetteer-no-lon", "gazetteer-lat-text", "counties-no-lon", "counties-lat-text"],
+        ids=[
+            "gazetteer-no-lon", "gazetteer-lat-text", "counties-no-lon", "counties-lat-text",
+            "gazetteer-not-utf8", "counties-not-utf8", "counties-outside-virginia",
+        ],
     )
     def test_bad_baseline_csv_exit_two(self, tmp_path, capsys, name, text, named):
         hf.build_full_workspace(tmp_path)
-        (tmp_path / "fixtures" / name).write_text(text, encoding="utf-8")
+        (tmp_path / "fixtures" / name).write_bytes(text.encode("utf-8", "surrogateescape"))  # \udcff is the byte ff
         config_path = tmp_path / "config.yaml"
         config_path.write_text(yaml.safe_dump(hf.full_config()), encoding="utf-8")
         assert main(["run", "--config", str(config_path), "--method", "H-2"]) == 2
         assert f"{name}{named}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("subset", [["--max-rows", "2"], ["--evalset", "one"]], ids=["max-rows", "evalset"])
+    def test_ingest_external_on_a_subset_reads_only_its_rows(self, tmp_path, subset):
+        hf.build_full_workspace(tmp_path, n_grants=4)
+        config_path = tmp_path / "config.yaml"
+        config_path.write_text(yaml.safe_dump(hf.full_config()), encoding="utf-8")
+        assert main(["run", "--config", str(config_path), "--method", "X-1", *subset]) == 0
+        with (tmp_path / "out" / "runs" / "X-1" / "calls.jsonl").open(encoding="utf-8") as fh:
+            records = [json.loads(line) for line in fh]
+        assert len(records) == (2 if "--max-rows" in subset else 1)
+        assert all(rec["error_km"] is not None and not rec["failed"] for rec in records)
+
+    def test_ingest_external_row_outside_the_corpus_exit_two(self, tmp_path, capsys):
+        hf.build_full_workspace(tmp_path, n_grants=4)
+        with (tmp_path / "fixtures" / "external.csv").open("a", encoding="utf-8") as fh:
+            fh.write("ghost,37.0,-77.0\n")
+        config_path = tmp_path / "config.yaml"
+        config_path.write_text(yaml.safe_dump(hf.full_config()), encoding="utf-8")
+        assert main(["run", "--config", str(config_path), "--method", "X-1", "--max-rows", "2"]) == 2
+        assert "unknown row_id 'ghost'" in capsys.readouterr().err
+
+    def test_every_cell_failed_exactly_when_it_has_no_coordinate(self, tmp_path):
+        hf.build_full_workspace(tmp_path, n_grants=4)
+        fixtures = tmp_path / "fixtures"
+        script = (fixtures / "m5.jsonl").read_text(encoding="utf-8").splitlines()
+        script[1] = json.dumps(text_turn("somewhere in Virginia"))  # M-5 cannot parse its second answer
+        (fixtures / "m5.jsonl").write_text("\n".join(script) + "\n", encoding="utf-8")
+        external = (fixtures / "external.csv").read_text(encoding="utf-8").splitlines()
+        (fixtures / "external.csv").write_text("\n".join(external[:-1]) + "\n", encoding="utf-8")  # X-1 misses one
+        config_path = tmp_path / "config.yaml"
+        config_path.write_text(yaml.safe_dump(hf.full_config()), encoding="utf-8")
+        _, outcome = _run(config_path)
+        cells = [p for preds in outcome.predictions.values() for p in preds]
+        assert len(outcome.predictions) == 7 and len(cells) == 28
+        assert all(p.run.failed == (p.coordinate is None) for p in cells)
+        assert all((p.error_km is None) == (p.coordinate is None) for p in cells)  # every grant has a truth
+        assert {(p.method_id, p.run.reason) for p in cells if p.run.failed} == {
+            ("M-5", "Unparseable"),
+            ("X-1", "MissingExternalRow"),
+        }
 
     def test_ensemble_k_alone_gets_seeds_zero_to_k(self, tmp_path):
         hf.build_full_workspace(tmp_path)
@@ -840,8 +920,9 @@ class TestCli:
             lambda line: json.dumps({"row_id": "r"}).encode(),
             lambda line: line.replace(b'"cost_usd": "', b'"cost_usd": "x'),
             lambda line: line.replace(b'"tool_calls": []', b'"tool_calls": [1]'),
+            lambda line: line.replace(b'"input_tokens": 100', b'"input_tokens": "100"'),
         ],
-        ids=["torn", "bad-utf8", "not-an-object", "missing-fields", "bad-cost", "bad-tool-call"],
+        ids=["torn", "bad-utf8", "not-an-object", "missing-fields", "bad-cost", "bad-tool-call", "bad-usage"],
     )
     def test_bad_call_log_line_exit_two(self, tmp_path, capsys, damage):
         config_path = hf.build_workspace(tmp_path, n_grants=3)
@@ -971,6 +1052,20 @@ class TestCli:
     def test_sweep_with_failed_cells_exit_three(self, tmp_path):
         config_path = self._sweep_workspace(tmp_path, sweep_fixtures={0.5: "fixtures/bad.jsonl"})
         assert self._sweep(config_path, "0.5") == 3
+
+    def test_sweep_method_without_scored_rows_has_empty_summary_cells(self, tmp_path):
+        config_path = self._sweep_workspace(tmp_path, sweep_fixtures={0.5: "fixtures/bad.jsonl"})
+        assert self._sweep(config_path, "0.5") == 3
+        with (tmp_path / "sweep_out" / "sweep.csv").open() as fh:
+            assert list(csv.reader(fh)) == [
+                [
+                    "axis_value", "method_id", "n", "mean_error_km", "ci_lo_km", "ci_hi_km",
+                    "within_10km_pct", "cost_per_1k", "tokens_per_entry",
+                ],
+                ["0.5", "M-5", "0", "", "", "", "", "", "0.0"],
+            ]
+        text = (tmp_path / "sweep_out" / "sweep_report.md").read_text(encoding="utf-8")
+        assert text.splitlines()[-1] == "| 0.5 | M-5 | 0 | n/a | n/a | n/a | n/a | 0.0 |"
 
     def test_sweep_axis_error_exit_one(self, tmp_path):
         config_path = hf.build_workspace(tmp_path, n_grants=2)

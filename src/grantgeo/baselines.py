@@ -14,7 +14,7 @@ import csv
 import itertools
 import re
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property, partial
 from importlib import resources
 from pathlib import Path
 from typing import Callable, Iterable
@@ -165,11 +165,11 @@ def _is_name_token(token: str) -> bool:
     return True
 
 
-def _scan_back(tokens: list[tuple[int, str]]) -> str | None:
+def _scan_back(tokens: list[str]) -> str | None:
     """Collect up to four name tokens walking backwards from a suffix."""
     picked: list[str] = []
     expecting_glue = False
-    for _, token in reversed(tokens):
+    for token in reversed(tokens):
         clean = token.strip(",;:.()\"'")
         if picked and clean.lower() in ("of", "and") or clean == "&":
             expecting_glue = True
@@ -221,8 +221,8 @@ def extract_county(text: str) -> str | None:
     """Find the first county reference in the text, if any.
 
     Recognized forms: ``<Name> Co.``, ``<Name> County``,
-    ``County of <Name>``, and ``City of <Name>``. Returns the
-    normalized name of the earliest match.
+    ``County of <Name>``, and ``City of <Name>``. Returns the name of the
+    earliest match in display form (``"King and Queen"``), not normalized.
     """
     matches: list[tuple[int, str]] = []
 
@@ -234,8 +234,7 @@ def extract_county(text: str) -> str | None:
     for m in re.finditer(r"\b(?:co\.|county)(?!\w)", text, re.IGNORECASE):
         if re.match(r"\s+of\b", text[m.end():], re.IGNORECASE):
             continue  # already covered by the "County of" form
-        preceding = [(t.start(), t.group(0)) for t in re.finditer(r"\S+", text[: m.start()])]
-        name = _scan_back(preceding[-6:])
+        name = _scan_back(text[: m.start()].split()[-6:])
         if name:
             matches.append((m.start(), name))
 
@@ -260,40 +259,50 @@ def predict_county_centroid(text: str, table: CountyCentroidTable) -> tuple[Coor
 
 
 def load_abbreviations(path: str | Path | None = None) -> dict[str, str]:
-    """Abbreviation table (CSV ``abbrev,expansion``); packaged by default."""
+    """Abbreviation table (CSV ``abbrev,expansion``), packaged by default; a bad row is MalformedRow."""
     if path is None:
         with resources.as_file(resources.files("grantgeo.data") / "abbreviations.csv") as p:
             return load_abbreviations(p)
-    table: dict[str, str] = {}
-    with Path(path).open(newline="", encoding="utf-8") as fh:
-        for row in csv.DictReader(fh):
-            table[row["abbrev"]] = row["expansion"]
-    return table
+    return dict(_read_csv(path, "abbrev,expansion", _abbreviation_row))
 
 
-_PACKAGED_ABBREVIATIONS: dict[str, str] | None = None
+def _abbreviation_row(row: dict) -> tuple[str, str]:
+    if row["abbrev"] in (None, "", ".") or row["expansion"] is None:  # an empty stem matches at every boundary
+        raise ValueError("an abbreviation that is empty or a bare period, or no expansion")
+    return row["abbrev"], row["expansion"]
 
 
-def _packaged_abbreviations() -> dict[str, str]:
-    global _PACKAGED_ABBREVIATIONS
-    if _PACKAGED_ABBREVIATIONS is None:
-        _PACKAGED_ABBREVIATIONS = load_abbreviations()
-    return _PACKAGED_ABBREVIATIONS
+def _abbreviation_expander(table: dict[str, str]) -> Callable[[str], str]:
+    """One alternation, longest key first; the group in each alternative
+    tells which key matched. The word boundary before a key is checked
+    after its first character, so every alternative starts with a literal
+    and the search skips to the characters that can start a key.
+    """
+    keys = sorted(table, key=len, reverse=True)
+    alternatives = []
+    for key in keys:
+        stem = key.removesuffix(".")
+        first = re.escape(stem[0])
+        alternatives.append(rf"{first}(?<=\b{first})({re.escape(stem[1:])})\b" + (r"\.?" if key.endswith(".") else ""))
+    pattern = re.compile("|".join(alternatives) or "(?!)")  # an empty table matches nowhere
+    expansions = [table[key] for key in keys]
+    return partial(pattern.sub, lambda m: expansions[m.lastindex - 1])
+
+
+@cache
+def _packaged_expander() -> Callable[[str], str]:
+    return _abbreviation_expander(load_abbreviations())
 
 
 def expand_abbreviations(text: str, table: dict[str, str] | None = None) -> str:
-    """Expand historical abbreviations at token boundaries.
+    """Expand historical abbreviations at token boundaries, in one pass.
 
     A trailing period in the table key is treated as optional in the
     text (OCR often replaces it with other punctuation), and surrounding
-    punctuation is preserved.
+    punctuation is preserved. The longest key matching at a position is
+    replaced there; an expansion is inserted verbatim, never expanded again.
     """
-    table = table if table is not None else _packaged_abbreviations()
-    for abbrev in sorted(table, key=len, reverse=True):
-        stem = abbrev[:-1] if abbrev.endswith(".") else abbrev
-        pattern = rf"\b{re.escape(stem)}\b\.?" if abbrev.endswith(".") else rf"\b{re.escape(stem)}\b"
-        text = re.sub(pattern, table[abbrev].replace("\\", "\\\\"), text)
-    return text
+    return (_packaged_expander() if table is None else _abbreviation_expander(table))(text)
 
 
 def heuristic_geoparse(
@@ -311,17 +320,16 @@ def heuristic_geoparse(
     wins. Without an extractable county the gate is skipped. Falls back
     to the county centroid, then the statewide center.
     """
-    expanded = expand_abbreviations(text)
-    county = extract_county(text) or extract_county(expanded)
-    variants = [text, expanded]
-    if county:
-        variants.append(f"{expanded}, {county} County, Virginia")
-
-    candidates: list[ResolvedToponym] = []
-    for variant in variants:
-        candidates = list(resolver(variant))
-        if candidates:
-            break
+    county = extract_county(text)
+    candidates = list(resolver(text))
+    if not (county and candidates):  # only then can the expanded text change the answer
+        expanded = expand_abbreviations(text)
+        county = county or extract_county(expanded)
+        variants = [expanded, f"{expanded}, {county} County, Virginia"] if county else [expanded]
+        for variant in variants:
+            if candidates:
+                break
+            candidates = list(resolver(variant))
 
     box = VIRGINIA_BBOX.with_margin(params.bbox_margin_deg)
     survivors = [
@@ -458,7 +466,7 @@ class Gazetteer(list):
         by_word, always = self._word_index
         words = set(_WORD.findall(lowered))
         found = []
-        for i in sorted(itertools.chain(always, *(by_word.get(word, ()) for word in words))):
+        for i in sorted(itertools.chain(always, *(by_word[word] for word in by_word.keys() & words))):
             name = self[i].name.lower()
             if name in lowered and re.search(rf"\b{re.escape(name)}\b", lowered):
                 found.append(self[i])

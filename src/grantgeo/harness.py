@@ -305,6 +305,8 @@ def build_manifest(
     name = evalset or config.default_evalset
     if name not in config.evalsets:
         raise ConfigInvalid(f"unknown evalset {name!r}")
+    if max_rows is not None and max_rows < 1:  # a slice would drop rows from the end, or all of them
+        raise ConfigInvalid(f"max_rows must be at least 1, got {max_rows}")
     if methods:
         unknown = [m for m in methods if m not in config.methods]
         if unknown:

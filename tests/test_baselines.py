@@ -22,13 +22,17 @@ from grantgeo.baselines import (
     extract_county,
     gazetteer_resolver,
     heuristic_geoparse,
+    load_abbreviations,
     packaged_gazetteer,
     predict_county_centroid,
     predict_ner_pipeline,
     tune_heuristic_grid,
+    _display_county,
     _normalize_entity,
+    _scan_back,
+    _scan_forward,
 )
-from grantgeo.corpus import GrantAbstract
+from grantgeo.corpus import GrantAbstract, MalformedRow
 from grantgeo.geo import Coordinate, VIRGINIA_BBOX, haversine_km, within_bbox
 
 TABLE = CountyCentroidTable.packaged()
@@ -120,6 +124,55 @@ class TestExpandAbbreviations:
 
     def test_custom_table(self):
         assert expand_abbreviations("Gt. Swamp", {"Gt.": "Great"}) == "Great Swamp"
+
+    def test_expansion_does_not_hide_the_next_key(self):
+        assert expand_abbreviations("Cr.Co.") == "CreekCounty"
+
+    def test_custom_expansion_not_expanded_again(self):
+        assert expand_abbreviations("Gt. Co.", {"Gt.": "Great Co.", "Co.": "County"}) == "Great Co. County"
+
+    def test_empty_custom_table_returns_the_text(self):
+        assert expand_abbreviations("Cr. in Henrico Co.", {}) == "Cr. in Henrico Co."
+
+    def test_backslash_in_expansion_inserted_verbatim(self):
+        assert expand_abbreviations("Gt. Swamp", {"Gt.": r"G\1t\g<0>\\"}) == r"G\1t\g<0>\\ Swamp"
+
+    def test_longest_key_first(self):
+        table = {"Co": "C", "St.": "Saint", "Co.": "County", "St. John": "Saint John"}
+        text = "St. John's Co. Co St"
+        assert expand_abbreviations(text, table) == _reference_expand(text, table) == "Saint John's County County Saint"
+
+    def test_key_starting_with_a_non_word_character(self):
+        # the word boundary before "&" or "-" needs a word character before it
+        table = {"&c.": "etc", "-y": "Y", "Col.": "Colonel"}
+        assert expand_abbreviations("A&c. B &c.", table) == "Aetc B &c."
+        for text in ["Co &c; Col.", "x-y.", "x-y;-y", "(-y", "&c.&c."]:
+            assert expand_abbreviations(text, table) == _reference_expand(text, table)
+
+
+class TestLoadAbbreviations:
+    def test_packaged_table(self):
+        table = load_abbreviations()
+        assert table["Cr."] == "Creek" and table["Co."] == "County" and len(table) == 10
+
+    @pytest.mark.parametrize(
+        "text, where",
+        [
+            ("abbrev,expanded\nCr.,Creek\n", ":2: not a abbrev,expansion row (missing column 'expansion')"),
+            ("expansion\nCreek\n", ":2: not a abbrev,expansion row (missing column 'abbrev')"),
+            ("abbrev,expansion\nCr.,Creek\nGt.\n", ":3: not a abbrev,expansion row (ValueError"),
+            ("abbrev,expansion\nCr.,Creek\n,Empty\n", ":3: not a abbrev,expansion row (ValueError"),
+            ("abbrev,expansion\n.,Period\n", ":2: not a abbrev,expansion row (ValueError"),
+            ("abbrev,expansion\nCr.,Cr\udcffek\n", ": not UTF-8 text"),
+        ],
+        ids=["no-expansion-column", "no-abbrev-column", "short-row", "empty", "bare-period", "not-utf8"],
+    )
+    def test_bad_file_is_malformed_row(self, tmp_path, text, where):
+        path = tmp_path / "abbreviations.csv"
+        path.write_bytes(text.encode("utf-8", "surrogateescape"))
+        with pytest.raises(MalformedRow) as excinfo:
+            load_abbreviations(path)
+        assert str(excinfo.value).startswith(f"{path}{where}")
 
 
 def _resolver_returning(candidates):
@@ -444,6 +497,114 @@ class TestGazetteerIndex:
         gazetteer = packaged_gazetteer()
         assert isinstance(gazetteer, list) and gazetteer == list(gazetteer)
         assert Gazetteer.of(gazetteer) is gazetteer
+
+
+_ABBREVIATIONS = load_abbreviations()
+
+
+def _reference_expand(text, table=None):
+    """The sequential expansion: one substitution over the whole text per key, longest key first."""
+    table = table if table is not None else _ABBREVIATIONS
+    for abbrev in sorted(table, key=len, reverse=True):
+        stem = abbrev[:-1] if abbrev.endswith(".") else abbrev
+        pattern = rf"\b{re.escape(stem)}\b\.?" if abbrev.endswith(".") else rf"\b{re.escape(stem)}\b"
+        text = re.sub(pattern, table[abbrev].replace("\\", "\\\\"), text)
+    return text
+
+
+def _reference_extract_county(text):
+    r"""extract_county with the suffix form's preceding tokens found by ``\S+``."""
+    matches = []
+    for m in re.finditer(r"\b(?:county|city)\s+of\s+", text, re.IGNORECASE):
+        name = _scan_forward(text, m.end())
+        if name:
+            matches.append((m.start(), name))
+    for m in re.finditer(r"\b(?:co\.|county)(?!\w)", text, re.IGNORECASE):
+        if re.match(r"\s+of\b", text[m.end():], re.IGNORECASE):
+            continue
+        name = _scan_back([t.group(0) for t in re.finditer(r"\S+", text[: m.start()])][-6:])
+        if name:
+            matches.append((m.start(), name))
+    return _display_county(min(matches, key=lambda pair: pair[0])[1]) if matches else None
+
+
+def _reference_geoparse(text, resolver, table, params):
+    """The eager geoparse: every text expanded, and its county looked for in both forms, before any lookup."""
+    expanded = _reference_expand(text)
+    county = _reference_extract_county(text) or _reference_extract_county(expanded)
+    variants = [text, expanded]
+    if county:
+        variants.append(f"{expanded}, {county} County, Virginia")
+    candidates = []
+    for variant in variants:
+        candidates = list(resolver(variant))
+        if candidates:
+            break
+    box = VIRGINIA_BBOX.with_margin(params.bbox_margin_deg)
+    survivors = [
+        c for c in candidates if c.confidence >= params.confidence_threshold and within_bbox(c.coordinate, box)
+    ]
+    county_centroid = table.get(county) if county else None
+    if survivors:
+        survivors.sort(key=lambda c: -c.confidence)
+        if county_centroid is None:
+            return survivors[0].coordinate, "entity"
+        gated = [c for c in survivors if haversine_km(c.coordinate, county_centroid) <= params.distance_gate_km]
+        if gated:
+            return gated[0].coordinate, "entity"
+    if county_centroid is not None:
+        return county_centroid, "county"
+    return VIRGINIA_CENTER, "statewide"
+
+
+# Deed words: the table's keys and stems in three cases, stems inside
+# words, county forms and the packaged gazetteer's names, each with or
+# without trailing clause punctuation, joined by whitespace only, since
+# an expansion glued to the next key is where the two expansions differ.
+_DEED_WORDS = sorted(
+    {form for key in _ABBREVIATIONS for word in (key, key[:-1]) for form in (word, word.upper(), word.lower())}
+    | {"Sweet", "Colonel", "Crew", "Mtn", "acsx", "Braddock", "County", "COUNTY", "co.", "City", "of", "OF"}
+    | {"Henrico", "HENRICO", "King", "&", "and", "Queen", "Isle", "Wight", "Prince", "George", "Surry", "Essex"}
+    | {"in", "the", "adj.", "S.", "Holloway", "Swamp", "Blackwater", "Nottoway", "River", "Saint", "Paul"}
+    | {"Richmond", "Petersburg", "Norfolk", "Jamestown"}
+)
+_WHITESPACE = [" ", "\t", "\n", "\x1c", "\x1f", "\x85", "\xa0", "\u2028", "\u3000", " \t "]
+_DEED_TEXTS = st.lists(
+    st.tuples(st.sampled_from(_DEED_WORDS), st.sampled_from(["", ";", ",", ".", ":"]), st.sampled_from(_WHITESPACE)),
+    max_size=14,
+).map(lambda parts: "".join(word + mark + space for word, mark, space in parts))
+
+
+_PACKAGED_GAZETTEER = packaged_gazetteer()
+
+
+class TestOnePassMatchesReference:
+    def test_every_key_and_whitespace_is_drawn(self):
+        assert set(_ABBREVIATIONS) <= set(_DEED_WORDS)
+        assert all(re.fullmatch(r"\s+", space) and space.isspace() for space in _WHITESPACE)
+
+    @given(_DEED_TEXTS)
+    @settings(max_examples=400, deadline=None)
+    def test_expansion(self, text):
+        assert expand_abbreviations(text) == _reference_expand(text)
+
+    @given(_DEED_TEXTS)
+    @settings(max_examples=400, deadline=None)
+    def test_county(self, text):
+        assert extract_county(text) == _reference_extract_county(text)
+
+    @given(_DEED_TEXTS, st.sampled_from([HeuristicParams(0.5, 0.2, 25.0), HeuristicParams(0.5, 0.0, 400.0)]))
+    @settings(max_examples=400, deadline=None)
+    def test_geoparse_and_its_resolver_calls(self, text, params):
+        resolve = gazetteer_resolver(_PACKAGED_GAZETTEER)
+        calls = {"new": [], "reference": []}
+
+        def recording(side):
+            return lambda variant: calls[side].append(variant) or resolve(variant)
+
+        got = heuristic_geoparse(text, recording("new"), TABLE, params)
+        assert got == _reference_geoparse(text, recording("reference"), TABLE, params)
+        assert calls["new"] == calls["reference"]
 
 
 class TestTotality:

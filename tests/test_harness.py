@@ -819,6 +819,16 @@ class TestCli:
         assert main(["run", "--config", str(config_path), "--method", "X-1", "--max-rows", "2"]) == 2
         assert "unknown row_id 'ghost'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("max_rows", ["-1", "0"])
+    def test_max_rows_below_one_exit_one(self, tmp_path, capsys, max_rows):
+        config_path = hf.build_workspace(tmp_path, n_grants=4)
+        out = tmp_path / "cli_out"
+        for command in (["run", "--method", "H-4"], ["sweep", "--axis", "temperature", "--values", "0.2"]):
+            args = [*command, "--config", str(config_path), "--max-rows", max_rows, "--output-dir", str(out)]
+            assert main(args) == 1
+            assert f"max_rows must be at least 1, got {max_rows}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_every_cell_failed_exactly_when_it_has_no_coordinate(self, tmp_path):
         hf.build_full_workspace(tmp_path, n_grants=4)
         fixtures = tmp_path / "fixtures"

@@ -145,6 +145,11 @@ class ToolCallRecord:
     result: dict = field(default_factory=dict)
     selected: bool = False
 
+    def __post_init__(self):  # the fields trace_statistics reads
+        typed = isinstance(self.tool_name, str) and isinstance(self.selected, bool)
+        if not (typed and is_int(self.turn_index) and self.turn_index >= 1):
+            raise ValueError("a tool call needs an integer turn_index >= 1, a string tool_name and a boolean selected")
+
 
 @functools.cache
 def tool_validators() -> dict:

@@ -10,7 +10,6 @@ capitalized-phrase scanner and CSV-backed gazetteers as defaults.
 
 from __future__ import annotations
 
-import csv
 import itertools
 import re
 from dataclasses import dataclass
@@ -19,7 +18,7 @@ from importlib import resources
 from pathlib import Path
 from typing import Callable, Iterable
 
-from .corpus import GrantAbstract, MalformedRow
+from .corpus import GrantAbstract, read_csv
 from .geo import Coordinate, VIRGINIA_BBOX, haversine_km, is_real, within_bbox
 
 VIRGINIA_CENTER = Coordinate(37.4316, -78.6569)
@@ -84,31 +83,6 @@ def _display_county(name: str) -> str:
     return " ".join(tokens)
 
 
-# A missing column is a KeyError, a short row a TypeError (its value is
-# None) and a value that is not a number, or not a coordinate, a ValueError.
-_ROW_ERRORS = (KeyError, TypeError, ValueError)
-
-
-def _why(exc: Exception) -> str:
-    return f"missing column {exc}" if isinstance(exc, KeyError) else f"{type(exc).__name__}: {exc}"
-
-
-def _read_csv(path: str | Path, kind: str, parse: Callable[[dict], object]) -> list:
-    """``parse`` of each row of a CSV file; a bad row, or a byte that is not UTF-8, is MalformedRow."""
-    out = []
-    try:
-        with Path(path).open(newline="", encoding="utf-8") as fh:
-            reader = csv.DictReader(fh)
-            for row in reader:
-                try:
-                    out.append(parse(row))
-                except _ROW_ERRORS as exc:
-                    raise MalformedRow(f"{path}:{reader.line_num}: not a {kind} row ({_why(exc)})") from exc
-    except UnicodeDecodeError as exc:  # decoded a block at a time, so no line is named
-        raise MalformedRow(f"{path}: not UTF-8 text ({exc})") from exc
-    return out
-
-
 def _county_row(row: dict) -> tuple[str, Coordinate]:
     coordinate = Coordinate(float(row["lat"]), float(row["lon"]))
     if not within_bbox(coordinate, VIRGINIA_BBOX):
@@ -125,7 +99,7 @@ class CountyCentroidTable:
     @classmethod
     def from_csv(cls, path: str | Path) -> "CountyCentroidTable":
         """The table in a ``county,lat,lon`` CSV, each centroid inside the Virginia box."""
-        return cls(dict(_read_csv(path, "county,lat,lon", _county_row)))
+        return cls(dict(read_csv(path, "county,lat,lon", _county_row)))
 
     @classmethod
     def packaged(cls) -> "CountyCentroidTable":
@@ -263,13 +237,22 @@ def load_abbreviations(path: str | Path | None = None) -> dict[str, str]:
     if path is None:
         with resources.as_file(resources.files("grantgeo.data") / "abbreviations.csv") as p:
             return load_abbreviations(p)
-    return dict(_read_csv(path, "abbrev,expansion", _abbreviation_row))
+    return dict(read_csv(path, "abbrev,expansion", _abbreviation_row))
 
 
 def _abbreviation_row(row: dict) -> tuple[str, str]:
-    if row["abbrev"] in (None, "", ".") or row["expansion"] is None:  # an empty stem matches at every boundary
-        raise ValueError("an abbreviation that is empty or a bare period, or no expansion")
+    if row["abbrev"] is None or row["expansion"] is None:
+        raise ValueError("a row with no abbreviation or no expansion")
+    _stem(row["abbrev"])
     return row["abbrev"], row["expansion"]
+
+
+def _stem(key: str) -> str:
+    """The part of an abbreviation the text must hold; an empty one would match at every word boundary."""
+    stem = key.removesuffix(".")
+    if not stem:
+        raise ValueError(f"abbreviation {key!r} is empty or a bare period")
+    return stem
 
 
 def _abbreviation_expander(table: dict[str, str]) -> Callable[[str], str]:
@@ -281,7 +264,7 @@ def _abbreviation_expander(table: dict[str, str]) -> Callable[[str], str]:
     keys = sorted(table, key=len, reverse=True)
     alternatives = []
     for key in keys:
-        stem = key.removesuffix(".")
+        stem = _stem(key)
         first = re.escape(stem[0])
         alternatives.append(rf"{first}(?<=\b{first})({re.escape(stem[1:])})\b" + (r"\.?" if key.endswith(".") else ""))
     pattern = re.compile("|".join(alternatives) or "(?!)")  # an empty table matches nowhere
@@ -301,6 +284,7 @@ def expand_abbreviations(text: str, table: dict[str, str] | None = None) -> str:
     text (OCR often replaces it with other punctuation), and surrounding
     punctuation is preserved. The longest key matching at a position is
     replaced there; an expansion is inserted verbatim, never expanded again.
+    A key that is empty or a bare period is a ValueError.
     """
     return (_packaged_expander() if table is None else _abbreviation_expander(table))(text)
 
@@ -475,7 +459,7 @@ class Gazetteer(list):
 
 def load_gazetteer(path: str | Path) -> Gazetteer:
     """Gazetteer CSV: ``name,lat,lon,population,feature_class``."""
-    return Gazetteer(_read_csv(path, "gazetteer", _gazetteer_row))
+    return Gazetteer(read_csv(path, "gazetteer", _gazetteer_row))
 
 
 def _gazetteer_row(row: dict) -> GazetteerEntry:

@@ -4,11 +4,14 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import json
 import math
 import random
 import re
 from dataclasses import dataclass
+from itertools import zip_longest
 from pathlib import Path
+from typing import Callable
 
 from .geo import Coordinate, is_int, is_real
 
@@ -26,6 +29,61 @@ class DuplicateId(ValueError):
 
 class SampleTooLarge(ValueError):
     """Raised when a sample larger than the source set is requested."""
+
+
+# A missing column or field is a KeyError, a short CSV row's None a TypeError, a value
+# that is not a number, a coordinate or JSON a ValueError, and not a decimal an ArithmeticError.
+_ROW_ERRORS = (KeyError, TypeError, ValueError, ArithmeticError)
+
+
+def _row_error(where: str, exc: Exception, missing: str) -> MalformedRow:
+    why = f"missing {missing} {exc}" if isinstance(exc, KeyError) else f"{type(exc).__name__}: {exc}"
+    return MalformedRow(f"{where} ({why})")
+
+
+def read_csv(path: str | Path, kind: str, parse: Callable[[dict], object], header: list[str] | None = None) -> list:
+    """``parse`` of each nonblank row of a UTF-8 CSV file, as a dict keyed by the file's header,
+    which must equal ``header`` if given, as each row's width must; else a short row's missing
+    columns are None. A row error from ``parse`` is MalformedRow naming the file and the line the
+    row ends on; its own MalformedRow or DuplicateId passes unchanged; bad UTF-8 names the file."""
+    out = []
+    try:
+        with Path(path).open(newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            rows = filter(None, reader)  # a blank line reads as []
+            names = next(rows, None)
+            if header is not None and names != header:
+                raise MalformedRow(f"{path}: bad header {names!r}" if names else f"{path}: empty file, header required")
+            for row in rows:
+                if header is not None and len(row) != len(header):
+                    raise MalformedRow(f"{path}:{reader.line_num}: expected {len(header)} columns, got {len(row)}")
+                try:
+                    out.append(parse(dict(zip_longest(names, row))))
+                except (MalformedRow, DuplicateId):
+                    raise
+                except _ROW_ERRORS as exc:
+                    raise _row_error(f"{path}:{reader.line_num}: not a {kind} row", exc, "column") from exc
+    except UnicodeDecodeError as exc:  # decoded a block at a time, so no line is named
+        raise MalformedRow(f"{path}: not UTF-8 text ({exc})") from exc
+    except csv.Error as exc:  # a field over csv's size limit, or a NUL byte before Python 3.11
+        raise MalformedRow(f"{path}:{reader.line_num}: not CSV ({exc})") from exc
+    return out
+
+
+def read_jsonl(path: str | Path, kind: str, parse: Callable[[object], object]) -> list:
+    """``parse`` of each nonblank line of a JSONL file; a line that is not UTF-8 JSON, or a row
+    error from ``parse``, is MalformedRow naming the file and line, as in :func:`read_csv`."""
+    out = []
+    with Path(path).open("rb") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            if line.strip():
+                try:
+                    out.append(parse(json.loads(line.decode("utf-8"))))
+                except (MalformedRow, DuplicateId):
+                    raise
+                except _ROW_ERRORS as exc:  # bad UTF-8 and JSON are ValueErrors
+                    raise _row_error(f"{path}:{lineno}: not a {kind} record", exc, "field") from exc
+    return out
 
 
 def fingerprint(text: str) -> str:
@@ -86,48 +144,25 @@ def load_ground_truth(path: str | Path) -> list[GrantAbstract]:
     disagree are rejected. Rows with both truth fields empty carry no
     ground truth; a half-filled pair is malformed.
     """
-    path = Path(path)
-    with path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration as exc:
-            raise MalformedRow(f"{path}: empty file, header required") from exc
-        if header != GROUND_TRUTH_HEADER:
-            raise MalformedRow(f"{path}: bad header {header!r}")
+    seen: set[str] = set()
 
-        records: list[GrantAbstract] = []
-        seen: set[str] = set()
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != len(GROUND_TRUTH_HEADER):
-                raise MalformedRow(f"{path}:{lineno}: expected {len(GROUND_TRUTH_HEADER)} columns, got {len(row)}")
-            row_id, text, wc, sha, lat_txt, lon_txt = row
-            if not row_id:
-                raise MalformedRow(f"{path}:{lineno}: empty row_id")
-            if row_id in seen:
-                raise DuplicateId(f"{path}:{lineno}: duplicate row_id {row_id!r}")
-            seen.add(row_id)
+    def record(row: dict) -> GrantAbstract:
+        row_id, lat, lon = row["row_id"], row["truth_lat"], row["truth_lon"]
+        if not row_id:
+            raise ValueError("empty row_id")
+        if row_id in seen:
+            raise DuplicateId(f"{path}: duplicate row_id {row_id!r}")
+        seen.add(row_id)
+        if bool(lat) != bool(lon):
+            raise ValueError("half-filled ground truth")
+        rec = GrantAbstract.from_text(row_id, row["abstract_text"], Coordinate(float(lat), float(lon)) if lat else None)
+        if row["word_count"] and int(row["word_count"]) != rec.word_count:
+            raise ValueError(f"stated word_count {row['word_count']} != {rec.word_count}")
+        if row["sha256"] and row["sha256"].lower() != rec.fingerprint:
+            raise ValueError("sha256 mismatch")
+        return rec
 
-            if wc:
-                try:
-                    stated = int(wc)
-                except ValueError as exc:
-                    raise MalformedRow(f"{path}:{lineno}: bad word_count {wc!r}") from exc
-                if stated != word_count(text):
-                    raise MalformedRow(f"{path}:{lineno}: stated word_count {wc} != {word_count(text)}")
-            if sha and sha.lower() != fingerprint(text):
-                raise MalformedRow(f"{path}:{lineno}: sha256 mismatch")
-
-            truth = None
-            if lat_txt or lon_txt:
-                if not (lat_txt and lon_txt):
-                    raise MalformedRow(f"{path}:{lineno}: half-filled ground truth")
-                try:
-                    truth = Coordinate(float(lat_txt), float(lon_txt))
-                except ValueError as exc:
-                    raise MalformedRow(f"{path}:{lineno}: {exc}") from exc
-            records.append(GrantAbstract.from_text(row_id, text, truth))
-    return records
+    return read_csv(path, "ground-truth", record, header=GROUND_TRUTH_HEADER)
 
 
 def write_ground_truth(path: str | Path, rows: list[GrantAbstract]) -> None:

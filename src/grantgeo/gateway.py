@@ -16,7 +16,7 @@ from decimal import Decimal
 from pathlib import Path
 from typing import NamedTuple
 
-from .corpus import MalformedRow
+from .corpus import read_jsonl
 from .geo import is_int, is_real
 
 MODEL_API_KEY_ENV = "MODEL_API_KEY"
@@ -256,17 +256,7 @@ class FixtureBackend:
 
     @classmethod
     def from_jsonl(cls, path: str | Path) -> "FixtureBackend":
-        path = Path(path)
-        turns = []
-        with path.open("rb") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                if not line.strip():
-                    continue
-                try:
-                    turns.append(_parse_turn(json.loads(line.decode("utf-8"))))
-                except ValueError as exc:  # UnicodeDecodeError and JSONDecodeError included
-                    raise MalformedRow(f"{path}:{lineno}: {exc}") from exc
-        return cls(turns)
+        return cls(read_jsonl(path, "fixture-script", _parse_turn))
 
     @property
     def remaining_turns(self) -> int:

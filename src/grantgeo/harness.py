@@ -42,6 +42,7 @@ from .corpus import (
     SampleTooLarge,
     SplitConfig,
     load_ground_truth,
+    read_csv,
     redact_patentee,
     sample_fixed,
     split_corpus,
@@ -180,7 +181,7 @@ def load_config(path: str | Path) -> HarnessConfig:
         raise ConfigInvalid(f"config file {path} does not exist")
     try:
         doc = yaml.safe_load(path.read_text(encoding="utf-8")) or {}
-    except yaml.YAMLError as exc:
+    except (yaml.YAMLError, UnicodeDecodeError) as exc:
         raise ConfigInvalid(f"bad YAML: {exc}") from exc
     if not isinstance(doc, dict):
         raise ConfigInvalid(f"the config document must be a mapping, got {type(doc).__name__}")
@@ -379,35 +380,16 @@ def ingest_external_predictions(
     spread evenly across the file's rows. Row ids not among ``grants``
     and bad coordinates are malformed.
     """
-    path = Path(path)
     known = {g.row_id: g for g in grants}
-    out: list[Prediction] = []
-    with path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration as exc:
-            raise MalformedRow(f"{path}: empty file, header required") from exc
-        if header != ["row_id", "lat", "lon"]:
-            raise MalformedRow(f"{path}: bad header {header!r}")
-        data_rows = [row for row in reader if row]
-    if not data_rows:
-        return []
-    accounting = {"latency_s": latency_s_per_grant, "cost_usd": Decimal(total_cost_usd) / len(data_rows)}
-    for lineno, row in enumerate(data_rows, start=2):
-        if len(row) != 3:
-            raise MalformedRow(f"{path}:{lineno}: expected 3 columns")
-        row_id, lat_txt, lon_txt = row
-        grant = known.get(row_id)
-        if grant is None:
-            raise MalformedRow(f"{path}:{lineno}: unknown row_id {row_id!r}")
-        try:
-            coordinate = Coordinate(float(lat_txt), float(lon_txt))
-        except ValueError as exc:
-            raise MalformedRow(f"{path}:{lineno}: {exc}") from exc
-        raw = f"{coordinate.lat}, {coordinate.lon}"
-        out.append(Prediction.of(method_id, grant, coordinate, raw_response=raw, **accounting))
-    return out
+
+    def located(row: dict) -> tuple[GrantAbstract, Coordinate]:
+        if row["row_id"] not in known:
+            raise ValueError(f"unknown row_id {row['row_id']!r}")
+        return known[row["row_id"]], Coordinate(float(row["lat"]), float(row["lon"]))
+
+    rows = read_csv(path, "row_id,lat,lon", located, header=["row_id", "lat", "lon"])
+    accounting = {"latency_s": latency_s_per_grant, "cost_usd": Decimal(total_cost_usd) / (len(rows) or 1)}
+    return [Prediction.of(method_id, g, c, raw_response=f"{c.lat}, {c.lon}", **accounting) for g, c in rows]
 
 
 def _timed_baseline(spec: MethodSpec, locate: Callable[[str], tuple[Coordinate, str]]):

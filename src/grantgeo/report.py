@@ -17,8 +17,9 @@ from decimal import Decimal
 from pathlib import Path
 
 from .agent import ToolCallRecord, trace_statistics
-from .corpus import MalformedRow
+from .corpus import MalformedRow, read_jsonl
 from .gateway import RunRecord, TokenUsage
+from .geo import Coordinate, is_real
 from .harness import RUN_FILE, DataMissing, NoResults
 from .metrics import (
     BASELINE_SECONDS_PER_GRANT,
@@ -49,34 +50,36 @@ def _read_roster(run_dir: Path) -> tuple[list[str], list[str]]:
     return lists[0], lists[1]
 
 
+def _log_row(rec: dict) -> dict:
+    """The fields of a call-log record that the report reads, each checked;
+    only these, so that every listed log fits in memory at once."""
+    usage = TokenUsage(rec["usage"]["input_tokens"], rec["usage"]["output_tokens"])  # checks the counts
+    coordinate, error_km, latency_s = rec["final_coordinate"], rec["error_km"], rec["latency_s"]
+    cost = Decimal(rec["cost_usd"])
+    if coordinate is not None and not (isinstance(coordinate, list) and Coordinate(*coordinate)):  # checks the pair
+        raise TypeError("final_coordinate must be null or a [lat, lon] list")
+    if error_km is not None and not (coordinate is not None and is_real(error_km) and error_km >= 0):
+        raise ValueError("error_km must be null, or a finite number >= 0 with a final_coordinate")
+    if not (is_real(latency_s) and latency_s >= 0 and cost.is_finite() and cost >= 0):
+        raise ValueError("latency_s and cost_usd must be finite and >= 0")
+    return {
+        "row_id": rec["row_id"],
+        "error_km": None if error_km is None else float(error_km),
+        "final_coordinate": coordinate,
+        "latency_s": float(latency_s),
+        "cost_usd": cost,
+        "tool_calls": [ToolCallRecord(**tc) for tc in rec["tool_calls"]],
+        "tokens": usage.input_tokens + usage.output_tokens,
+    }
+
+
 def _read_log(run_dir: Path, method_id: str, rows: list[str]) -> list[dict]:
     """One listed method's call log, a record per listed row: the fields the report reads."""
     path = run_dir / "runs" / method_id / "calls.jsonl"
     try:
-        fh = path.open("rb")
+        records = read_jsonl(path, "call-log", _log_row)
     except FileNotFoundError as exc:
         raise DataMissing(f"{method_id}: call log {path} is missing") from exc
-    records = []
-    with fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                rec = json.loads(line.decode("utf-8"))
-                usage = TokenUsage(rec["usage"]["input_tokens"], rec["usage"]["output_tokens"])  # checks the counts
-                records.append(
-                    {  # only these, so that every listed log fits in memory at once
-                        "row_id": rec["row_id"],
-                        "error_km": None if rec["error_km"] is None else float(rec["error_km"]),
-                        "final_coordinate": rec["final_coordinate"],
-                        "latency_s": float(rec["latency_s"]),
-                        "cost_usd": Decimal(rec["cost_usd"]),
-                        "tool_calls": [ToolCallRecord(**tc) for tc in rec["tool_calls"]],
-                        "tokens": usage.input_tokens + usage.output_tokens,
-                    }
-                )
-            except (ValueError, KeyError, TypeError, ArithmeticError) as exc:  # bad UTF-8 and JSON are ValueErrors
-                raise MalformedRow(f"{path}:{lineno}: not a call-log record ({type(exc).__name__}: {exc})") from exc
     if [rec["row_id"] for rec in records] != rows:
         raise MalformedRow(f"{path}: holds {len(records)} records, not one per {RUN_FILE} row ({len(rows)}) in order")
     return records

@@ -134,6 +134,11 @@ class TestExpandAbbreviations:
     def test_empty_custom_table_returns_the_text(self):
         assert expand_abbreviations("Cr. in Henrico Co.", {}) == "Cr. in Henrico Co."
 
+    @pytest.mark.parametrize("key", ["", "."])
+    def test_empty_or_bare_period_key_is_a_value_error(self, key):
+        with pytest.raises(ValueError, match="empty or a bare period"):
+            expand_abbreviations("a b", {key: "x", "Co.": "County"})
+
     def test_backslash_in_expansion_inserted_verbatim(self):
         assert expand_abbreviations("Gt. Swamp", {"Gt.": r"G\1t\g<0>\\"}) == r"G\1t\g<0>\\ Swamp"
 

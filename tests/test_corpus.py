@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -18,6 +19,8 @@ from grantgeo.corpus import (
     SplitConfig,
     fingerprint,
     load_ground_truth,
+    read_csv,
+    read_jsonl,
     redact_patentee,
     sample_fixed,
     split_corpus,
@@ -144,6 +147,63 @@ class TestLoadGroundTruth:
 
 def _corpus(n):
     return [GrantAbstract.from_text(f"row_{i:05d}", f"text {i}") for i in range(n)]
+
+
+class TestReaders:
+    def test_not_utf8_names_the_file(self, tmp_path):
+        path = tmp_path / "gt.csv"
+        path.write_bytes((",".join(GROUND_TRUTH_HEADER) + "\nr1,caf").encode() + b"\xff\n")
+        with pytest.raises(MalformedRow, match=rf"^{re.escape(str(path))}: not UTF-8 text"):
+            load_ground_truth(path)
+
+    def test_blank_lines_skipped(self, tmp_path):
+        path = tmp_path / "gt.csv"
+        path.write_text("\n" + ",".join(GROUND_TRUTH_HEADER) + "\n\nr1,a,,,,\n\n\nr2,b,,,,\n\n", encoding="utf-8")
+        assert [r.row_id for r in load_ground_truth(path)] == ["r1", "r2"]
+
+    def test_row_named_by_the_line_it_ends_on(self, tmp_path):
+        path = tmp_path / "gt.csv"
+        _write_csv(path, [["r1", "two\nlines", "", "", "", ""], ["r2", "b", "", "", "91.0", "-77.0"]])
+        with pytest.raises(MalformedRow, match=rf"^{re.escape(str(path))}:4: not a ground-truth row \(ValueError: latitude 91.0"):
+            load_ground_truth(path)
+
+    def test_field_over_the_csv_limit(self, tmp_path):
+        path = tmp_path / "gt.csv"
+        _write_csv(path, [["r1", "word " * 30_000, "", "", "", ""]])
+        with pytest.raises(MalformedRow, match=rf"^{re.escape(str(path))}:2: not CSV"):
+            load_ground_truth(path)
+
+    def test_header_checked_only_when_given(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_text("a,b\n1\n1,2,3\n", encoding="utf-8")
+        assert read_csv(path, "t", dict) == [{"a": "1", "b": None}, {"a": "1", "b": "2", None: "3"}]
+        with pytest.raises(MalformedRow, match=rf"^{re.escape(str(path))}:2: expected 2 columns, got 1$"):
+            read_csv(path, "t", dict, header=["a", "b"])
+        path.write_text("\n\n", encoding="utf-8")
+        with pytest.raises(MalformedRow, match="empty file, header required"):
+            read_csv(path, "t", dict, header=["a", "b"])
+
+    def test_jsonl_lines_named(self, tmp_path):
+        path = tmp_path / "t.jsonl"
+        path.write_bytes(b'{"a": 1}\n\n{"b": 2}\n')
+        assert read_jsonl(path, "t", dict.keys) == [{"a": 1}.keys(), {"b": 2}.keys()]
+        with pytest.raises(MalformedRow, match=rf"^{re.escape(str(path))}:3: not a t record \(missing field 'a'\)$"):
+            read_jsonl(path, "t", lambda doc: doc["a"])
+        path.write_bytes(b'{"a": 1}\n{"a": \xff}\n')
+        with pytest.raises(MalformedRow, match=rf"^{re.escape(str(path))}:2: not a t record \(UnicodeDecodeError"):
+            read_jsonl(path, "t", lambda doc: doc["a"])
+
+    @pytest.mark.parametrize("error", [MalformedRow("own message"), DuplicateId("own message")])
+    def test_parse_errors_of_the_readers_own_types_pass_unchanged(self, tmp_path, error):
+        def parse(row):
+            raise error
+
+        (tmp_path / "t.csv").write_text("a\n1\n", encoding="utf-8")
+        (tmp_path / "t.jsonl").write_text("1\n", encoding="utf-8")
+        for read, name in ((read_csv, "t.csv"), (read_jsonl, "t.jsonl")):
+            with pytest.raises(type(error)) as excinfo:
+                read(tmp_path / name, "t", parse)
+            assert excinfo.value is error
 
 
 class TestSplitCorpus:

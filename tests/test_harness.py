@@ -37,6 +37,11 @@ def _run(config_path, **kwargs):
     return manifest, run_evaluation(manifest)
 
 
+def _edited(line: bytes, **fields) -> bytes:
+    """A call-log line with ``fields`` set."""
+    return json.dumps({**json.loads(line), **fields}).encode()
+
+
 class TestConfig:
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigInvalid):
@@ -46,6 +51,12 @@ class TestConfig:
         path = tmp_path / "c.yaml"
         path.write_text("methods: [unclosed", encoding="utf-8")
         with pytest.raises(ConfigInvalid):
+            load_config(path)
+
+    def test_config_not_utf8(self, tmp_path):
+        path = tmp_path / "c.yaml"
+        path.write_bytes(b"# caf\xff\nmethods: []\n")
+        with pytest.raises(ConfigInvalid, match="bad YAML"):
             load_config(path)
 
     def test_unknown_pipeline(self, tmp_path):
@@ -799,6 +810,16 @@ class TestCli:
         assert main(["run", "--config", str(config_path), "--method", "H-2"]) == 2
         assert f"{name}{named}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("name, method", [("ground_truth.csv", "H-4"), ("external.csv", "X-1")])
+    def test_input_csv_not_utf8_exit_two(self, tmp_path, capsys, name, method):
+        hf.build_full_workspace(tmp_path)
+        path = tmp_path / "fixtures" / name
+        path.write_bytes(path.read_bytes().replace(b"r001", b"r\xff001"))
+        config_path = tmp_path / "config.yaml"
+        config_path.write_text(yaml.safe_dump(hf.full_config()), encoding="utf-8")
+        assert main(["run", "--config", str(config_path), "--method", method]) == 2
+        assert f"data error: {path}: not UTF-8 text" in capsys.readouterr().err
+
     @pytest.mark.parametrize("subset", [["--max-rows", "2"], ["--evalset", "one"]], ids=["max-rows", "evalset"])
     def test_ingest_external_on_a_subset_reads_only_its_rows(self, tmp_path, subset):
         hf.build_full_workspace(tmp_path, n_grants=4)
@@ -931,8 +952,22 @@ class TestCli:
             lambda line: line.replace(b'"cost_usd": "', b'"cost_usd": "x'),
             lambda line: line.replace(b'"tool_calls": []', b'"tool_calls": [1]'),
             lambda line: line.replace(b'"input_tokens": 100', b'"input_tokens": "100"'),
+            lambda line: _edited(line, cost_usd="NaN"),
+            lambda line: _edited(line, cost_usd="-0.5"),
+            lambda line: _edited(line, latency_s=-1000),
+            lambda line: _edited(line, latency_s=float("inf")),
+            lambda line: _edited(line, error_km=-1),
+            lambda line: _edited(line, error_km=float("nan")),
+            lambda line: _edited(line, final_coordinate=None),
+            lambda line: _edited(line, final_coordinate="x"),
+            lambda line: _edited(line, final_coordinate=[91.0, -77.0]),
+            lambda line: _edited(line, tool_calls=[{"turn_index": 1, "tool_name": None, "arguments": {}}]),
         ],
-        ids=["torn", "bad-utf8", "not-an-object", "missing-fields", "bad-cost", "bad-tool-call", "bad-usage"],
+        ids=[
+            "torn", "bad-utf8", "not-an-object", "missing-fields", "bad-cost", "bad-tool-call", "bad-usage",
+            "nan-cost", "negative-cost", "negative-latency", "infinite-latency", "negative-error", "nan-error",
+            "error-without-coordinate", "text-coordinate", "coordinate-out-of-range", "tool-call-without-name",
+        ],
     )
     def test_bad_call_log_line_exit_two(self, tmp_path, capsys, damage):
         config_path = hf.build_workspace(tmp_path, n_grants=3)

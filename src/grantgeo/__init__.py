@@ -47,6 +47,7 @@ from .gateway import (
     PriceTable,
     RunRecord,
     TokenUsage,
+    ToolCallRecord,
     call_cost,
     default_price_table,
 )
@@ -56,7 +57,6 @@ from .agent import (
     AgentBudget,
     Geocoder,
     GeocodeResult,
-    ToolCallRecord,
     handle_compute_centroid,
     run_tool_chain,
     trace_statistics,

@@ -14,7 +14,7 @@ import re
 import statistics
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from .corpus import GrantAbstract, MalformedRow
@@ -26,6 +26,7 @@ from .gateway import (
     PriceTable,
     DEFAULT_PRICES,
     TokenUsage,
+    ToolCallRecord,
     ToolCallRequest,
     call_cost,
 )
@@ -133,22 +134,6 @@ class GeocodeResult:
             "strategy": self.strategy,
             "query_used": self.query_used,
         }
-
-
-@dataclass
-class ToolCallRecord:
-    """One executed tool call; turn_index is 1-based within the trace."""
-
-    turn_index: int
-    tool_name: str
-    arguments: dict
-    result: dict = field(default_factory=dict)
-    selected: bool = False
-
-    def __post_init__(self):  # the fields trace_statistics reads
-        typed = isinstance(self.tool_name, str) and isinstance(self.selected, bool)
-        if not (typed and is_int(self.turn_index) and self.turn_index >= 1):
-            raise ValueError("a tool call needs an integer turn_index >= 1, a string tool_name and a boolean selected")
 
 
 @functools.cache

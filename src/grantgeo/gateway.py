@@ -176,6 +176,22 @@ def call_cost(usage: TokenUsage, p_in, p_out) -> Decimal:
 
 
 @dataclass
+class ToolCallRecord:
+    """One executed tool call; turn_index is 1-based within the trace."""
+
+    turn_index: int
+    tool_name: str
+    arguments: dict
+    result: dict = field(default_factory=dict)
+    selected: bool = False
+
+    def __post_init__(self):  # the fields trace_statistics reads
+        typed = isinstance(self.tool_name, str) and isinstance(self.selected, bool)
+        if not (typed and is_int(self.turn_index) and self.turn_index >= 1):
+            raise ValueError("a tool call needs an integer turn_index >= 1, a string tool_name and a boolean selected")
+
+
+@dataclass(slots=True)
 class RunRecord:
     """Per-call accounting attached to every Prediction."""
 
@@ -184,14 +200,16 @@ class RunRecord:
     usage: TokenUsage = TokenUsage()
     latency_s: float = 0.0
     cost_usd: Decimal = Decimal(0)
-    tool_calls: list = field(default_factory=list)
+    tool_calls: list[ToolCallRecord] = field(default_factory=list)
     raw_response: str = ""
     failed: bool = False
     reason: str | None = None
 
     def __post_init__(self):
-        if self.latency_s < 0:
-            raise ValueError("latency_s must be >= 0")
+        if not (is_real(self.latency_s) and self.latency_s >= 0):
+            raise ValueError(f"latency_s must be a finite number >= 0, not {self.latency_s!r}")
+        if not (isinstance(self.cost_usd, Decimal) and self.cost_usd.is_finite() and self.cost_usd >= 0):
+            raise ValueError(f"cost_usd must be a finite Decimal >= 0, not {self.cost_usd!r}")
 
 
 class _Turn(NamedTuple):
@@ -377,7 +395,10 @@ class LiveBackend:
                 if resp.status_code in (401, 403):
                     break  # credentials will not improve on retry
                 continue
-            return self._parse(resp.json())
+            try:
+                return self._parse(resp.json())
+            except (AttributeError, IndexError, KeyError, TypeError, ValueError) as exc:  # a 200 off the wire format
+                raise BackendUnavailable(f"malformed response: {type(exc).__name__}: {exc}") from exc
         raise last_exc  # type: ignore[misc]
 
     @staticmethod

@@ -377,15 +377,17 @@ def ingest_external_predictions(
     """Load externally produced coordinates (CSV ``row_id,lat,lon``).
 
     Predictions carry zero token usage; the configured total cost is
-    spread evenly across the file's rows. Row ids not among ``grants``
-    and bad coordinates are malformed.
+    spread evenly across the file's rows. Row ids not among ``grants``,
+    repeated row ids and bad coordinates are malformed.
     """
-    known = {g.row_id: g for g in grants}
+    known, seen = {g.row_id: g for g in grants}, set()
 
     def located(row: dict) -> tuple[GrantAbstract, Coordinate]:
-        if row["row_id"] not in known:
-            raise ValueError(f"unknown row_id {row['row_id']!r}")
-        return known[row["row_id"]], Coordinate(float(row["lat"]), float(row["lon"]))
+        row_id = row["row_id"]
+        if row_id not in known or row_id in seen:
+            raise ValueError(f"{'repeated' if row_id in seen else 'unknown'} row_id {row_id!r}")
+        seen.add(row_id)
+        return known[row_id], Coordinate(float(row["lat"]), float(row["lon"]))
 
     rows = read_csv(path, "row_id,lat,lon", located, header=["row_id", "lat", "lon"])
     accounting = {"latency_s": latency_s_per_grant, "cost_usd": Decimal(total_cost_usd) / (len(rows) or 1)}
@@ -527,27 +529,6 @@ PIPELINES: dict[str, Pipeline] = {
 RUN_FILE = "run.json"
 
 
-def _log_record(prediction: Prediction, request_summary: str) -> dict:
-    run = prediction.run
-    return {
-        "method_id": run.method_id,
-        "row_id": run.row_id,
-        "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
-        "request": request_summary,
-        "response": run.raw_response[:500],
-        "tool_calls": [vars(r) for r in run.tool_calls],  # a ToolCallRecord's fields, in order
-        "usage": {"input_tokens": run.usage.input_tokens, "output_tokens": run.usage.output_tokens},
-        "latency_s": run.latency_s,
-        "cost_usd": str(run.cost_usd),
-        "final_coordinate": (
-            [prediction.coordinate.lat, prediction.coordinate.lon] if prediction.coordinate else None
-        ),
-        "error_km": round(prediction.error_km, 6) if prediction.error_km is not None else None,  # as the CSV prints it
-        "failed": run.failed,
-        "reason": run.reason,
-    }
-
-
 def _write_results_csv(
     path: Path,
     grants: list[GrantAbstract],
@@ -585,12 +566,12 @@ def run_evaluation(manifest: RunManifest) -> RunOutcome:
     """Run every roster method over the evaluation set.
 
     Writes ``runs/<method>/calls.jsonl``, ``results_<evalset>.csv`` and
-    then ``run.json`` (the evalset and roster) under the manifest's output
-    directory; an older ``run.json`` is removed first, so a run that stops
-    early leaves none. Per-row failures are recorded as failed rows, never
-    aborting the run. In dry-run mode the config and data files are
-    validated and the planned call matrix is printed; nothing external is
-    touched and nothing is written.
+    then ``run.json`` (the evalset, start time, roster and rows) under the
+    manifest's output directory; an older ``run.json`` is removed first, so
+    a run that stops early leaves none. Per-row failures are recorded as
+    failed rows, never aborting the run. In dry-run mode the config and data
+    files are validated and the planned call matrix is printed; nothing
+    external is touched and nothing is written.
     """
     config = manifest.config
     _check_files(manifest)
@@ -613,6 +594,7 @@ def run_evaluation(manifest: RunManifest) -> RunOutcome:
     (run_dir / RUN_FILE).unlink(missing_ok=True)
     predictions: dict[str, list[Prediction]] = {}
     failures = 0
+    started = time.strftime("%Y-%m-%dT%H:%M:%S%z")
     scope = _RunScope(config, rows, manifest.seed)
     for spec in manifest.methods:
         pipeline = PIPELINES[spec.pipeline]
@@ -625,11 +607,11 @@ def run_evaluation(manifest: RunManifest) -> RunOutcome:
         method_dir.mkdir(parents=True, exist_ok=True)
         with (method_dir / "calls.jsonl").open("w", encoding="utf-8") as fh:
             for grant, p in zip(grants, preds):
-                fh.write(json.dumps(_log_record(p, pipeline.request_summary(spec, grant))) + "\n")
+                fh.write(json.dumps(p.to_json(pipeline.request_summary(spec, grant))) + "\n")
 
     _write_results_csv(run_dir / f"results_{manifest.evalset}.csv", grants, manifest.methods, predictions)
     rows = [g.row_id for g in grants]
-    roster = {"evalset": manifest.evalset, "methods": [spec.method_id for spec in manifest.methods], "rows": rows}
+    roster = {"evalset": manifest.evalset, "started": started, "methods": list(predictions), "rows": rows}
     (run_dir / RUN_FILE).write_text(json.dumps(roster) + "\n", encoding="utf-8")
     return RunOutcome(run_dir, len(grants) * len(manifest.methods), failures, predictions)
 

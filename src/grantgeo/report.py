@@ -16,10 +16,8 @@ import json
 from decimal import Decimal
 from pathlib import Path
 
-from .agent import ToolCallRecord, trace_statistics
+from .agent import trace_statistics
 from .corpus import MalformedRow, read_jsonl
-from .gateway import RunRecord, TokenUsage
-from .geo import Coordinate, is_real
 from .harness import RUN_FILE, DataMissing, NoResults
 from .metrics import (
     BASELINE_SECONDS_PER_GRANT,
@@ -50,53 +48,29 @@ def _read_roster(run_dir: Path) -> tuple[list[str], list[str]]:
     return lists[0], lists[1]
 
 
-def _log_row(rec: dict) -> dict:
-    """The fields of a call-log record that the report reads, each checked;
-    only these, so that every listed log fits in memory at once."""
-    usage = TokenUsage(rec["usage"]["input_tokens"], rec["usage"]["output_tokens"])  # checks the counts
-    coordinate, error_km, latency_s = rec["final_coordinate"], rec["error_km"], rec["latency_s"]
-    cost = Decimal(rec["cost_usd"])
-    if coordinate is not None and not (isinstance(coordinate, list) and Coordinate(*coordinate)):  # checks the pair
-        raise TypeError("final_coordinate must be null or a [lat, lon] list")
-    if error_km is not None and not (coordinate is not None and is_real(error_km) and error_km >= 0):
-        raise ValueError("error_km must be null, or a finite number >= 0 with a final_coordinate")
-    if not (is_real(latency_s) and latency_s >= 0 and cost.is_finite() and cost >= 0):
-        raise ValueError("latency_s and cost_usd must be finite and >= 0")
-    return {
-        "row_id": rec["row_id"],
-        "error_km": None if error_km is None else float(error_km),
-        "final_coordinate": coordinate,
-        "latency_s": float(latency_s),
-        "cost_usd": cost,
-        "tool_calls": [ToolCallRecord(**tc) for tc in rec["tool_calls"]],
-        "tokens": usage.input_tokens + usage.output_tokens,
-    }
-
-
-def _read_log(run_dir: Path, method_id: str, rows: list[str]) -> list[dict]:
-    """One listed method's call log, a record per listed row: the fields the report reads."""
+def _read_log(run_dir: Path, method_id: str, rows: list[str]) -> list[Prediction]:
+    """One listed method's call log: a cell of that method per listed row, in order."""
     path = run_dir / "runs" / method_id / "calls.jsonl"
     try:
-        records = read_jsonl(path, "call-log", _log_row)
+        cells = read_jsonl(path, "call-log", Prediction.from_json)
     except FileNotFoundError as exc:
         raise DataMissing(f"{method_id}: call log {path} is missing") from exc
-    if [rec["row_id"] for rec in records] != rows:
-        raise MalformedRow(f"{path}: holds {len(records)} records, not one per {RUN_FILE} row ({len(rows)}) in order")
-    return records
+    if [(p.method_id, p.row_id) for p in cells] != [(method_id, row_id) for row_id in rows]:
+        raise MalformedRow(f"{path}: {len(cells)} records, not one of {method_id} per {RUN_FILE} row in order")
+    return cells
 
 
 def build_method_summary(
     method_id: str,
     errors: list[float],
-    logs: list[dict],
+    logs: list[Prediction],
     ci: BootstrapCI,
     baseline_s_per_grant: float = BASELINE_SECONDS_PER_GRANT,
 ) -> MethodSummary:
     stats = summarize_errors(errors)
-    located = sum(1 for rec in logs if rec.get("final_coordinate"))
-    total_cost = sum((Decimal(rec["cost_usd"]) for rec in logs), Decimal(0))
-    cost_per_located = (total_cost / located) if located else Decimal(0)
-    latencies = [rec["latency_s"] for rec in logs if rec.get("final_coordinate")]
+    latencies = [p.run.latency_s for p in logs if p.coordinate is not None]
+    total_cost = sum((p.run.cost_usd for p in logs), Decimal(0))
+    cost_per_located = (total_cost / len(latencies)) if latencies else Decimal(0)
     lat = latency_summary(latencies or [0.0], baseline_s_per_grant)
     hit_pp = stats.bands[10.0] * 100.0
     try:
@@ -120,13 +94,13 @@ def summarize_run(
     ci_seed: int = 42,
     resamples: int = 10_000,
     baseline_s_per_grant: float = BASELINE_SECONDS_PER_GRANT,
-) -> tuple[list[str], dict[str, list[dict]], list[MethodSummary]]:
-    """The run in ``run_dir``: its method ids, each one's call-log records
+) -> tuple[list[str], dict[str, list[Prediction]], list[MethodSummary]]:
+    """The run in ``run_dir``: its method ids, each one's call-log cells
     and a summary of each method with a scored row, in roster order. Reads
     ``run.json`` and the listed call logs; the results CSV is never read."""
     methods, rows = _read_roster(run_dir)
     logs = {mid: _read_log(run_dir, mid, rows) for mid in methods}
-    errors = {mid: [rec["error_km"] for rec in logs[mid] if rec["error_km"] is not None] for mid in methods}
+    errors = {mid: [p.error_km for p in logs[mid] if p.error_km is not None] for mid in methods}
     scored = [mid for mid in methods if errors[mid]]
     cis = bootstrap_cis([errors[mid] for mid in scored], resamples=resamples, seed=ci_seed)
     summaries = [
@@ -146,12 +120,8 @@ def generate_report(
     methods, logs, summaries = summarize_run(run_dir, ci_seed, resamples, baseline_s_per_grant)
     if not summaries:
         raise NoResults(f"no scored rows in {run_dir}")
-    tool_preds: list[Prediction] = []  # trace_statistics reads only method_id and run.tool_calls
-    for mid in methods:
-        if any(rec["tool_calls"] for rec in logs[mid]):  # only tool-calling methods feed the trace table
-            for rec in logs[mid]:
-                run = RunRecord(mid, rec["row_id"], tool_calls=rec["tool_calls"])
-                tool_preds.append(Prediction(mid, rec["row_id"], None, None, run))
+    # only tool-calling methods feed the trace table
+    tool_preds = [p for mid in methods if any(p.run.tool_calls for p in logs[mid]) for p in logs[mid]]
     summaries.sort(key=lambda s: s.stats.mean)
 
     lines = ["# Run report", ""]
@@ -215,7 +185,7 @@ def generate_report(
     latency_points = [
         {
             "id": s.method_id,
-            "seconds_per_grant": sum(rec["latency_s"] for rec in logs[s.method_id]) / len(logs[s.method_id]),
+            "seconds_per_grant": sum(p.run.latency_s for p in logs[s.method_id]) / len(logs[s.method_id]),
             "mean_error_km": s.stats.mean,
         }
         for s in summaries
@@ -252,7 +222,8 @@ def write_sweep_report(out_dir: Path, axis: str, runs: list[tuple], method_ids: 
         methods, logs, summaries = summarize_run(run_dir)  # the report's default CI seed and resamples
         by_id = {s.method_id: s for s in summaries}
         for mid, method_id in zip(methods, method_ids):
-            tokens = f"{sum(rec['tokens'] for rec in logs[mid]) / max(len(logs[mid]), 1):.1f}"
+            tokens = sum(p.run.usage.input_tokens + p.run.usage.output_tokens for p in logs[mid])
+            tokens = f"{tokens / max(len(logs[mid]), 1):.1f}"
             s = by_id.get(mid)
             if s is None:
                 table.append([value, method_id, 0, "", "", "", "", "", tokens])

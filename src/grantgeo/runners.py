@@ -16,6 +16,7 @@ from .gateway import (
     DEFAULT_PRICES,
     RunRecord,
     TokenUsage,
+    ToolCallRecord,
     call_cost,
 )
 from .geo import (
@@ -35,15 +36,21 @@ class AllCallsFailed(RuntimeError):
     """No usable points remained after all member calls failed."""
 
 
-@dataclass
+@dataclass(slots=True)
 class Prediction:
-    """A method's coordinate answer for one grant, plus provenance."""
+    """A method's coordinate answer for one grant, plus provenance. Its
+    :meth:`to_json` and :meth:`from_json` are the one call-log format."""
 
     method_id: str
     row_id: str
     coordinate: Coordinate | None
     error_km: float | None
     run: RunRecord
+
+    def __post_init__(self):
+        km = self.error_km
+        if km is not None and not (self.coordinate is not None and is_real(km) and km >= 0):
+            raise ValueError(f"error_km must be None, or a finite number >= 0 with a coordinate, not {km!r}")
 
     @classmethod
     def of(cls, method_id: str, grant: GrantAbstract, coordinate: Coordinate | None, **accounting) -> Prediction:
@@ -52,6 +59,39 @@ class Prediction:
         other :class:`RunRecord` fields, which default to zero and empty."""
         run = RunRecord(method_id, grant.row_id, failed=coordinate is None, **accounting)
         return cls(method_id, grant.row_id, coordinate, _error_km(coordinate, grant), run)
+
+    def to_json(self, request: str) -> dict:
+        """This cell's call-log record; ``request`` summarizes what was asked."""
+        run, coordinate = self.run, self.coordinate
+        return {
+            "method_id": self.method_id,
+            "row_id": self.row_id,
+            "request": request,
+            "response": run.raw_response[:500],
+            "tool_calls": [vars(r) for r in run.tool_calls],  # a ToolCallRecord's fields, in order
+            "usage": {"input_tokens": run.usage.input_tokens, "output_tokens": run.usage.output_tokens},
+            "latency_s": run.latency_s,
+            "cost_usd": str(run.cost_usd),
+            "final_coordinate": [coordinate.lat, coordinate.lon] if coordinate else None,
+            "error_km": None if self.error_km is None else round(self.error_km, 6),  # as the results CSV prints it
+            "failed": run.failed,
+            "reason": run.reason,
+        }
+
+    @classmethod
+    def from_json(cls, doc: dict) -> Prediction:
+        """The cell a call-log record holds (its ``request`` is not kept); the
+        constructors check the values, this only the record's own shape."""
+        coordinate, failed = doc["final_coordinate"], doc["failed"]
+        if not (coordinate is None or isinstance(coordinate, list)) or failed is not (coordinate is None):
+            raise ValueError("final_coordinate must be null or a [lat, lon] list, and failed true exactly when null")
+        usage = TokenUsage(doc["usage"]["input_tokens"], doc["usage"]["output_tokens"])
+        run = RunRecord(
+            doc["method_id"], doc["row_id"], usage, doc["latency_s"], Decimal(doc["cost_usd"]),
+            [ToolCallRecord(**tc) for tc in doc["tool_calls"]], doc["response"], failed, doc["reason"],
+        )
+        coordinate = None if coordinate is None else Coordinate(*coordinate)
+        return cls(doc["method_id"], doc["row_id"], coordinate, doc["error_km"], run)
 
 
 @dataclass(frozen=True)

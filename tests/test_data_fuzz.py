@@ -90,8 +90,8 @@ def _main(argv) -> int:
 @given(target=st.sampled_from(MUTATIONS), at=st.integers(min_value=0, max_value=1 << 16))
 @example(target=("fixtures/ground_truth.csv", "insert-ff"), at=0)
 @example(target=("fixtures/external.csv", "insert-ff"), at=0)
-@example(target=("out/runs/M-5/calls.jsonl", "value=-1"), at=15)  # error_km
-@example(target=("out/runs/T-4/calls.jsonl", "value=null"), at=9)  # the first tool call's tool_name
+@example(target=("out/runs/M-5/calls.jsonl", "value=-1"), at=14)  # error_km
+@example(target=("out/runs/T-4/calls.jsonl", "value=null"), at=8)  # the first tool call's tool_name
 def test_one_data_mutation_ends_in_an_exit_code(workspace, target, at):
     path, mutation = target
     original = (workspace / path).read_bytes()

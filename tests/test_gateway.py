@@ -135,6 +135,15 @@ class TestRunRecord:
         with pytest.raises(ValueError):
             RunRecord("m", "r", TokenUsage(), -0.1, Decimal(0))
 
+    @pytest.mark.parametrize(
+        "latency_s, cost_usd",
+        [(float("nan"), Decimal(0)), (float("inf"), Decimal(0)), (True, Decimal(0)), ("1", Decimal(0)),
+         (0.0, Decimal("NaN")), (0.0, Decimal("Infinity")), (0.0, Decimal("-0.01")), (0.0, 0.5)],
+    )
+    def test_latency_and_cost_must_be_finite_and_non_negative(self, latency_s, cost_usd):
+        with pytest.raises(ValueError):
+            RunRecord("m", "r", TokenUsage(), latency_s, cost_usd)
+
 
 class TestFixtureBackend:
     def test_text_replay_with_scripted_usage(self):
@@ -319,3 +328,24 @@ class TestLiveBackend:
         response, _ = backend.complete(ModelConfig("m"), [ChatMessage("user", "hi")])
         assert response.tool_call.name == "geocode_place"
         assert response.tool_call.arguments == {"query": "Holloway Swamp"}
+
+    def test_malformed_200_fails_the_row(self, monkeypatch):
+        import requests
+
+        from grantgeo.gateway import LiveBackend
+        from grantgeo.runners import run_one_shot
+
+        bad_arguments = {"function": {"name": "geocode_place", "arguments": "{bad"}}
+        bodies = [
+            b'{"error": {"message": "overloaded", "type": "server_error"}}',
+            b"<html>upstream busy</html>",
+            json.dumps({"choices": [{"message": {"tool_calls": [bad_arguments]}}]}).encode(),
+        ]
+        backend = LiveBackend("https://example.invalid/v1/chat", api_key="k")
+        for body in bodies:
+            resp = requests.Response()
+            resp.status_code, resp._content = 200, body
+            monkeypatch.setattr("requests.post", lambda *a, resp=resp, **k: resp)
+            prediction = run_one_shot(backend, ModelConfig("gpt-4o"), hf.make_grants(1)[0], "M-5")
+            assert prediction.run.failed and prediction.coordinate is None
+            assert prediction.run.reason.startswith("BackendUnavailable: malformed response"), prediction.run.reason

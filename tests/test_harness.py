@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import json
+from datetime import datetime
 from decimal import Decimal
 from pathlib import Path
 
@@ -213,9 +214,11 @@ class TestRunEvaluation:
             rows = list(csv.DictReader(fh))
         for method in ("M-5", "M-6", "H-4"):
             log_path = outcome.run_dir / "runs" / method / "calls.jsonl"
-            logged = [json.loads(line)["error_km"] for line in log_path.read_text().splitlines()]
-            assert logged == [float(row[f"{method}_error_km"]) for row in rows]
+            records = [json.loads(line) for line in log_path.read_text().splitlines()]
+            assert [rec["error_km"] for rec in records] == [float(row[f"{method}_error_km"]) for row in rows]
+            assert not any("timestamp" in rec for rec in records)  # the run's one start time is in run.json
         roster = json.loads((outcome.run_dir / "run.json").read_text(encoding="utf-8"))
+        datetime.strptime(roster.pop("started"), "%Y-%m-%dT%H:%M:%S%z")
         assert roster == {"evalset": "gold", "methods": ["M-5", "M-6", "H-4"], "rows": ["r000", "r001", "r002", "r003"]}
 
     def test_failed_rows_kept_with_flag(self, tmp_path):
@@ -840,6 +843,17 @@ class TestCli:
         assert main(["run", "--config", str(config_path), "--method", "X-1", "--max-rows", "2"]) == 2
         assert "unknown row_id 'ghost'" in capsys.readouterr().err
 
+    def test_ingest_external_repeated_row_exit_two(self, tmp_path, capsys):
+        """A second answer for a row would replace the first and thin the total cost over one row too many."""
+        hf.build_full_workspace(tmp_path, n_grants=2)
+        external = tmp_path / "fixtures" / "external.csv"
+        with external.open("a", encoding="utf-8") as fh:
+            fh.write("r000,36.9,-76.0\n")
+        config_path = tmp_path / "config.yaml"
+        config_path.write_text(yaml.safe_dump(hf.full_config()), encoding="utf-8")
+        assert main(["run", "--config", str(config_path), "--method", "X-1"]) == 2
+        assert f"data error: {external}:4: " in capsys.readouterr().err
+
     @pytest.mark.parametrize("max_rows", ["-1", "0"])
     def test_max_rows_below_one_exit_one(self, tmp_path, capsys, max_rows):
         config_path = hf.build_workspace(tmp_path, n_grants=4)
@@ -980,6 +994,14 @@ class TestCli:
         log.write_bytes(b"\n".join(lines) + b"\n")
         assert main(["report", "--run-dir", str(tmp_path / "out"), "--resamples", "100"]) == 2
         assert f"{log}:2:" in capsys.readouterr().err
+
+    def test_call_log_of_another_method_exit_two(self, tmp_path, capsys):
+        config_path = hf.build_workspace(tmp_path, n_grants=3)
+        assert main(["run", "--config", str(config_path)]) == 0
+        runs = tmp_path / "out" / "runs"
+        (runs / "M-6" / "calls.jsonl").write_bytes((runs / "M-5" / "calls.jsonl").read_bytes())
+        assert main(["report", "--run-dir", str(tmp_path / "out"), "--resamples", "100"]) == 2
+        assert f"data error: {runs / 'M-6' / 'calls.jsonl'}: " in capsys.readouterr().err
 
     def test_data_error_exit_two(self, tmp_path):
         config_path = hf.build_workspace(tmp_path)

@@ -2,18 +2,27 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
+import json
 import random
 from decimal import Decimal
 
 import pytest
+import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import harness_fixtures as hf
+from grantgeo.cli import main
 from grantgeo.corpus import GrantAbstract
-from grantgeo.gateway import FixtureBackend, ModelConfig, text_turn
+from grantgeo.gateway import FixtureBackend, ModelConfig, RunRecord, TokenUsage, ToolCallRecord, text_turn
 from grantgeo.geo import Coordinate, haversine_km
 from grantgeo.prompts import ONE_SHOT_PROMPT
 from grantgeo.runners import (
     AllCallsFailed,
     EnsembleConfig,
+    Prediction,
     aggregate_ensemble,
     run_ensemble,
     run_one_shot,
@@ -216,3 +225,59 @@ class TestRunEnsemble:
         assert prediction.run.failed
         assert prediction.run.reason == "AllCallsFailed"
         assert prediction.coordinate is None
+
+
+_JSON_VALUES = st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False, allow_infinity=False) | st.text()
+_JSON_OBJECTS = st.dictionaries(st.text(max_size=10), _JSON_VALUES, max_size=4)
+_TOOL_CALLS = st.builds(
+    ToolCallRecord, st.integers(min_value=1), st.text(max_size=20), _JSON_OBJECTS, _JSON_OBJECTS, st.booleans()
+)
+
+
+@st.composite
+def _predictions(draw) -> Prediction:
+    """A cell as any pipeline may build it: failed exactly when it has no coordinate."""
+    method_id, row_id = draw(st.text(max_size=12)), draw(st.text(max_size=12))
+    coordinate = draw(st.none() | st.builds(Coordinate, st.floats(-90, 90), st.floats(-180, 180)))
+    error_km = None if coordinate is None else draw(st.none() | st.floats(0, 20_000).map(lambda km: round(km, 6)))
+    run = RunRecord(
+        method_id,
+        row_id,
+        draw(st.builds(TokenUsage, st.integers(0, 10**9), st.integers(0, 10**9))),
+        draw(st.floats(0, 1e6)),
+        draw(st.decimals(min_value=0, allow_nan=False, allow_infinity=False)),
+        draw(st.lists(_TOOL_CALLS, max_size=3)),
+        draw(st.text(max_size=500)),
+        coordinate is None,
+        draw(st.none() | st.text(max_size=40)),
+    )
+    return Prediction(method_id, row_id, coordinate, error_km, run)
+
+
+class TestCallLogFormat:
+    @settings(max_examples=300, deadline=None)
+    @given(prediction=_predictions(), request=st.text(max_size=160))
+    def test_from_json_inverts_to_json(self, prediction, request):
+        assert Prediction.from_json(json.loads(json.dumps(prediction.to_json(request)))) == prediction
+
+    def test_a_finished_runs_records_are_what_to_json_writes(self, tmp_path):
+        hf.build_full_workspace(tmp_path)
+        (tmp_path / "config.yaml").write_text(yaml.safe_dump(hf.full_config()), encoding="utf-8")
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["run", "--config", str(tmp_path / "config.yaml")]) == 0
+        logs = sorted((tmp_path / "out" / "runs").glob("*/calls.jsonl"))
+        assert len(logs) == len(hf.full_config()["methods"])
+        for log in logs:
+            for line in log.read_text(encoding="utf-8").splitlines():
+                doc = json.loads(line)
+                assert Prediction.from_json(doc).to_json(doc["request"]) == doc
+
+    @pytest.mark.parametrize(
+        "fields",
+        [{"error_km": -1.0}, {"error_km": float("nan")}, {"coordinate": None}],
+        ids=["negative-error", "nan-error", "error-without-coordinate"],
+    )
+    def test_prediction_checks_its_error(self, fields):
+        cell = {"coordinate": Coordinate(37.0, -77.0), "error_km": 1.5, **fields}
+        with pytest.raises(ValueError, match="error_km"):
+            Prediction("M-1", "r1", run=RunRecord("M-1", "r1"), **cell)

@@ -171,9 +171,12 @@ def _scan_back(tokens: list[str]) -> str | None:
     return " ".join(picked)
 
 
+_TOKEN = re.compile(r"\S+")
+
+
 def _scan_forward(text: str, start: int) -> str | None:
     picked: list[str] = []
-    for m in re.finditer(r"\S+", text[start:]):
+    for m in _TOKEN.finditer(text, start):
         token = m.group(0)
         clean = token.strip(",;:.()\"'")
         if picked and (clean.lower() in ("of", "and") or clean == "&"):
@@ -191,31 +194,35 @@ def _scan_forward(text: str, start: int) -> str | None:
     return " ".join(picked) if picked else None
 
 
+# The county forms as re.IGNORECASE spells them, case-sensitive: "İ" and
+# "ı" are the only code points that fold onto these letters besides their
+# own two cases. Every alternative starts with the literal "c" and checks
+# the word boundary before it by a lookbehind, so the search skips to the
+# characters that can start a form. "County of" / "City of" set group "of".
+_COUNTY_FORM = re.compile(
+    r"[Cc](?<=\b[Cc])(?:(?P<of>(?:[Oo][Uu][Nn][Tt][Yy]|[Iiİı][Tt][Yy])\s+[Oo][Ff]\s+)"
+    r"|(?:[Oo]\.|[Oo][Uu][Nn][Tt][Yy])(?!\w))"
+)
+_OFNEXT = re.compile(r"\s+of\b", re.IGNORECASE)
+
+
 def extract_county(text: str) -> str | None:
     """Find the first county reference in the text, if any.
 
-    Recognized forms: ``<Name> Co.``, ``<Name> County``,
+    Recognized forms, in any case: ``<Name> Co.``, ``<Name> County``,
     ``County of <Name>``, and ``City of <Name>``. Returns the name of the
     earliest match in display form (``"King and Queen"``), not normalized.
     """
-    matches: list[tuple[int, str]] = []
-
-    for m in re.finditer(r"\b(?:county|city)\s+of\s+", text, re.IGNORECASE):
-        name = _scan_forward(text, m.end())
+    for m in _COUNTY_FORM.finditer(text):
+        if m["of"]:
+            name = _scan_forward(text, m.end())
+        elif _OFNEXT.match(text, m.end()):
+            continue  # followed by "of", so not a suffix
+        else:
+            name = _scan_back(text[: m.start()].rsplit(None, 6)[-6:])
         if name:
-            matches.append((m.start(), name))
-
-    for m in re.finditer(r"\b(?:co\.|county)(?!\w)", text, re.IGNORECASE):
-        if re.match(r"\s+of\b", text[m.end():], re.IGNORECASE):
-            continue  # already covered by the "County of" form
-        name = _scan_back(text[: m.start()].split()[-6:])
-        if name:
-            matches.append((m.start(), name))
-
-    if not matches:
-        return None
-    matches.sort(key=lambda pair: pair[0])
-    return _display_county(matches[0][1])
+            return _display_county(name)
+    return None
 
 
 def predict_county_centroid(text: str, table: CountyCentroidTable) -> tuple[Coordinate, str]:
@@ -373,9 +380,12 @@ def tune_heuristic_grid(
     return best_params  # type: ignore[return-value]
 
 
+_PUNCTUATION = re.compile(r"[^\w\s]")
+
+
 def _normalize_entity(name: str) -> str:
     name = name.lower().replace("st.", "saint").replace("'s", "")
-    return re.sub(r"\s+", " ", re.sub(r"[^\w\s]", " ", name)).strip()
+    return " ".join(_PUNCTUATION.sub(" ", name).split())  # str.split() splits where \s+ matches
 
 
 _WORD = re.compile(r"\w+")
@@ -386,8 +396,11 @@ class Gazetteer(list):
 
     A ``list`` of :class:`GazetteerEntry`, so it goes wherever the rows go.
     The indexes make a lookup cost grow with the text, not with the number
-    of rows. They hold the rows as they were at the first lookup: build a
-    new ``Gazetteer`` rather than editing one that has been searched.
+    of rows; the entity index also remembers the positions each distinct
+    entity matched, so each entity is looked up once per gazetteer. The
+    name index and the entity index are built apart, each on its own first
+    lookup. They hold the rows as they were at that lookup: build a new
+    ``Gazetteer`` rather than editing one that has been searched.
     """
 
     @classmethod
@@ -395,33 +408,33 @@ class Gazetteer(list):
         return rows if isinstance(rows, cls) else cls(rows)
 
     @cached_property
-    def _entity_index(self) -> tuple[dict[str, list[int]], list[int], int]:
+    def _entity_index(self) -> tuple[dict[str, list[int]], list[int], int, dict[str, list[int]]]:
         """Normalized name -> positions of in-box rows; the in-box rows whose
-        name normalizes to empty; the longest normalized name, in tokens."""
+        name normalizes to empty; the longest normalized name, in tokens; and
+        entity -> positions of its matches, filled in as entities are looked up."""
         by_name: dict[str, list[int]] = {}
         for i, g in enumerate(self):
             if within_bbox(g.coordinate, VIRGINIA_BBOX):
                 by_name.setdefault(_normalize_entity(g.name), []).append(i)
         empty = by_name.pop("", [])
         longest = max((name.count(" ") + 1 for name in by_name), default=0)
-        return by_name, empty, longest
+        return by_name, empty, longest, {}
 
     def entity_matches(self, entity: str) -> list[GazetteerEntry]:
         """In-box rows whose normalized name is a run of whole tokens of the
         normalized entity, in gazetteer order. A name that normalizes to
         empty matches every entity that does not."""
-        ent_norm = _normalize_entity(entity)
-        if not ent_norm:
-            return []
-        by_name, empty, longest = self._entity_index
-        tokens = ent_norm.split(" ")
-        grams = {
-            " ".join(tokens[i : i + n])
-            for n in range(1, min(longest, len(tokens)) + 1)
-            for i in range(len(tokens) - n + 1)
-        }
-        hits = sorted(itertools.chain(empty, *(by_name.get(gram, ()) for gram in grams)))
-        return [self[i] for i in hits]
+        by_name, empty, longest, memo = self._entity_index
+        if entity not in memo:
+            tokens = _normalize_entity(entity).split()
+            grams = {
+                " ".join(tokens[i : i + n])
+                for n in range(1, min(longest, len(tokens)) + 1)
+                for i in range(len(tokens) - n + 1)
+            }
+            hits = itertools.chain(empty, *(by_name.get(gram, ()) for gram in grams))
+            memo[entity] = sorted(hits) if tokens else []
+        return [self[i] for i in memo[entity]]
 
     @cached_property
     def _word_index(self) -> tuple[dict[str, list[int]], list[int]]:
@@ -476,20 +489,14 @@ def packaged_gazetteer() -> Gazetteer:
         return load_gazetteer(p)
 
 
+# The word boundary is checked after the capital, so the search skips to capitals.
+_PHRASE = re.compile(r"[A-Z](?<=\b[A-Z])[a-zA-Z'.]*(?:\s+(?:of\s+)?[A-Z][a-zA-Z'.]*)*")
+
+
 def default_entity_extractor(text: str) -> list[str]:
     """Capitalized-phrase scanner used when no NER engine is plugged in."""
-    phrases = []
-    for m in re.finditer(r"\b[A-Z][a-zA-Z'.]*(?:\s+(?:of\s+)?[A-Z][a-zA-Z'.]*)*", text):
-        phrase = m.group(0).strip()
-        if len(phrase) > 2 and phrase.lower() not in _NAME_STOPWORDS:
-            phrases.append(phrase)
-    seen = set()
-    unique = []
-    for p in phrases:
-        if p not in seen:
-            seen.add(p)
-            unique.append(p)
-    return unique
+    phrases = (m.group(0) for m in _PHRASE.finditer(text))
+    return list(dict.fromkeys(p for p in phrases if len(p) > 2 and p.lower() not in _NAME_STOPWORDS))
 
 
 def predict_ner_pipeline(

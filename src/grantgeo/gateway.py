@@ -405,9 +405,9 @@ class LiveBackend:
     def _parse(data: dict) -> tuple[ModelResponse, TokenUsage]:
         message = data["choices"][0]["message"]
         usage_doc = data.get("usage", {})
-        usage = TokenUsage(
-            int(usage_doc.get("prompt_tokens", usage_doc.get("input_tokens", 0))),
-            int(usage_doc.get("completion_tokens", usage_doc.get("output_tokens", 0))),
+        usage = TokenUsage(  # which checks the counts are integers, rather than rounding them
+            usage_doc.get("prompt_tokens", usage_doc.get("input_tokens", 0)),
+            usage_doc.get("completion_tokens", usage_doc.get("output_tokens", 0)),
         )
         tool_calls = message.get("tool_calls") or []
         if tool_calls:

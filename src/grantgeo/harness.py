@@ -312,6 +312,9 @@ def build_manifest(
         unknown = [m for m in methods if m not in config.methods]
         if unknown:
             raise ConfigInvalid(f"unknown methods {unknown}")
+        repeated = sorted({m for m in methods if methods.count(m) > 1})
+        if repeated:  # a second run of a method would overwrite its log and repeat its CSV columns
+            raise ConfigInvalid(f"methods named more than once: {repeated}")
         roster = [config.methods[m] for m in methods]
     else:
         roster = list(config.methods.values())

@@ -6,9 +6,10 @@ import random
 import re
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from grantgeo import baselines
 from grantgeo.baselines import (
     CountyCentroidTable,
     EmptyGold,
@@ -498,6 +499,21 @@ class TestGazetteerIndex:
         assert Gazetteer([blank]).entity_matches("Anything At All") == [blank]
         assert Gazetteer([blank]).entity_matches("...") == []
 
+    def test_each_distinct_entity_is_looked_up_once(self, monkeypatch):
+        gazetteer = packaged_gazetteer()
+        normalized = []
+        real = baselines._normalize_entity
+        monkeypatch.setattr(baselines, "_normalize_entity", lambda name: normalized.append(name) or real(name))
+        entities = ["St. Paul's Parish", "Richmond", "...", "St. Paul's Parish", "Richmond", "..."]
+        got = [gazetteer.entity_matches(entity) for entity in entities]
+        in_box = [g.name for g in gazetteer if within_bbox(g.coordinate, VIRGINIA_BBOX)]
+        assert normalized == in_box + entities[:3]
+        for first, again, entity in zip(got, got[3:], entities):
+            assert first == again == _reference_entity_matches(gazetteer, entity) and first is not again
+        assert got[0] and got[1] and not got[2]
+        got[0].clear()  # the caller owns the list it was given
+        assert gazetteer.entity_matches(entities[0]) == got[3]
+
     def test_loaded_gazetteer_is_a_list(self):
         gazetteer = packaged_gazetteer()
         assert isinstance(gazetteer, list) and gazetteer == list(gazetteer)
@@ -531,6 +547,20 @@ def _reference_extract_county(text):
         if name:
             matches.append((m.start(), name))
     return _display_county(min(matches, key=lambda pair: pair[0])[1]) if matches else None
+
+
+def _reference_entity_extractor(text):
+    r"""default_entity_extractor with the word boundary before the capital checked by a leading ``\b``."""
+    phrases = []
+    for m in re.finditer(r"\b[A-Z][a-zA-Z'.]*(?:\s+(?:of\s+)?[A-Z][a-zA-Z'.]*)*", text):
+        phrase = m.group(0).strip()
+        if len(phrase) > 2 and phrase.lower() not in baselines._NAME_STOPWORDS:
+            phrases.append(phrase)
+    unique = []
+    for p in phrases:
+        if p not in unique:
+            unique.append(p)
+    return unique
 
 
 def _reference_geoparse(text, resolver, table, params):
@@ -569,6 +599,7 @@ def _reference_geoparse(text, resolver, table, params):
 _DEED_WORDS = sorted(
     {form for key in _ABBREVIATIONS for word in (key, key[:-1]) for form in (word, word.upper(), word.lower())}
     | {"Sweet", "Colonel", "Crew", "Mtn", "acsx", "Braddock", "County", "COUNTY", "co.", "City", "of", "OF"}
+    | {"CİTY", "cıty", "Cİty", "cOUNTY", "CO.", "cO."}  # "İ" and "ı" fold to "i" under re.IGNORECASE
     | {"Henrico", "HENRICO", "King", "&", "and", "Queen", "Isle", "Wight", "Prince", "George", "Surry", "Essex"}
     | {"in", "the", "adj.", "S.", "Holloway", "Swamp", "Blackwater", "Nottoway", "River", "Saint", "Paul"}
     | {"Richmond", "Petersburg", "Norfolk", "Jamestown"}
@@ -579,6 +610,13 @@ _DEED_TEXTS = st.lists(
     max_size=14,
 ).map(lambda parts: "".join(word + mark + space for word, mark, space in parts))
 
+
+# Phrase pieces: capitals after word characters of other scripts, digits
+# and underscore (no word boundary there), stopwords, "of" in two cases,
+# periods and apostrophes inside and around words.
+_PHRASE_PIECES = ["Henrico", "St.", "John's", "Mill", "Run", "The", "IN", "of", "OF", "A", "Ab", "x", "Co."]
+_PHRASE_PIECES += ["éAb", "_Cd", "1Ef", "ÀBC", "İvy", "'s", "Dé"]
+_PHRASE_TEXTS = _joined(st.sampled_from(_PHRASE_PIECES))
 
 _PACKAGED_GAZETTEER = packaged_gazetteer()
 
@@ -594,9 +632,16 @@ class TestOnePassMatchesReference:
         assert expand_abbreviations(text) == _reference_expand(text)
 
     @given(_DEED_TEXTS)
+    @example("in the CİTY of Norfolk")
+    @example("in the cıty OF Surry\t")
     @settings(max_examples=400, deadline=None)
     def test_county(self, text):
         assert extract_county(text) == _reference_extract_county(text)
+
+    @given(st.one_of(_DEED_TEXTS, _PHRASE_TEXTS))
+    @settings(max_examples=400, deadline=None)
+    def test_entity_extractor(self, text):
+        assert default_entity_extractor(text) == _reference_entity_extractor(text)
 
     @given(_DEED_TEXTS, st.sampled_from([HeuristicParams(0.5, 0.2, 25.0), HeuristicParams(0.5, 0.0, 400.0)]))
     @settings(max_examples=400, deadline=None)

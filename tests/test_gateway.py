@@ -340,6 +340,14 @@ class TestLiveBackend:
             b'{"error": {"message": "overloaded", "type": "server_error"}}',
             b"<html>upstream busy</html>",
             json.dumps({"choices": [{"message": {"tool_calls": [bad_arguments]}}]}).encode(),
+        ] + [  # token counts that are not integers, which int() would have rounded or parsed
+            json.dumps({"choices": [{"message": {"content": "37.5, -77.4"}}], "usage": usage}).encode()
+            for usage in (
+                {"prompt_tokens": 1.7, "completion_tokens": 2},
+                {"prompt_tokens": 9, "completion_tokens": True},
+                {"prompt_tokens": "12", "completion_tokens": 2},
+                {"prompt_tokens": 9, "completion_tokens": None},
+            )
         ]
         backend = LiveBackend("https://example.invalid/v1/chat", api_key="k")
         for body in bodies:

@@ -864,6 +864,15 @@ class TestCli:
             assert f"max_rows must be at least 1, got {max_rows}" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_repeated_method_exit_one(self, tmp_path, capsys):
+        config_path = hf.build_workspace(tmp_path, n_grants=3)
+        out = tmp_path / "cli_out"
+        for command in (["run"], ["sweep", "--axis", "temperature", "--values", "0.2"]):
+            args = [*command, "--config", str(config_path), "--output-dir", str(out)]
+            assert main([*args, "--method", "M-5", "--method", "H-4", "--method", "M-5"]) == 1
+            assert "methods named more than once: ['M-5']" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_every_cell_failed_exactly_when_it_has_no_coordinate(self, tmp_path):
         hf.build_full_workspace(tmp_path, n_grants=4)
         fixtures = tmp_path / "fixtures"

@@ -4,6 +4,13 @@ The model converses under a fixed system prompt and may call two tools:
 a Virginia-restricted geocoder and a spherical-centroid helper. The loop
 validates every call against the JSON-Schema catalog, enforces the tool
 budget, and keeps a full trace so runs can be audited and replayed.
+
+Calls are checked in-package against the subset of JSON Schema 2020-12
+the catalog uses: ``type`` (object, array, string, number), ``properties``,
+``required``, ``enum``, ``minItems`` and ``items``. A catalog schema using
+anything else is refused on first use. Of several violations, the one
+reported is at the fewest path elements, then at the greatest path, then
+first in schema keyword order, with jsonschema's wording.
 """
 
 from __future__ import annotations
@@ -136,39 +143,97 @@ class GeocodeResult:
         }
 
 
+# The JSON types a schema may name; as in JSON, a bool is no number.
+_TYPES = {
+    "object": lambda v: isinstance(v, dict),
+    "array": lambda v: isinstance(v, list),
+    "string": lambda v: isinstance(v, str),
+    "number": lambda v: isinstance(v, (int, float)) and not isinstance(v, bool),
+}
+# The JSON Schema 2020-12 keywords the checker implements, each with the test
+# its value must pass; a schema using any other keyword is refused.
+_KEYWORDS = {
+    "type": lambda v: isinstance(v, str) and v in _TYPES,
+    "properties": lambda v: isinstance(v, dict) and all(isinstance(sub, dict) for sub in v.values()),
+    "required": lambda v: isinstance(v, list) and all(isinstance(n, str) for n in v) and len(set(v)) == len(v),
+    "enum": lambda v: isinstance(v, list) and all(e is None or isinstance(e, (str, int, float)) for e in v),
+    "minItems": lambda v: is_int(v) and v >= 0,
+    "items": lambda v: isinstance(v, dict),
+    "description": lambda v: isinstance(v, str),
+}
+
+
+def _check_schema(tool: str, schema) -> None:
+    """Raise ValueError, naming the tool and the keyword, unless ``schema``
+    uses only the supported keywords, each with a well-formed value."""
+    if not isinstance(schema, dict):
+        raise ValueError(f"tool {tool!r}: parameters {schema!r} are not a schema object")
+    for key, value in schema.items():
+        if key not in _KEYWORDS:
+            raise ValueError(f"tool {tool!r}: unsupported schema keyword {key!r}")
+        if not _KEYWORDS[key](value):
+            raise ValueError(f"tool {tool!r}: schema keyword {key!r} has unsupported value {value!r}")
+        for sub in value.values() if key == "properties" else [value] if key == "items" else ():
+            _check_schema(tool, sub)
+
+
+def _schema_errors(schema: dict, instance, path: tuple = ()):
+    """Yield (path, message) for each violation of ``schema``, keywords in schema order."""
+    for key, value in schema.items():
+        if key == "type":
+            if not _TYPES[value](instance):
+                yield path, f"{instance!r} is not of type {value!r}"
+        elif key == "enum":
+            # bool is an int in Python but not in JSON: True never matches 1.
+            if not any(isinstance(v, bool) == isinstance(instance, bool) and v == instance for v in value):
+                yield path, f"{instance!r} is not one of {value!r}"
+        elif isinstance(instance, dict):
+            if key == "properties":
+                for name, sub in value.items():
+                    if name in instance:
+                        yield from _schema_errors(sub, instance[name], path + (name,))
+            elif key == "required":
+                for name in value:
+                    if name not in instance:
+                        yield path, f"{name!r} is a required property"
+        elif isinstance(instance, list):
+            if key == "minItems" and len(instance) < value:
+                yield path, f"{instance!r} " + ("should be non-empty" if value == 1 else "is too short")
+            elif key == "items":
+                for index, item in enumerate(instance):
+                    yield from _schema_errors(value, item, path + (index,))
+
+
 @functools.cache
 def tool_validators() -> dict:
-    """One jsonschema validator per catalog entry, by tool name.
+    """The parameter schema of each catalog entry, by tool name.
 
-    Built, and each schema checked, on first use: jsonschema loads only in
-    a process that runs the tool agent. Validating a call then costs what
-    the arguments cost, not a metaschema check.
+    Each schema is checked on first use, so a catalog using a keyword or
+    value the checker does not implement is a ValueError before any call
+    is validated rather than a rule silently ignored.
     """
-    import jsonschema
-
-    validators = {}
     for tool in TOOL_CATALOG:
-        cls = jsonschema.validators.validator_for(tool["parameters"])
-        cls.check_schema(tool["parameters"])
-        validators[tool["name"]] = cls(tool["parameters"])
-    return validators
+        _check_schema(tool["name"], tool["parameters"])
+    return {tool["name"]: tool["parameters"] for tool in TOOL_CATALOG}
 
 
 def validate_tool_call(request: ToolCallRequest) -> dict:
     """Return validated arguments or raise ArgumentInvalid.
 
-    The message is the one ``jsonschema.validate`` would give: that of the
-    best-matching error.
+    Checks the keywords ``type`` (object, array, string, number),
+    ``properties``, ``required``, ``enum``, ``minItems`` and ``items``
+    with JSON Schema 2020-12 semantics; extra properties are allowed.
+    Of several violations the message reports the one at the fewest path
+    elements, then at the greatest path, then the first in schema keyword
+    order: the choice, and the wording, of ``jsonschema.validate``.
     """
-    validator = tool_validators().get(request.name)
-    if validator is None:
+    schema = tool_validators().get(request.name)
+    if schema is None:
         raise ArgumentInvalid(f"unknown tool {request.name!r}")
-    errors = list(validator.iter_errors(request.arguments))
-    if errors:
-        from jsonschema.exceptions import best_match
-
-        error = best_match(errors)
-        raise ArgumentInvalid(error.message) from error
+    # max keeps the first of equal keys: a tie goes to the earlier keyword.
+    error = max(_schema_errors(schema, request.arguments), key=lambda e: (-len(e[0]), e[0]), default=None)
+    if error is not None:
+        raise ArgumentInvalid(error[1])
     return request.arguments
 
 

@@ -319,7 +319,7 @@ def build_manifest(
     else:
         roster = list(config.methods.values())
     if any(spec.pipeline == "tool_chain" for spec in roster):
-        tool_validators()  # loads jsonschema and checks the tool schemas before any cell runs
+        tool_validators()  # checks the tool schemas before any cell runs
     return RunManifest(
         config=config,
         evalset=name,

@@ -7,9 +7,12 @@ from decimal import Decimal
 
 import jsonschema
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from grantgeo import agent
 from grantgeo.agent import (
+    GEOCODE_STRATEGIES,
     AgentBudget,
     ArgumentInvalid,
     Geocoder,
@@ -42,6 +45,76 @@ import replay_trace
 
 CFG = ModelConfig("gpt-4.1-2025-04-14", temperature=0.2)
 GRANT = GrantAbstract.from_text("grant_04", replay_trace.SWAMP_GRANT_TEXT, Coordinate(37.19, -77.25))
+
+
+# Values out of place: bools and numeric strings where numbers belong, NaN and
+# infinities, ints where strings belong, and non-object, non-array shapes.
+_ODD = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-3, 3),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from(["1", "-2.5", "nan", "inf", ""]),
+    st.text(max_size=3),
+    st.lists(st.integers(-1, 1), max_size=2),
+    st.dictionaries(st.sampled_from(["lat", "lng", "query"]), st.integers(-1, 1), max_size=2),
+)
+_NUMBERS = st.one_of(st.integers(-200, 200), st.floats(allow_nan=True, allow_infinity=True))
+_QUERY = st.text(max_size=6)
+_STRATEGY = st.sampled_from(GEOCODE_STRATEGIES)
+_POINT = st.fixed_dictionaries({"lat": _NUMBERS, "lng": _NUMBERS}, optional={"alt": _ODD})
+_ODD_VALUES_POINT = st.fixed_dictionaries(
+    {"lat": st.one_of(_NUMBERS, _ODD), "lng": st.one_of(_NUMBERS, _ODD)}, optional={"alt": _ODD}
+)
+_ODD_SHAPE_POINT = st.one_of(st.fixed_dictionaries({}, optional={"lat": _NUMBERS, "lng": _NUMBERS, "alt": _ODD}), _ODD)
+# Per tool: valid arguments, or arguments with one or more faults, or no object at all.
+_ARGUMENTS = {
+    "geocode_place": (
+        st.fixed_dictionaries({"query": _QUERY}, optional={"strategy": _STRATEGY, "extra": _ODD}),
+        st.one_of(
+            st.fixed_dictionaries(
+                {"query": st.one_of(_QUERY, _ODD)}, optional={"strategy": st.one_of(_STRATEGY, _ODD), "extra": _ODD}
+            ),
+            st.fixed_dictionaries({}, optional={"strategy": st.one_of(_STRATEGY, _ODD), "extra": _ODD}),
+            _ODD,
+        ),
+    ),
+    "compute_centroid": (
+        st.fixed_dictionaries({"points": st.lists(_POINT, min_size=2, max_size=4)}, optional={"extra": _ODD}),
+        st.one_of(
+            st.fixed_dictionaries({"points": st.lists(st.one_of(_POINT, _ODD_VALUES_POINT), min_size=2, max_size=4)}),
+            st.fixed_dictionaries(
+                {"points": st.lists(st.one_of(_POINT, _ODD_VALUES_POINT, _ODD_SHAPE_POINT), max_size=4)},
+                optional={"extra": _ODD},
+            ),
+            st.fixed_dictionaries({}, optional={"points": _ODD, "extra": _ODD}),
+            _ODD,
+        ),
+    ),
+}
+
+
+def _assert_agrees_with_jsonschema(name: str, schema: dict, arguments) -> None:
+    """validate_tool_call accepts what jsonschema accepts, else fails with its best match's message."""
+    expected = jsonschema.exceptions.best_match(jsonschema.Draft202012Validator(schema).iter_errors(arguments))
+    if expected is None:
+        assert validate_tool_call(ToolCallRequest(name, arguments)) is arguments
+    else:
+        with pytest.raises(ArgumentInvalid) as got:
+            validate_tool_call(ToolCallRequest(name, arguments))
+        assert str(got.value) == expected.message
+
+
+@pytest.fixture
+def one_tool_catalog(monkeypatch):
+    """Install a catalog of one tool named ``t``; the checked schemas are rebuilt on either side."""
+
+    def install(parameters: dict) -> None:
+        monkeypatch.setattr(agent, "TOOL_CATALOG", [{"name": "t", "parameters": parameters}])
+        tool_validators.cache_clear()
+
+    yield install
+    tool_validators.cache_clear()
 
 
 class TestValidateToolCall:
@@ -93,10 +166,48 @@ class TestValidateToolCall:
         monkeypatch.setattr(agent, "TOOL_CATALOG", [bad])
         tool_validators.cache_clear()
         try:
-            with pytest.raises(jsonschema.SchemaError):
+            with pytest.raises(ValueError):
                 tool_validators()
         finally:
             tool_validators.cache_clear()
+
+    @pytest.mark.parametrize(
+        "parameters, keyword",
+        [
+            ({"type": "object", "properties": {"query": {"type": "string", "pattern": "^a"}}}, "pattern"),
+            ({"type": "object", "properties": {"query": {"type": "integer"}}}, "type"),
+            ({"type": ["object", "null"]}, "type"),
+            ({"type": "object", "required": "query"}, "required"),
+            ({"type": "array", "minItems": True}, "minItems"),
+            ({"type": "array", "items": False}, "items"),
+        ],
+    )
+    def test_catalog_refuses_what_the_checker_does_not_implement(self, one_tool_catalog, parameters, keyword):
+        one_tool_catalog(parameters)
+        with pytest.raises(ValueError, match=f"'t'.*'{keyword}'"):
+            tool_validators()
+
+    @pytest.mark.parametrize(
+        "parameters, arguments",
+        [
+            ({"type": "array", "minItems": 1}, []),
+            ({"enum": [1, "a", None]}, True),
+            ({"enum": [True]}, 1),
+            ({"enum": [1.0]}, 1),
+            ({"type": "number"}, False),
+            ({"type": "object", "required": ["b", "a"]}, {}),
+        ],
+    )
+    def test_keywords_beyond_the_catalog_match_jsonschema(self, one_tool_catalog, parameters, arguments):
+        one_tool_catalog(parameters)
+        _assert_agrees_with_jsonschema("t", parameters, arguments)
+
+    @pytest.mark.parametrize("name", sorted(_ARGUMENTS))
+    @settings(max_examples=600, deadline=None)
+    @given(data=st.data())
+    def test_decision_and_message_match_jsonschema(self, name, data):
+        schema = next(t["parameters"] for t in TOOL_CATALOG if t["name"] == name)
+        _assert_agrees_with_jsonschema(name, schema, data.draw(st.one_of(*_ARGUMENTS[name])))
 
     def test_catalog_wire_format(self):
         names = [t["name"] for t in TOOL_CATALOG]

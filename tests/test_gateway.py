@@ -240,7 +240,21 @@ class TestImportLayering:
         )
         done = _python(code, str(plain), str(tools))
         assert done.returncode == 0, done.stderr
-        assert json.loads(done.stdout) == [[False, False, False], [False, False, True], [True, True, True]]
+        assert json.loads(done.stdout) == [[False, False, False], [False, False, False], [True, True, False]]
+
+    def test_run_and_report_need_no_jsonschema(self, tmp_path):
+        hf.build_full_workspace(tmp_path)  # its roster holds a tool_chain method
+        (tmp_path / "config.yaml").write_text(yaml.safe_dump(hf.full_config()), encoding="utf-8")
+        code = (
+            "import sys\n"
+            "sys.modules['jsonschema'] = None  # any import of it now fails\n"
+            "from grantgeo.cli import main\n"
+            "sys.exit(main(sys.argv[1:]))\n"
+        )
+        run = _python(code, "run", "--config", str(tmp_path / "config.yaml"))
+        assert run.returncode == 0, run.stderr
+        report = _python(code, "report", "--run-dir", str(tmp_path / "out"), "--resamples", "200")
+        assert report.returncode == 0, report.stderr
 
     def test_package_serves_the_lazily_imported_names(self):
         import grantgeo

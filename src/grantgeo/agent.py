@@ -24,7 +24,7 @@ import time
 from dataclasses import dataclass
 from pathlib import Path
 
-from .corpus import GrantAbstract, MalformedRow
+from .corpus import GrantAbstract, MalformedRow, write_jsonl
 from .gateway import (
     BACKEND_ERRORS,
     ChatMessage,
@@ -407,18 +407,11 @@ class GoogleGeocodeProvider:
 
 def write_geocode_cache(path: str | Path, entries: list[dict]) -> None:
     """Write cache entries ({query, strategy, result|None}) as JSONL."""
-    with Path(path).open("w", encoding="utf-8") as fh:
-        for entry in entries:
-            fh.write(
-                json.dumps(
-                    {
-                        "query": entry["query"],
-                        "strategy": entry.get("strategy", DEFAULT_STRATEGY),
-                        "result": entry.get("result"),
-                    }
-                )
-                + "\n"
-            )
+    records = (
+        {"query": e["query"], "strategy": e.get("strategy", DEFAULT_STRATEGY), "result": e.get("result")}
+        for e in entries
+    )
+    write_jsonl(path, records)
 
 
 def handle_compute_centroid(points: list[dict]) -> dict:

@@ -11,7 +11,7 @@ import re
 from dataclasses import dataclass
 from itertools import zip_longest
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Iterable
 
 from .geo import Coordinate, is_int, is_real
 
@@ -86,6 +86,22 @@ def read_jsonl(path: str | Path, kind: str, parse: Callable[[object], object]) -
     return out
 
 
+def write_csv(path: str | Path, header: list[str], rows: Iterable[Iterable]) -> None:
+    """Write ``header`` and then each of ``rows`` as a UTF-8 CSV file with ``\n`` line ends
+    and the csv module's quoting (RFC 4180), the form :func:`read_csv` reads."""
+    with Path(path).open("w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def write_jsonl(path: str | Path, records: Iterable[object]) -> None:
+    """Write each record as one line of JSON, UTF-8 with ``\n`` line ends, the form
+    :func:`read_jsonl` reads."""
+    with Path(path).open("w", newline="", encoding="utf-8") as fh:
+        fh.writelines(json.dumps(record) + "\n" for record in records)
+
+
 def fingerprint(text: str) -> str:
     """Lowercase hex SHA-256 of the exact UTF-8 bytes of ``text``."""
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
@@ -109,6 +125,12 @@ class GrantAbstract:
     @classmethod
     def from_text(cls, row_id: str, text: str, ground_truth: Coordinate | None = None) -> "GrantAbstract":
         return cls(row_id, text, word_count(text), fingerprint(text), ground_truth)
+
+    def ground_truth_row(self) -> list:
+        """This row's cells under GROUND_TRUTH_HEADER: the truth at six decimals, or empty without one."""
+        truth = self.ground_truth
+        lat, lon = (f"{truth.lat:.6f}", f"{truth.lon:.6f}") if truth else ("", "")
+        return [self.row_id, self.text, self.word_count, self.fingerprint, lat, lon]
 
 
 @dataclass(frozen=True)
@@ -167,13 +189,7 @@ def load_ground_truth(path: str | Path) -> list[GrantAbstract]:
 
 def write_ground_truth(path: str | Path, rows: list[GrantAbstract]) -> None:
     """Write records in the ground-truth CSV schema (UTF-8, RFC 4180)."""
-    with Path(path).open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(GROUND_TRUTH_HEADER)
-        for r in rows:
-            lat = f"{r.ground_truth.lat:.6f}" if r.ground_truth else ""
-            lon = f"{r.ground_truth.lon:.6f}" if r.ground_truth else ""
-            writer.writerow([r.row_id, r.text, r.word_count, r.fingerprint, lat, lon])
+    write_csv(path, GROUND_TRUTH_HEADER, (r.ground_truth_row() for r in rows))
 
 
 def split_corpus(rows: list[GrantAbstract], cfg: SplitConfig = SplitConfig()) -> tuple[EvalSet, EvalSet]:

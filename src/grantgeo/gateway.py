@@ -16,7 +16,7 @@ from decimal import Decimal
 from pathlib import Path
 from typing import NamedTuple
 
-from .corpus import read_jsonl
+from .corpus import read_jsonl, write_jsonl
 from .geo import is_int, is_real
 
 MODEL_API_KEY_ENV = "MODEL_API_KEY"
@@ -326,9 +326,7 @@ def tool_call_turn(
 
 
 def write_fixture_script(path: str | Path, turns: list[dict]) -> None:
-    with Path(path).open("w", encoding="utf-8") as fh:
-        for turn in turns:
-            fh.write(json.dumps(turn) + "\n")
+    write_jsonl(path, turns)
 
 
 class LiveBackend:

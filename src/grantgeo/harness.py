@@ -11,7 +11,6 @@ here, imported on first use so that a run never loads numpy.
 
 from __future__ import annotations
 
-import csv
 import json
 import time
 from collections.abc import Callable
@@ -46,6 +45,8 @@ from .corpus import (
     redact_patentee,
     sample_fixed,
     split_corpus,
+    write_csv,
+    write_jsonl,
 )
 from .gateway import (
     FixtureBackend,
@@ -542,27 +543,19 @@ def _write_results_csv(
     for spec in roster:
         header += [f"{spec.method_id}_lat", f"{spec.method_id}_lon", f"{spec.method_id}_error_km", f"{spec.method_id}_failed"]
     by_key = {(mid, p.row_id): p for mid, preds in predictions.items() for p in preds}
-    with path.open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for g in grants:
-            row = [
-                g.row_id,
-                g.text,
-                g.word_count,
-                g.fingerprint,
-                f"{g.ground_truth.lat:.6f}" if g.ground_truth else "",
-                f"{g.ground_truth.lon:.6f}" if g.ground_truth else "",
+    rows = []
+    for g in grants:
+        row = g.ground_truth_row()
+        for spec in roster:
+            p = by_key[(spec.method_id, g.row_id)]
+            row += [
+                f"{p.coordinate.lat:.6f}" if p.coordinate else "",
+                f"{p.coordinate.lon:.6f}" if p.coordinate else "",
+                f"{p.error_km:.6f}" if p.error_km is not None else "",
+                "true" if p.run.failed else "false",
             ]
-            for spec in roster:
-                p = by_key[(spec.method_id, g.row_id)]
-                row += [
-                    f"{p.coordinate.lat:.6f}" if p.coordinate else "",
-                    f"{p.coordinate.lon:.6f}" if p.coordinate else "",
-                    f"{p.error_km:.6f}" if p.error_km is not None else "",
-                    "true" if p.run.failed else "false",
-                ]
-            writer.writerow(row)
+        rows.append(row)
+    write_csv(path, header, rows)
 
 
 def run_evaluation(manifest: RunManifest) -> RunOutcome:
@@ -608,9 +601,8 @@ def run_evaluation(manifest: RunManifest) -> RunOutcome:
         failures += sum(1 for p in preds if p.run.failed)
         method_dir = run_dir / "runs" / spec.method_id
         method_dir.mkdir(parents=True, exist_ok=True)
-        with (method_dir / "calls.jsonl").open("w", encoding="utf-8") as fh:
-            for grant, p in zip(grants, preds):
-                fh.write(json.dumps(p.to_json(pipeline.request_summary(spec, grant))) + "\n")
+        records = (p.to_json(pipeline.request_summary(spec, grant)) for grant, p in zip(grants, preds))
+        write_jsonl(method_dir / "calls.jsonl", records)
 
     _write_results_csv(run_dir / f"results_{manifest.evalset}.csv", grants, manifest.methods, predictions)
     rows = [g.row_id for g in grants]

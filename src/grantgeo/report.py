@@ -11,13 +11,13 @@ never pays for numpy.
 
 from __future__ import annotations
 
-import csv
 import json
 from decimal import Decimal
+from operator import itemgetter
 from pathlib import Path
 
 from .agent import trace_statistics
-from .corpus import MalformedRow, read_jsonl
+from .corpus import MalformedRow, read_jsonl, write_csv
 from .harness import RUN_FILE, DataMissing, NoResults
 from .metrics import (
     BASELINE_SECONDS_PER_GRANT,
@@ -178,33 +178,19 @@ def generate_report(
         {"id": s.method_id, "cost_per_1k": float(s.cost_per_1k), "mean_error_km": s.stats.mean}
         for s in summaries
     ]
-    _write_scatter_csv(run_dir / "cost_vs_error.csv", ["id", "cost_per_1k", "mean_error_km"], cost_points)
-    _write_scatter_csv(
-        run_dir / "pareto_frontier.csv", ["id", "cost_per_1k", "mean_error_km"], pareto_frontier(cost_points)
-    )
-    latency_points = [
-        {
-            "id": s.method_id,
-            "seconds_per_grant": sum(p.run.latency_s for p in logs[s.method_id]) / len(logs[s.method_id]),
-            "mean_error_km": s.stats.mean,
-        }
+    cost_header = ["id", "cost_per_1k", "mean_error_km"]
+    cost_row = itemgetter(*cost_header)
+    write_csv(run_dir / "cost_vs_error.csv", cost_header, map(cost_row, cost_points))
+    write_csv(run_dir / "pareto_frontier.csv", cost_header, map(cost_row, pareto_frontier(cost_points)))
+    latency_rows = [
+        [s.method_id, sum(p.run.latency_s for p in logs[s.method_id]) / len(logs[s.method_id]), s.stats.mean]
         for s in summaries
     ]
-    _write_scatter_csv(
-        run_dir / "latency_vs_error.csv", ["id", "seconds_per_grant", "mean_error_km"], latency_points
-    )
+    write_csv(run_dir / "latency_vs_error.csv", ["id", "seconds_per_grant", "mean_error_km"], latency_rows)
 
     report_path = run_dir / "report.md"
     report_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     return report_path
-
-
-def _write_scatter_csv(path: Path, header: list[str], points: list[dict]) -> None:
-    with path.open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for p in points:
-            writer.writerow([p[h] for h in header])
 
 
 def write_sweep_report(out_dir: Path, axis: str, runs: list[tuple], method_ids: list[str]) -> Path:
@@ -213,7 +199,7 @@ def write_sweep_report(out_dir: Path, axis: str, runs: list[tuple], method_ids: 
     each value with its run directory, whose roster lists ``method_ids`` in
     order; a method with no scored row has n 0 and only its tokens."""
     header = "axis_value,method_id,n,mean_error_km,ci_lo_km,ci_hi_km,within_10km_pct,cost_per_1k,tokens_per_entry"
-    table, lines = [header.split(",")], [f"# Sweep report: {axis}", ""]
+    table, lines = [], [f"# Sweep report: {axis}", ""]
     lines += [
         "| Value | Method | n | Mean error (km) | 95% CI (km) | ≤10 km (%) | Cost per 1k (USD) | Tokens / entry |",
         "|---|---|---|---|---|---|---|---|",
@@ -236,8 +222,7 @@ def write_sweep_report(out_dir: Path, axis: str, runs: list[tuple], method_ids: 
                 f"| {value} | {method_id} | {st.n} | {st.mean:.2f} | [{ci.lo:.2f}, {ci.hi:.2f}] | {hits:.1f} "
                 f"| {s.cost_per_1k:.2f} | {tokens} |"
             )
-    with (out_dir / "sweep.csv").open("w", newline="", encoding="utf-8") as fh:
-        csv.writer(fh, lineterminator="\n").writerows(table)
+    write_csv(out_dir / "sweep.csv", header.split(","), table)
     report_path = out_dir / "sweep_report.md"
     report_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     return report_path

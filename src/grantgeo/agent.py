@@ -43,6 +43,7 @@ from .geo import (
     UnparseableCoordinate,
     VIRGINIA_BBOX,
     is_int,
+    is_real,
     parse_coordinate_text,
     spherical_centroid,
     within_bbox,
@@ -391,18 +392,27 @@ class GoogleGeocodeProvider:
             raise ProviderError(str(exc)) from exc
         if resp.status_code != 200:
             raise ProviderError(f"HTTP {resp.status_code}")
-        data = resp.json()
-        results = data.get("results") or []
-        if not results:
+        try:
+            return self._parse(resp.json(), params["address"])
+        except (AttributeError, IndexError, KeyError, TypeError, ValueError) as exc:  # a 200 off the wire format
+            raise ProviderError(f"malformed response: {type(exc).__name__}: {exc}") from exc
+
+    @staticmethod
+    def _parse(data: dict, query_used: str) -> dict | None:
+        """The top result of a Geocoding API reply, or None for ZERO_RESULTS; any other status
+        (a bad key, a quota) is a ProviderError, so that it is never cached as "not found"."""
+        status = data["status"]
+        if status == "ZERO_RESULTS":
             return None
-        top = results[0]
-        location = top["geometry"]["location"]
-        return {
-            "lat": location["lat"],
-            "lng": location["lng"],
-            "formatted_address": top.get("formatted_address", ""),
-            "query_used": params["address"],
-        }
+        if status != "OK":
+            raise ProviderError(f"status {status}: {data.get('error_message', 'no error_message')}")
+        top = data["results"][0]
+        location, address = top["geometry"]["location"], top.get("formatted_address", "")
+        lat, lng = location["lat"], location["lng"]
+        if not (is_real(lat) and is_real(lng) and isinstance(address, str)):
+            raise TypeError(f"location {lat!r}, {lng!r} or formatted_address {address!r} of the wrong type")
+        Coordinate(lat, lng)  # on the globe, else ValueError
+        return {"lat": lat, "lng": lng, "formatted_address": address, "query_used": query_used}
 
 
 def write_geocode_cache(path: str | Path, entries: list[dict]) -> None:

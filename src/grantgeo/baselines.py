@@ -210,19 +210,28 @@ def extract_county(text: str) -> str | None:
     """Find the first county reference in the text, if any.
 
     Recognized forms, in any case: ``<Name> Co.``, ``<Name> County``,
-    ``County of <Name>``, and ``City of <Name>``. Returns the name of the
-    earliest match in display form (``"King and Queen"``), not normalized.
+    ``County of <Name>``, and ``City of <Name>``. A form followed by "of"
+    is a suffix when a name token with no trailing punctuation stands just
+    before it (``Henrico Co. of Virginia``); else only ``County of`` and
+    ``City of`` name what follows. Returns the name of the earliest match
+    in display form (``"King and Queen"``), not normalized.
     """
     for m in _COUNTY_FORM.finditer(text):
-        if m["of"]:
+        before = text[: m.start()].rsplit(None, 6)[-6:]
+        if not (m["of"] or _OFNEXT.match(text, m.end())) or (before and _is_bare_name(before[-1])):
+            name = _scan_back(before)
+        elif m["of"]:
             name = _scan_forward(text, m.end())
-        elif _OFNEXT.match(text, m.end()):
-            continue  # followed by "of", so not a suffix
         else:
-            name = _scan_back(text[: m.start()].rsplit(None, 6)[-6:])
+            continue  # "the Co. of ...": no name on either side
         if name:
             return _display_county(name)
     return None
+
+
+def _is_bare_name(token: str) -> bool:
+    """A name token with no trailing punctuation, so no clause boundary after it."""
+    return _is_name_token(token) and token[-1] not in ",;:.()\"'"
 
 
 def predict_county_centroid(text: str, table: CountyCentroidTable) -> tuple[Coordinate, str]:

@@ -11,6 +11,7 @@ import re
 from dataclasses import dataclass
 from itertools import zip_longest
 from pathlib import Path
+from types import SimpleNamespace
 from typing import Callable, Iterable
 
 from .geo import Coordinate, is_int, is_real
@@ -87,17 +88,18 @@ def read_jsonl(path: str | Path, kind: str, parse: Callable[[object], object]) -
 
 
 def write_csv(path: str | Path, header: list[str], rows: Iterable[Iterable]) -> None:
-    """Write ``header`` and then each of ``rows`` as a UTF-8 CSV file with ``\n`` line ends
+    r"""Write ``header`` and then each of ``rows`` as a UTF-8 CSV file with ``\n`` line ends
     and the csv module's quoting (RFC 4180), the form :func:`read_csv` reads."""
     with Path(path).open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
+        # Before Python 3.13, csv quotes a line break only if its line terminator holds one, so rows
+        # are formed with "\r\n" ends, which quotes a lone "\r" too, and written with "\n".
+        writer = csv.writer(SimpleNamespace(write=lambda row: fh.write(row[:-2] + "\n")), lineterminator="\r\n")
         writer.writerow(header)
         writer.writerows(rows)
 
 
 def write_jsonl(path: str | Path, records: Iterable[object]) -> None:
-    """Write each record as one line of JSON, UTF-8 with ``\n`` line ends, the form
-    :func:`read_jsonl` reads."""
+    r"""Write each record as one line of JSON, UTF-8 with ``\n`` line ends, the form :func:`read_jsonl` reads."""
     with Path(path).open("w", newline="", encoding="utf-8") as fh:
         fh.writelines(json.dumps(record) + "\n" for record in records)
 

@@ -56,7 +56,6 @@ from .gateway import (
     default_price_table,
 )
 from .geo import Coordinate, is_int, is_real
-from .prompts import build_one_shot_prompt
 from .runners import EnsembleConfig, Prediction, run_ensemble, run_one_shot
 
 
@@ -488,44 +487,31 @@ def _setup_tool_chain(spec: MethodSpec, scope: _RunScope):
 @dataclass(frozen=True)
 class Pipeline:
     """One pipeline: its method keys besides method_id and pipeline, whether
-    it calls a model, a once-per-method ``setup(spec, scope)`` returning
-    a ``grant -> Prediction`` callable, and its call-log request.
+    it calls a model, and a once-per-method ``setup(spec, scope)`` returning
+    a ``grant -> Prediction`` callable.
     """
 
     required: tuple[str, ...]
     optional: tuple[str, ...]
     llm: bool
     setup: Callable[..., Callable[[GrantAbstract], Prediction]]
-    request_summary: Callable[[MethodSpec, GrantAbstract], str]
 
-
-def _prompt_summary(spec: MethodSpec, grant: GrantAbstract) -> str:
-    return build_one_shot_prompt(grant.text)[:160]
-
-
-def _text_summary(spec: MethodSpec, grant: GrantAbstract) -> str:
-    return grant.text[:160]
-
-
-def _row_summary(spec: MethodSpec, grant: GrantAbstract) -> str:
-    return f"{spec.pipeline}:{grant.row_id}"
+    def request(self, spec: MethodSpec, grant: GrantAbstract) -> str:
+        """The call-log request: the first 160 characters of the text the model was given, else pipeline:row_id."""
+        return _redacted(spec, grant).text[:160] if self.llm else f"{spec.pipeline}:{grant.row_id}"
 
 
 _MODEL_KEYS = ("fixture_script", "sweep_fixtures")
 
 PIPELINES: dict[str, Pipeline] = {
-    "one_shot": Pipeline(("model",), _MODEL_KEYS + ("redact_names",), True, _setup_one_shot, _prompt_summary),
-    "tool_chain": Pipeline(
-        ("model",), _MODEL_KEYS + ("budget", "geocode_cache"), True, _setup_tool_chain, _text_summary
-    ),
-    "ensemble": Pipeline(
-        ("model", "ensemble"), _MODEL_KEYS + ("redact_names",), True, _setup_ensemble, _prompt_summary
-    ),
-    "county_centroid": Pipeline((), (), False, _setup_county_centroid, _row_summary),
-    "heuristic_geoparse": Pipeline(("params",), ("gazetteer",), False, _setup_heuristic_geoparse, _row_summary),
-    "ner_pipeline": Pipeline((), ("gazetteer",), False, _setup_ner_pipeline, _row_summary),
+    "one_shot": Pipeline(("model",), _MODEL_KEYS + ("redact_names",), True, _setup_one_shot),
+    "tool_chain": Pipeline(("model",), _MODEL_KEYS + ("budget", "geocode_cache"), True, _setup_tool_chain),
+    "ensemble": Pipeline(("model", "ensemble"), _MODEL_KEYS + ("redact_names",), True, _setup_ensemble),
+    "county_centroid": Pipeline((), (), False, _setup_county_centroid),
+    "heuristic_geoparse": Pipeline(("params",), ("gazetteer",), False, _setup_heuristic_geoparse),
+    "ner_pipeline": Pipeline((), ("gazetteer",), False, _setup_ner_pipeline),
     "ingest_external": Pipeline(
-        ("predictions_file",), ("total_cost_usd", "latency_s_per_grant"), False, _setup_ingest_external, _row_summary
+        ("predictions_file",), ("total_cost_usd", "latency_s_per_grant"), False, _setup_ingest_external
     ),
 }
 
@@ -601,7 +587,7 @@ def run_evaluation(manifest: RunManifest) -> RunOutcome:
         failures += sum(1 for p in preds if p.run.failed)
         method_dir = run_dir / "runs" / spec.method_id
         method_dir.mkdir(parents=True, exist_ok=True)
-        records = (p.to_json(pipeline.request_summary(spec, grant)) for grant, p in zip(grants, preds))
+        records = (p.to_json(pipeline.request(spec, grant)) for grant, p in zip(grants, preds))
         write_jsonl(method_dir / "calls.jsonl", records)
 
     _write_results_csv(run_dir / f"results_{manifest.evalset}.csv", grants, manifest.methods, predictions)

@@ -29,6 +29,7 @@ from grantgeo.baselines import (
     predict_ner_pipeline,
     tune_heuristic_grid,
     _display_county,
+    _is_name_token,
     _normalize_entity,
     _scan_back,
     _scan_forward,
@@ -70,6 +71,23 @@ class TestExtractCounty:
 
     def test_clause_boundary_respected(self):
         assert extract_county("by run of Holloway Swamp; Sussex Co.") == "Sussex"
+
+    @pytest.mark.parametrize(
+        "text, county",
+        [
+            ("200 acs. in Henrico Co. of Virginia", "Henrico"),
+            ("in Henrico County of Virginia", "Henrico"),
+            ("400 acs. in James City Co. of Virginia", "James City"),
+            ("in the County of Henrico", "Henrico"),
+            ("County of Henrico", "Henrico"),
+            ("adj. John Smith, County of Henrico", "Henrico"),
+            ("City of Williamsburg", "Williamsburg"),
+            ("in the Co. of Henrico", None),
+        ],
+    )
+    def test_form_followed_by_of(self, text, county):
+        # a bare name just before the form makes it a suffix; else only County of / City of read forward
+        assert extract_county(text) == county
 
 
 class TestPredictCountyCentroid:
@@ -534,16 +552,26 @@ def _reference_expand(text, table=None):
 
 
 def _reference_extract_county(text):
-    r"""extract_county with the suffix form's preceding tokens found by ``\S+``."""
+    r"""extract_county with the preceding tokens found by ``\S+``: a form followed by "of" reads
+    backwards when a name token with no trailing punctuation stands just before it."""
+
+    def tokens_before(m):
+        return [t.group(0) for t in re.finditer(r"\S+", text[: m.start()])][-6:]
+
+    def bare_name_before(tokens):
+        return bool(tokens) and _is_name_token(tokens[-1]) and tokens[-1][-1] not in ",;:.()\"'"
+
     matches = []
     for m in re.finditer(r"\b(?:county|city)\s+of\s+", text, re.IGNORECASE):
-        name = _scan_forward(text, m.end())
+        before = tokens_before(m)
+        name = _scan_back(before) if bare_name_before(before) else _scan_forward(text, m.end())
         if name:
             matches.append((m.start(), name))
     for m in re.finditer(r"\b(?:co\.|county)(?!\w)", text, re.IGNORECASE):
-        if re.match(r"\s+of\b", text[m.end():], re.IGNORECASE):
+        before = tokens_before(m)
+        if re.match(r"\s+of\b", text[m.end():], re.IGNORECASE) and not bare_name_before(before):
             continue
-        name = _scan_back([t.group(0) for t in re.finditer(r"\S+", text[: m.start()])][-6:])
+        name = _scan_back(before)
         if name:
             matches.append((m.start(), name))
     return _display_county(min(matches, key=lambda pair: pair[0])[1]) if matches else None
@@ -634,6 +662,11 @@ class TestOnePassMatchesReference:
     @given(_DEED_TEXTS)
     @example("in the CİTY of Norfolk")
     @example("in the cıty OF Surry\t")
+    @example("200 acs. in Henrico Co. of Virginia")
+    @example("in Henrico County of Virginia")
+    @example("400 acs. in James City Co. of Virginia")
+    @example("adj. John Smith, County of Henrico")
+    @example("in the Co. of Henrico")
     @settings(max_examples=400, deadline=None)
     def test_county(self, text):
         assert extract_county(text) == _reference_extract_county(text)

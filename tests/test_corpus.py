@@ -25,7 +25,9 @@ from grantgeo.corpus import (
     sample_fixed,
     split_corpus,
     word_count,
+    write_csv,
     write_ground_truth,
+    write_jsonl,
 )
 from grantgeo.geo import Coordinate
 
@@ -204,6 +206,61 @@ class TestReaders:
             with pytest.raises(type(error)) as excinfo:
                 read(tmp_path / name, "t", parse)
             assert excinfo.value is error
+
+
+# Text UTF-8 can encode, without NUL (not CSV before Python 3.11); fields add the pieces quoting must carry.
+_TEXT = st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\x00"))
+_PIECES = st.sampled_from([",", '"', "\r\n", "\n", "\r", "é", "—", "", " "])
+_FIELDS = st.lists(_PIECES | _TEXT, max_size=4).map("".join)
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False, allow_infinity=False) | _FIELDS,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(_FIELDS, inner, max_size=3),
+    max_leaves=10,
+)
+_SIX_DECIMALS = st.builds(  # as the writer prints the truth
+    Coordinate,
+    st.integers(-90_000_000, 90_000_000).map(lambda n: n / 1e6),
+    st.integers(-180_000_000, 180_000_000).map(lambda n: n / 1e6),
+)
+_GRANTS = st.lists(
+    st.builds(GrantAbstract.from_text, _TEXT.filter(bool), _FIELDS, st.none() | _SIX_DECIMALS),
+    max_size=5,
+    unique_by=lambda g: g.row_id,
+)
+
+
+class TestWriters:
+    """Each writer gives back, through its reader, exactly what it was handed."""
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_csv_round_trip(self, tmp_path_factory, data):
+        header = data.draw(st.lists(_FIELDS, min_size=1, max_size=4, unique=True))
+        rows = data.draw(st.lists(st.lists(_FIELDS, min_size=len(header), max_size=len(header)), max_size=5))
+        path = tmp_path_factory.mktemp("csv") / "t.csv"
+        write_csv(path, header, rows)
+        assert read_csv(path, "t", lambda row: [row[h] for h in header], header=header) == rows
+
+    @given(st.lists(st.dictionaries(_FIELDS, _JSON, max_size=4), max_size=5))
+    @settings(max_examples=100, deadline=None)
+    def test_jsonl_round_trip(self, tmp_path_factory, records):
+        path = tmp_path_factory.mktemp("jsonl") / "t.jsonl"
+        write_jsonl(path, records)
+        assert read_jsonl(path, "t", lambda doc: doc) == records
+
+    @given(_GRANTS)
+    @settings(max_examples=200, deadline=None)
+    def test_ground_truth_round_trip(self, tmp_path_factory, rows):
+        path = tmp_path_factory.mktemp("gt") / "gt.csv"
+        write_ground_truth(path, rows)
+        assert load_ground_truth(path) == rows
+
+    def test_lone_carriage_return_is_quoted(self, tmp_path):
+        # csv before Python 3.13 quotes only the characters of its line terminator, and "\r" ends a row when read
+        rows = [GrantAbstract.from_text("r1", "two\rlines", None), GrantAbstract.from_text("r2\r", "", None)]
+        write_ground_truth(tmp_path / "gt.csv", rows)
+        assert load_ground_truth(tmp_path / "gt.csv") == rows
+        assert b'\nr1,"two\rlines",2,' in (tmp_path / "gt.csv").read_bytes()
 
 
 class TestSplitCorpus:

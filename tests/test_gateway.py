@@ -371,3 +371,59 @@ class TestLiveBackend:
             prediction = run_one_shot(backend, ModelConfig("gpt-4o"), hf.make_grants(1)[0], "M-5")
             assert prediction.run.failed and prediction.coordinate is None
             assert prediction.run.reason.startswith("BackendUnavailable: malformed response"), prediction.run.reason
+
+    @staticmethod
+    def _geocode_once(monkeypatch, tmp_path, body: bytes):
+        """One tool_chain row whose only geocode call the live provider answers with ``body``."""
+        import requests
+
+        from grantgeo.agent import Geocoder, GoogleGeocodeProvider, run_tool_chain, write_geocode_cache
+
+        cache = tmp_path / "cache.jsonl"
+        write_geocode_cache(cache, [{"query": "Blackwater Swamp", "result": None}])
+        resp = requests.Response()
+        resp.status_code, resp._content = 200, body
+        monkeypatch.setattr("requests.get", lambda *a, **k: resp)
+        geocoder = Geocoder(provider=GoogleGeocodeProvider(api_key="k"), cache_path=cache)
+        turns = [tool_call_turn("geocode_place", {"query": "Holloway Swamp"}), text_turn("37.5, -77.4")]
+        prediction = run_tool_chain(FixtureBackend(turns), geocoder, ModelConfig("gpt-4.1"), hf.make_grants(1)[0])
+        return prediction, cache
+
+    @pytest.mark.parametrize(
+        "body",
+        [
+            b"not json",
+            b'{"results": [{"formatted_address": "x"}]}',
+            b'{"status": "OK", "results": [{"formatted_address": "x"}]}',
+            b'{"status": "OK", "results": [{"geometry": {"location": {"lat": "abc", "lng": -77.4}}}]}',
+            b'{"results": "oops"}',
+            b'{"status": "OK", "results": "oops"}',
+            b'{"status": "OK", "results": [{"geometry": {"location": {"lat": 95, "lng": -77.4}}}]}',
+            b'{"status": "REQUEST_DENIED", "results": [], "error_message": "The provided API key is invalid."}',
+            b'{"status": "OVER_QUERY_LIMIT", "results": []}',
+        ],
+    )
+    def test_malformed_or_refused_geocode_fails_the_call_not_the_row(self, monkeypatch, tmp_path, body):
+        prediction, cache = self._geocode_once(monkeypatch, tmp_path, body)
+        # nothing cached, so a replay does not read the place as "not found"
+        assert cache.read_bytes() == b'{"query": "Blackwater Swamp", "strategy": "standard_va", "result": null}\n'
+        [call] = prediction.run.tool_calls
+        assert call.result["error"].startswith("provider error: "), call.result
+        assert not prediction.run.failed and prediction.coordinate is not None  # the row goes on
+
+    @pytest.mark.parametrize(
+        "body, cached",
+        [
+            (b'{"status": "ZERO_RESULTS", "results": []}', "null"),
+            (
+                b'{"status": "OK", "results": [{"geometry": {"location": {"lat": 37.1, "lng": -77.2}}, '
+                b'"formatted_address": "Holloway Swamp, VA"}]}',
+                '{"lat": 37.1, "lng": -77.2, "formatted_address": "Holloway Swamp, VA", "strategy": "standard_va", '
+                '"query_used": "Holloway Swamp, Virginia, USA"}',
+            ),
+        ],
+    )
+    def test_answered_geocode_is_cached(self, monkeypatch, tmp_path, body, cached):
+        _, cache = self._geocode_once(monkeypatch, tmp_path, body)
+        last = cache.read_text(encoding="utf-8").splitlines()[-1]
+        assert last == f'{{"query": "Holloway Swamp", "strategy": "standard_va", "result": {cached}}}'

@@ -14,7 +14,7 @@ import yaml
 import harness_fixtures as hf
 from grantgeo import report
 from grantgeo.cli import main
-from grantgeo.corpus import MalformedRow
+from grantgeo.corpus import GrantAbstract, MalformedRow, write_ground_truth
 from grantgeo.gateway import text_turn, write_fixture_script
 from grantgeo.harness import (
     PIPELINES,
@@ -220,6 +220,25 @@ class TestRunEvaluation:
         roster = json.loads((outcome.run_dir / "run.json").read_text(encoding="utf-8"))
         datetime.strptime(roster.pop("started"), "%Y-%m-%dT%H:%M:%S%z")
         assert roster == {"evalset": "gold", "methods": ["M-5", "M-6", "H-4"], "rows": ["r000", "r001", "r002", "r003"]}
+
+    def test_llm_requests_are_the_text_each_model_was_given(self, tmp_path):
+        hf.build_full_workspace(tmp_path, n_grants=3)
+        names = ["JOHN SMITH", "ANN JONES", "WM. BYRD"]
+        grants = [
+            GrantAbstract.from_text(g.row_id, g.text.replace(f"GRANTEE {i}", names[i]), g.ground_truth)
+            for i, g in enumerate(hf.make_grants(3))
+        ]
+        write_ground_truth(tmp_path / "fixtures" / "ground_truth.csv", grants)
+        config_path = tmp_path / "config.yaml"
+        config_path.write_text(yaml.safe_dump(hf.full_config()), encoding="utf-8")
+        _, outcome = _run(config_path, methods=["M-5", "E-1", "T-4"])
+        requests = {
+            method: [json.loads(line)["request"] for line in (outcome.run_dir / "runs" / method / "calls.jsonl").open()]
+            for method in ("M-5", "E-1", "T-4")
+        }
+        assert len(set(requests["M-5"])) == 3  # one per grant, not the fixed instruction
+        assert all(r.startswith("[NAME],") for r in requests["M-5"])  # M-5 sets redact_names
+        assert requests["E-1"] == requests["T-4"] == [g.text[:160] for g in grants]
 
     def test_failed_rows_kept_with_flag(self, tmp_path):
         grants = hf.make_grants(3)

@@ -232,10 +232,10 @@ class TestRunEvaluation:
         config_path = tmp_path / "config.yaml"
         config_path.write_text(yaml.safe_dump(hf.full_config()), encoding="utf-8")
         _, outcome = _run(config_path, methods=["M-5", "E-1", "T-4"])
-        requests = {
-            method: [json.loads(line)["request"] for line in (outcome.run_dir / "runs" / method / "calls.jsonl").open()]
-            for method in ("M-5", "E-1", "T-4")
-        }
+        requests = {}
+        for method in ("M-5", "E-1", "T-4"):
+            log = outcome.run_dir / "runs" / method / "calls.jsonl"
+            requests[method] = [json.loads(line)["request"] for line in log.read_text().splitlines()]
         assert len(set(requests["M-5"])) == 3  # one per grant, not the fixed instruction
         assert all(r.startswith("[NAME],") for r in requests["M-5"])  # M-5 sets redact_names
         assert requests["E-1"] == requests["T-4"] == [g.text[:160] for g in grants]

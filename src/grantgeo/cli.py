@@ -83,6 +83,8 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_report(args) -> int:
+    if args.resamples < 1:
+        raise ConfigInvalid(f"--resamples must be at least 1, got {args.resamples}")
     from .report import generate_report  # numpy loads for the report only
 
     path = generate_report(args.run_dir, ci_seed=args.seed, resamples=args.resamples)

@@ -232,10 +232,15 @@ def geodesic_dbscan(points: list[Coordinate], eps_km: float, min_pts: int) -> Cl
     if min_pts < 1:
         raise ValueError("min_pts must be >= 1")
     n = len(points)
-    neighbors = [
-        [j for j in range(n) if haversine_km(points[i], points[j]) <= eps_km]
-        for i in range(n)
-    ]
+    # haversine_km is symmetric bit for bit, so each unordered pair is
+    # measured once; a point is always its own neighbour, as eps_km > 0.
+    neighbors: list[list[int]] = [[] for _ in range(n)]
+    for i in range(n):
+        neighbors[i].append(i)
+        for j in range(i + 1, n):
+            if haversine_km(points[i], points[j]) <= eps_km:
+                neighbors[i].append(j)
+                neighbors[j].append(i)
     labels: list[int | None] = [None] * n
     cluster = 0
     for i in range(n):

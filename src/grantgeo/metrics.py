@@ -4,10 +4,17 @@ Everything the run reports print comes from here: distance-error
 summaries with accuracy bands, seeded percentile-bootstrap confidence
 intervals, outlier-robust means, a simple OLS fit for the length
 ablation, Pareto frontiers, marginal cost per hit, and latency speedups.
+
+Every quartile and CI bound is read from one sorted copy of its sample by
+:func:`quantile_sorted`, the linear-interpolation quantile (Hyndman & Fan
+type 7), bit for bit what ``np.quantile`` gives. ``np.quantile`` itself
+imports ``numpy.ma`` on its first call, which would cost a report more
+than all of its arithmetic.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from decimal import Decimal
 from typing import Mapping, Sequence
@@ -107,10 +114,28 @@ def _validated(errors: Sequence[float]) -> np.ndarray:
     return arr
 
 
+def quantile_sorted(ordered: np.ndarray, q: float) -> float:
+    """The q-quantile (0 <= q <= 1) of the non-empty ascending array ``ordered``.
+
+    Linear interpolation between the two order statistics around
+    ``(n - 1) * q``, with numpy's ``_lerp`` rounding, so the result is
+    ``np.quantile(ordered, q)`` bit for bit.
+    """
+    n = ordered.size
+    position = (n - 1) * q
+    i = min(math.floor(position), n - 1)
+    gamma = position - i
+    a, b = float(ordered[i]), float(ordered[min(i + 1, n - 1)])
+    if gamma >= 0.5:
+        return b - (b - a) * (1 - gamma)
+    return a + (b - a) * gamma
+
+
 def summarize_errors(errors: Sequence[float]) -> ErrorStats:
     """Mean/median/sd, linear-interpolation quartiles, and bands."""
     arr = _validated(errors)
-    q1, median, q3 = np.quantile(arr, [0.25, 0.5, 0.75])
+    ordered = np.sort(arr)  # the mean and sd stay on arr: their sums depend on the order
+    q1, median, q3 = (quantile_sorted(ordered, q) for q in (0.25, 0.5, 0.75))
     bands = {t: float(np.mean(arr <= t)) for t in BAND_THRESHOLDS_KM}
     coarse = (
         float(np.mean(arr < 1.0)),
@@ -120,12 +145,12 @@ def summarize_errors(errors: Sequence[float]) -> ErrorStats:
     return ErrorStats(
         n=int(arr.size),
         mean=float(arr.mean()),
-        median=float(median),
+        median=median,
         sd=float(arr.std(ddof=1)) if arr.size > 1 else 0.0,
-        min=float(arr.min()),
-        q1=float(q1),
-        q3=float(q3),
-        max=float(arr.max()),
+        min=float(ordered[0]),
+        q1=q1,
+        q3=q3,
+        max=float(ordered[-1]),
         bands=bands,
         coarse_bands=coarse,
     )
@@ -160,8 +185,13 @@ def bootstrap_cis(
     With one seed, every sample of size n resamples the same resamples x n
     index matrix, so each block of it is drawn once and gathered for each
     sample of that size in turn. The intervals equal per-sample
-    ``bootstrap_ci`` calls bit for bit.
+    ``bootstrap_ci`` calls bit for bit. Raises ValueError unless
+    ``resamples`` is at least 1 and ``level`` lies strictly between 0 and 1.
     """
+    if resamples < 1:
+        raise ValueError(f"resamples must be at least 1, got {resamples}")
+    if not 0.0 < level < 1.0:
+        raise ValueError(f"level must lie strictly between 0 and 1, got {level}")
     arrays = [_validated(sample) for sample in samples]
     by_size: dict[int, list[int]] = {}
     for i, arr in enumerate(arrays):
@@ -181,8 +211,9 @@ def bootstrap_cis(
     alpha = 1.0 - level
     out = []
     for m in means:
-        lo, hi = np.quantile(m, [alpha / 2.0, 1.0 - alpha / 2.0])
-        out.append(BootstrapCI(level=level, resamples=resamples, seed=seed, lo=float(lo), hi=float(hi)))
+        m.sort()
+        lo, hi = quantile_sorted(m, alpha / 2.0), quantile_sorted(m, 1.0 - alpha / 2.0)
+        out.append(BootstrapCI(level=level, resamples=resamples, seed=seed, lo=lo, hi=hi))
     return out
 
 

@@ -2,7 +2,8 @@
 
 A report reads one finished run: ``run.json`` (evalset, roster and row
 ids, written by :func:`grantgeo.harness.run_evaluation`) and the call log
-of each listed method, and nothing else. It writes ``report.md`` plus
+of each listed method, one at a time, keeping only its totals
+(:class:`CallLogTotals`), and nothing else. It writes ``report.md`` plus
 plot-ready scatter CSVs beside them; a sweep's table is built from the
 same summaries. Through :mod:`grantgeo.metrics` it loads numpy, so the
 harness and the package import it only on demand and ``grantgeo run``
@@ -12,11 +13,12 @@ never pays for numpy.
 from __future__ import annotations
 
 import json
+from dataclasses import dataclass
 from decimal import Decimal
 from operator import itemgetter
 from pathlib import Path
 
-from .agent import trace_statistics
+from .agent import ToolUsageStats, trace_statistics
 from .corpus import MalformedRow, read_jsonl, write_csv
 from .harness import RUN_FILE, DataMissing, NoResults
 from .metrics import (
@@ -60,17 +62,40 @@ def _read_log(run_dir: Path, method_id: str, rows: list[str]) -> list[Prediction
     return cells
 
 
+@dataclass(frozen=True)
+class CallLogTotals:
+    """What a report needs from one method's call log, without its cells."""
+
+    method_id: str
+    errors: list[float]
+    located_latencies: list[float]
+    total_cost: Decimal
+    seconds_per_grant: float
+    tokens_per_entry: float
+    tool_usage: ToolUsageStats | None  # None unless some cell called a tool
+
+    @classmethod
+    def of(cls, method_id: str, cells: list[Prediction]) -> "CallLogTotals":
+        per_entry = max(len(cells), 1)
+        return cls(
+            method_id=method_id,
+            errors=[p.error_km for p in cells if p.error_km is not None],
+            located_latencies=[p.run.latency_s for p in cells if p.coordinate is not None],
+            total_cost=sum((p.run.cost_usd for p in cells), Decimal(0)),
+            seconds_per_grant=sum(p.run.latency_s for p in cells) / per_entry,
+            tokens_per_entry=sum(p.run.usage.input_tokens + p.run.usage.output_tokens for p in cells) / per_entry,
+            tool_usage=trace_statistics(cells)[method_id] if any(p.run.tool_calls for p in cells) else None,
+        )
+
+
 def build_method_summary(
-    method_id: str,
-    errors: list[float],
-    logs: list[Prediction],
+    log: CallLogTotals,
     ci: BootstrapCI,
     baseline_s_per_grant: float = BASELINE_SECONDS_PER_GRANT,
 ) -> MethodSummary:
-    stats = summarize_errors(errors)
-    latencies = [p.run.latency_s for p in logs if p.coordinate is not None]
-    total_cost = sum((p.run.cost_usd for p in logs), Decimal(0))
-    cost_per_located = (total_cost / len(latencies)) if latencies else Decimal(0)
+    stats = summarize_errors(log.errors)
+    latencies = log.located_latencies
+    cost_per_located = (log.total_cost / len(latencies)) if latencies else Decimal(0)
     lat = latency_summary(latencies or [0.0], baseline_s_per_grant)
     hit_pp = stats.bands[10.0] * 100.0
     try:
@@ -78,7 +103,7 @@ def build_method_summary(
     except ZeroHitRate:
         marginal = None
     return MethodSummary(
-        method_id=method_id,
+        method_id=log.method_id,
         stats=stats,
         ci=ci,
         cost_per_located=cost_per_located,
@@ -94,19 +119,16 @@ def summarize_run(
     ci_seed: int = 42,
     resamples: int = 10_000,
     baseline_s_per_grant: float = BASELINE_SECONDS_PER_GRANT,
-) -> tuple[list[str], dict[str, list[Prediction]], list[MethodSummary]]:
-    """The run in ``run_dir``: its method ids, each one's call-log cells
-    and a summary of each method with a scored row, in roster order. Reads
-    ``run.json`` and the listed call logs; the results CSV is never read."""
+) -> tuple[list[CallLogTotals], list[MethodSummary]]:
+    """The run in ``run_dir``: the totals of each listed method's call log
+    and a summary of each method with a scored row, both in roster order.
+    Reads ``run.json`` and the listed call logs one at a time, keeping only
+    their totals; the results CSV is never read."""
     methods, rows = _read_roster(run_dir)
-    logs = {mid: _read_log(run_dir, mid, rows) for mid in methods}
-    errors = {mid: [p.error_km for p in logs[mid] if p.error_km is not None] for mid in methods}
-    scored = [mid for mid in methods if errors[mid]]
-    cis = bootstrap_cis([errors[mid] for mid in scored], resamples=resamples, seed=ci_seed)
-    summaries = [
-        build_method_summary(mid, errors[mid], logs[mid], ci, baseline_s_per_grant) for mid, ci in zip(scored, cis)
-    ]
-    return methods, logs, summaries
+    logs = [CallLogTotals.of(mid, _read_log(run_dir, mid, rows)) for mid in methods]
+    scored = [log for log in logs if log.errors]
+    cis = bootstrap_cis([log.errors for log in scored], resamples=resamples, seed=ci_seed)
+    return logs, [build_method_summary(log, ci, baseline_s_per_grant) for log, ci in zip(scored, cis)]
 
 
 def generate_report(
@@ -117,11 +139,11 @@ def generate_report(
 ) -> Path:
     """Write report.md plus plot-ready CSVs for the run in ``run_dir``."""
     run_dir = Path(run_dir)
-    methods, logs, summaries = summarize_run(run_dir, ci_seed, resamples, baseline_s_per_grant)
+    logs, summaries = summarize_run(run_dir, ci_seed, resamples, baseline_s_per_grant)
     if not summaries:
         raise NoResults(f"no scored rows in {run_dir}")
-    # only tool-calling methods feed the trace table
-    tool_preds = [p for mid in methods if any(p.run.tool_calls for p in logs[mid]) for p in logs[mid]]
+    by_id = {log.method_id: log for log in logs}
+    tool_usage = {log.method_id: log.tool_usage for log in logs if log.tool_usage is not None}
     summaries.sort(key=lambda s: s.stats.mean)
 
     lines = ["# Run report", ""]
@@ -162,13 +184,13 @@ def generate_report(
         lines.append(
             f"| {s.method_id} | {s.stats.bands[10.0] * 100:.1f}% | {s.cost_per_1k:.2f} | {marginal} |"
         )
-    if tool_preds:
+    if tool_usage:
         lines += ["", "## Tool usage", ""]
         lines += [
             "| Method | Calls / entry (mean) | geo:cent ratio | First-call success | Mean selected index |",
             "|---|---|---|---|---|",
         ]
-        for mid, stats in sorted(trace_statistics(tool_preds).items()):
+        for mid, stats in sorted(tool_usage.items()):
             ratio = f"{stats.geocode_centroid_ratio:.2f}:1" if stats.geocode_centroid_ratio else "n/a"
             fcs = f"{stats.first_call_success_rate * 100:.1f}%" if stats.first_call_success_rate is not None else "n/a"
             msi = f"{stats.mean_selected_index:.2f}" if stats.mean_selected_index is not None else "n/a"
@@ -182,10 +204,7 @@ def generate_report(
     cost_row = itemgetter(*cost_header)
     write_csv(run_dir / "cost_vs_error.csv", cost_header, map(cost_row, cost_points))
     write_csv(run_dir / "pareto_frontier.csv", cost_header, map(cost_row, pareto_frontier(cost_points)))
-    latency_rows = [
-        [s.method_id, sum(p.run.latency_s for p in logs[s.method_id]) / len(logs[s.method_id]), s.stats.mean]
-        for s in summaries
-    ]
+    latency_rows = [[s.method_id, by_id[s.method_id].seconds_per_grant, s.stats.mean] for s in summaries]
     write_csv(run_dir / "latency_vs_error.csv", ["id", "seconds_per_grant", "mean_error_km"], latency_rows)
 
     report_path = run_dir / "report.md"
@@ -205,12 +224,11 @@ def write_sweep_report(out_dir: Path, axis: str, runs: list[tuple], method_ids: 
         "|---|---|---|---|---|---|---|---|",
     ]
     for value, run_dir in runs:
-        methods, logs, summaries = summarize_run(run_dir)  # the report's default CI seed and resamples
+        logs, summaries = summarize_run(run_dir)  # the report's default CI seed and resamples
         by_id = {s.method_id: s for s in summaries}
-        for mid, method_id in zip(methods, method_ids):
-            tokens = sum(p.run.usage.input_tokens + p.run.usage.output_tokens for p in logs[mid])
-            tokens = f"{tokens / max(len(logs[mid]), 1):.1f}"
-            s = by_id.get(mid)
+        for log, method_id in zip(logs, method_ids):
+            tokens = f"{log.tokens_per_entry:.1f}"
+            s = by_id.get(log.method_id)
             if s is None:
                 table.append([value, method_id, 0, "", "", "", "", "", tokens])
                 lines.append(f"| {value} | {method_id} | 0 | n/a | n/a | n/a | n/a | {tokens} |")

@@ -196,7 +196,10 @@ def aggregate_ensemble(points: list[Coordinate], cfg: EnsembleConfig = EnsembleC
         ]
         return sum(dists) / len(dists)
 
-    best = min(qualifying, key=lambda m: (-len(m), _mean_intra(m), m[0]))
+    if len(qualifying) == 1:  # nothing to break a tie with
+        best = qualifying[0]
+    else:
+        best = min(qualifying, key=lambda m: (-len(m), _mean_intra(m), m[0]))
     return _centroid([points[i] for i in best])
 
 

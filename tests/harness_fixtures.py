@@ -2,14 +2,13 @@
 
 from __future__ import annotations
 
-import csv
 import math
 from pathlib import Path
 
 import yaml
 
 from grantgeo.baselines import CountyCentroidTable
-from grantgeo.corpus import GrantAbstract, write_ground_truth
+from grantgeo.corpus import GrantAbstract, write_csv, write_ground_truth
 from grantgeo.gateway import text_turn, tool_call_turn, write_fixture_script
 from grantgeo.geo import EARTH_RADIUS_KM, Coordinate
 from grantgeo.agent import DEFAULT_STRATEGY, write_geocode_cache
@@ -84,12 +83,8 @@ def tool_chain_fixture(grants, fixtures_dir: Path) -> tuple[Path, Path]:
 
 
 def external_predictions_csv(path: Path, grants, offset_km: float = 5.0) -> None:
-    with path.open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["row_id", "lat", "lon"])
-        for g in grants:
-            spot = north_of(g.ground_truth, offset_km)
-            writer.writerow([g.row_id, f"{spot.lat:.6f}", f"{spot.lon:.6f}"])
+    spots = [(g.row_id, north_of(g.ground_truth, offset_km)) for g in grants]
+    write_csv(path, ["row_id", "lat", "lon"], ([row_id, f"{s.lat:.6f}", f"{s.lon:.6f}"] for row_id, s in spots))
 
 
 def build_workspace(tmp_path: Path, n_grants: int = 10, methods: list[dict] | None = None) -> Path:

@@ -242,6 +242,29 @@ class TestImportLayering:
         assert done.returncode == 0, done.stderr
         assert json.loads(done.stdout) == [[False, False, False], [False, False, False], [True, True, False]]
 
+    def test_report_and_sweep_load_no_module_once_generate_report_is_imported(self, tmp_path):
+        hf.build_full_workspace(tmp_path)  # its roster holds every pipeline, a tool_chain method among them
+        (tmp_path / "config.yaml").write_text(yaml.safe_dump(hf.full_config()), encoding="utf-8")
+        code = (
+            "import json, sys\n"
+            "from grantgeo.harness import build_manifest, load_config, run_evaluation, sweep\n"
+            "config = load_config(sys.argv[1])\n"
+            "outcome = run_evaluation(build_manifest(config))\n"
+            "from grantgeo.harness import generate_report\n"
+            "import numpy\n"
+            "before = set(sys.modules)\n"
+            "generate_report(outcome.run_dir, resamples=200)\n"
+            "sweep(build_manifest(config, methods=['M-5'], output_dir=sys.argv[2]), 'temperature', ['0.2'])\n"
+            "print(json.dumps([sorted(set(sys.modules) - before), 'numpy.ma' in before, numpy.__version__]))\n"
+        )
+        done = _python(code, str(tmp_path / "config.yaml"), str(tmp_path / "sweep_out"))
+        assert done.returncode == 0, done.stderr
+        added, ma_before, version = json.loads(done.stdout)
+        assert added == []
+        # numpy 2 loads numpy.ma only on first use; numpy 1.x may import it along with numpy itself.
+        assert not ma_before or int(version.split(".")[0]) < 2
+        assert (tmp_path / "out" / "report.md").exists() and (tmp_path / "sweep_out" / "sweep.csv").exists()
+
     def test_run_and_report_need_no_jsonschema(self, tmp_path):
         hf.build_full_workspace(tmp_path)  # its roster holds a tool_chain method
         (tmp_path / "config.yaml").write_text(yaml.safe_dump(hf.full_config()), encoding="utf-8")

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from grantgeo import geo
 from grantgeo.geo import (
     EARTH_RADIUS_KM,
     NOISE,
@@ -212,10 +213,10 @@ class TestSphericalCentroid:
         assert abs(a.lon - b.lon) <= 1e-9
 
 
-def brute_force_dbscan(points, eps_km, min_pts):
+def brute_force_dbscan(points, eps_km, min_pts, distance=oracle_haversine):
     """Reference DBSCAN: cores by counting, components, min-index borders."""
     n = len(points)
-    dist = [[oracle_haversine(points[i], points[j]) for j in range(n)] for i in range(n)]
+    dist = [[distance(points[i], points[j]) for j in range(n)] for i in range(n)]
     cores = [i for i in range(n) if sum(1 for j in range(n) if dist[i][j] <= eps_km) >= min_pts]
     core_set = set(cores)
     comp: dict[int, int] = {}
@@ -287,6 +288,25 @@ class TestGeodesicDbscan:
             got = list(geodesic_dbscan(pts, eps, min_pts).labels)
             want = brute_force_dbscan(pts, eps, min_pts)
             assert got == want, (pts, eps, min_pts)
+
+    def test_five_points_take_ten_distances(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(geo, "haversine_km", lambda a, b: calls.append((a, b)) or haversine_km(a, b))
+        pts = [Coordinate(37.0 + i * 0.001, -77.0) for i in range(5)]
+        assert geodesic_dbscan(pts, 0.5, 3).labels == (0,) * 5
+        assert len(calls) == 10
+
+    @given(
+        st.lists(st.tuples(st.floats(36.99, 37.01), st.floats(-77.01, -76.99)), max_size=12),
+        st.sampled_from([0.3, 0.5, 1.0, 3.0]) | st.floats(0.01, 3.0),
+        st.integers(1, 5),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_each_pair_measured_once_gives_the_n_squared_labels(self, raw, eps, min_pts):
+        # The reference measures both orders of every pair with the same metric.
+        pts = [Coordinate(lat, lon) for lat, lon in raw]
+        want = brute_force_dbscan(pts, eps, min_pts, distance=haversine_km)
+        assert list(geodesic_dbscan(pts, eps, min_pts).labels) == want
 
 
 class TestWithinBbox:

@@ -527,9 +527,9 @@ class TestGenerateReport:
         seen = {}
         original = report.build_method_summary
 
-        def spy(method_id, errors, logs, ci, *args):
-            seen[method_id] = (list(errors), ci)
-            return original(method_id, errors, logs, ci, *args)
+        def spy(log, ci, *args):
+            seen[log.method_id] = (list(log.errors), ci)
+            return original(log, ci, *args)
 
         monkeypatch.setattr(report, "build_method_summary", spy)
         generate_report(outcome.run_dir, resamples=700)
@@ -882,6 +882,14 @@ class TestCli:
             assert main(args) == 1
             assert f"max_rows must be at least 1, got {max_rows}" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("resamples", ["0", "-5"])
+    def test_report_resamples_below_one_exit_one(self, tmp_path, capsys, resamples):
+        _, outcome = _run(hf.build_workspace(tmp_path, n_grants=4), methods=["H-4"])
+        assert main(["report", "--run-dir", str(outcome.run_dir), "--resamples", resamples]) == 1
+        err = capsys.readouterr().err
+        assert err == f"config error: --resamples must be at least 1, got {resamples}\n"
+        assert not (outcome.run_dir / "report.md").exists()
 
     def test_repeated_method_exit_one(self, tmp_path, capsys):
         config_path = hf.build_workspace(tmp_path, n_grants=3)

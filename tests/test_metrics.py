@@ -6,6 +6,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from grantgeo import metrics
 from grantgeo.metrics import (
@@ -20,8 +22,32 @@ from grantgeo.metrics import (
     latency_summary,
     marginal_cost_per_hit,
     pareto_frontier,
+    quantile_sorted,
     summarize_errors,
 )
+
+REPORT_QUANTILES = [0.0, 0.025, 0.25, 0.5, 0.75, 0.975, 1.0]
+
+
+class TestQuantileSorted:
+    @given(
+        st.lists(st.floats(0, 1e6), min_size=1, max_size=40)
+        | st.lists(st.sampled_from([0.0, 0.5, 2.25, 7.0, 1e6]), min_size=1, max_size=40),
+        st.sampled_from(REPORT_QUANTILES) | st.floats(0, 1),
+    )
+    @settings(max_examples=1000, deadline=None)
+    @example([3.5], 0.5)
+    @example([2.0, 2.0, 2.0, 9.0], 0.975)
+    def test_equals_numpy_linear_quantile(self, values, q):
+        ordered = np.sort(np.asarray(values))
+        assert quantile_sorted(ordered, q) == float(np.quantile(np.asarray(values), q))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 10, 997, 10_000])
+    def test_report_quantiles_on_bootstrap_sized_samples(self, n):
+        values = np.random.default_rng(n).gamma(2.0, 10.0, size=n)
+        ordered = np.sort(values)
+        got = [quantile_sorted(ordered, q) for q in REPORT_QUANTILES]
+        assert got == [float(v) for v in np.quantile(values, REPORT_QUANTILES)]
 
 
 class TestSummarizeErrors:
@@ -52,6 +78,13 @@ class TestSummarizeErrors:
         assert stats.median == pytest.approx(14.27)
         assert stats.q3 == pytest.approx(36.85)
         assert stats.max == 87.35
+
+    @given(st.lists(st.floats(0, 1e4), min_size=1, max_size=30))
+    @settings(max_examples=300, deadline=None)
+    def test_quartiles_equal_numpy_quantile(self, values):
+        stats = summarize_errors(values)
+        q1, median, q3 = np.quantile(np.asarray(values), [0.25, 0.5, 0.75])
+        assert (stats.q1, stats.median, stats.q3) == (float(q1), float(median), float(q3))
 
     def test_sample_sd(self):
         stats = summarize_errors([1, 2, 3, 4])
@@ -156,6 +189,16 @@ class TestBootstrapCIs:
         cis = bootstrap_cis(samples, resamples=997, level=level, seed=11)
         assert [(ci.lo, ci.hi) for ci in cis] == expected
         assert all((ci.level, ci.resamples, ci.seed) == (level, 997, 11) for ci in cis)
+
+    @pytest.mark.parametrize("resamples", [0, -5])
+    def test_resamples_below_one_raises(self, resamples):
+        with pytest.raises(ValueError, match=f"resamples must be at least 1, got {resamples}"):
+            bootstrap_cis([[1.0, 2.0]], resamples=resamples)
+
+    @pytest.mark.parametrize("level", [0.0, 1.0, -0.5, 1.5, float("nan")])
+    def test_level_outside_open_unit_interval_raises(self, level):
+        with pytest.raises(ValueError, match="level must lie strictly between 0 and 1"):
+            bootstrap_cis([[1.0, 2.0]], resamples=10, level=level)
 
     @pytest.mark.parametrize("position", [0, 2, 3])
     def test_empty_sample_anywhere_raises(self, position):

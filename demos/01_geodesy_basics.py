@@ -1,4 +1,4 @@
-"""Geodesy primitives: parse, format, measure, average, cluster.
+"""Geodesy primitives: parse, measure, average, cluster.
 
 Every spatial value in the package is a plain Coordinate, and every
 distance is a great-circle distance on the same fixed-radius sphere.
@@ -9,7 +9,6 @@ from grantgeo import (
     Coordinate,
     EARTH_RADIUS_KM,
     VIRGINIA_BBOX,
-    format_dms,
     geodesic_dbscan,
     haversine_km,
     parse_coordinate_text,
@@ -29,14 +28,10 @@ for text in (
     print(f"parsed {text!r}")
     print(f"    -> ({c.lat}, {c.lon})")
 
-# ...and can be rendered back to DMS at any seconds precision.
-richmond = Coordinate(37.5407, -77.4360)
-print(f"\nRichmond in DMS: {format_dms(richmond, 2)}")
-print(f"round-trips: {parse_coordinate_text(format_dms(richmond, 5))}\n")
-
 # Great-circle distances.
+richmond = Coordinate(37.5407, -77.4360)
 norfolk = Coordinate(36.8508, -76.2859)
-print(f"Richmond -> Norfolk: {haversine_km(richmond, norfolk):.1f} km")
+print(f"\nRichmond -> Norfolk: {haversine_km(richmond, norfolk):.1f} km")
 
 # Spherical centroid: average on the unit sphere, not in lat/lon space.
 anchors = [Coordinate(37.1733, -77.2396666), Coordinate(37.1593052, -77.2405153)]

@@ -26,12 +26,11 @@ dev, test = split_corpus(corpus, SplitConfig(seed=42, dev_fraction=0.20))
 print(f"\nsplit sizes : dev={len(dev)}, test={len(test)}")
 
 # Fixed-size working sets come from seeded sampling without replacement.
-dev_1 = sample_fixed(dev, 20, seed=1, name="dev-1")
-dev_2 = sample_fixed(dev, 20, seed=2, name="dev-2")
-print(f"dev-1 head  : {dev_1.members[:3]}")
-print(f"dev-2 head  : {dev_2.members[:3]}")
+dev_1 = sample_fixed(dev, 20, seed=1)
+dev_2 = sample_fixed(dev, 20, seed=2)
+print(f"{dev_1.name:<12}: {dev_1.members[:3]}")
+print(f"{dev_2.name:<12}: {dev_2.members[:3]}")
 print(f"overlap     : {len(set(dev_1.members) & set(dev_2.members))} of 20")
 
-# The memorization ablation masks patentee names.
+# The memorization ablation masks the patentee's name.
 print(f"\nredacted    : {redact_patentee(SAMPLE)[:60]}...")
-print(f"with extras : {redact_patentee('Adj. land of William Byrd.', ['William Byrd'])}")

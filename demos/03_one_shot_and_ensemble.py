@@ -25,7 +25,7 @@ print(f"  cost       : ${prediction.run.cost_usd}")
 
 # A reply without coordinates fails loudly instead of guessing.
 vague = run_one_shot(FixtureBackend([text_turn("somewhere near the swamp")]), cfg, grant, "M-2")
-print(f"  vague reply -> failed={vague.run.failed}, reason={vague.run.reason}")
+print(f"  vague reply -> failed={vague.failed}, reason={vague.run.reason}")
 
 # --- ensemble: five seeded calls, DBSCAN vote, centroid of the majority ---
 answers = [

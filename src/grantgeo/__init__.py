@@ -3,9 +3,9 @@ land-grant abstracts.
 
 The package splits into pure geodesy primitives (:mod:`grantgeo.geo`),
 corpus handling (:mod:`grantgeo.corpus`), a chat-completion gateway with
-deterministic fixture replay (:mod:`grantgeo.gateway`), one-shot and
-ensemble runners (:mod:`grantgeo.runners`), a tool-calling agent loop
-(:mod:`grantgeo.agent`), deterministic baselines
+deterministic fixture replay (:mod:`grantgeo.gateway`), the cell format
+and the one-shot and ensemble runners (:mod:`grantgeo.runners`), a
+tool-calling agent loop (:mod:`grantgeo.agent`), deterministic baselines
 (:mod:`grantgeo.baselines`), evaluation statistics
 (:mod:`grantgeo.metrics`), the run driver (:mod:`grantgeo.harness`) and
 the run report (:mod:`grantgeo.report`). The statistics and the report
@@ -21,7 +21,6 @@ from .geo import (
     ClusterAssignment,
     Coordinate,
     VIRGINIA_BBOX,
-    format_dms,
     geodesic_dbscan,
     haversine_km,
     parse_coordinate_text,
@@ -45,13 +44,19 @@ from .gateway import (
     LiveBackend,
     ModelConfig,
     PriceTable,
-    RunRecord,
     TokenUsage,
-    ToolCallRecord,
     call_cost,
     default_price_table,
 )
-from .runners import EnsembleConfig, Prediction, aggregate_ensemble, run_ensemble, run_one_shot
+from .runners import (
+    EnsembleConfig,
+    Prediction,
+    RunRecord,
+    ToolCallRecord,
+    aggregate_ensemble,
+    run_ensemble,
+    run_one_shot,
+)
 from .agent import (
     TOOL_CATALOG,
     AgentBudget,

@@ -33,12 +33,10 @@ from .gateway import (
     PriceTable,
     DEFAULT_PRICES,
     TokenUsage,
-    ToolCallRecord,
     ToolCallRequest,
     call_cost,
 )
 from .geo import (
-    BoundingBox,
     Coordinate,
     UnparseableCoordinate,
     VIRGINIA_BBOX,
@@ -49,7 +47,7 @@ from .geo import (
     within_bbox,
 )
 from .prompts import FINAL_NUDGE, TOOL_SYSTEM_PROMPT
-from .runners import Prediction
+from .runners import Prediction, ToolCallRecord
 
 GEOCODE_STRATEGIES = ("natural_feature", "restricted_va", "standard_va", "county_fallback")
 DEFAULT_STRATEGY = "standard_va"
@@ -250,14 +248,8 @@ class Geocoder:
     result that is not a geocode result, is MalformedRow.
     """
 
-    def __init__(
-        self,
-        provider=None,
-        cache_path: str | Path | None = None,
-        box: BoundingBox = VIRGINIA_BBOX,
-    ):
+    def __init__(self, provider=None, cache_path: str | Path | None = None):
         self._provider = provider
-        self._box = box
         self._cache_path = Path(cache_path) if cache_path else None
         self._cache: dict[tuple[str, str], dict | None] = {}
         self._lock = threading.Lock()
@@ -301,7 +293,7 @@ class Geocoder:
                 raise NotFound(f"no Virginia result for {query!r} (cached)")
             try:
                 result = GeocodeResult(**cached)
-                inside = within_bbox(result.coordinate(), self._box)
+                inside = within_bbox(result.coordinate(), VIRGINIA_BBOX)
             except (TypeError, ValueError) as exc:
                 raise MalformedRow(f"{self._cache_path}: bad cached result for {query!r} ({exc})") from exc
             # The box filter also guards hand-edited cache files.
@@ -320,7 +312,7 @@ class Geocoder:
             result = None
             if candidate is not None:
                 coord = Coordinate(float(candidate["lat"]), float(candidate["lng"]))
-                if within_bbox(coord, self._box):
+                if within_bbox(coord, VIRGINIA_BBOX):
                     result = GeocodeResult(
                         lat=coord.lat,
                         lng=coord.lon,

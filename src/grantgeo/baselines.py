@@ -412,10 +412,6 @@ class Gazetteer(list):
     ``Gazetteer`` rather than editing one that has been searched.
     """
 
-    @classmethod
-    def of(cls, rows: Iterable[GazetteerEntry]) -> "Gazetteer":
-        return rows if isinstance(rows, cls) else cls(rows)
-
     @cached_property
     def _entity_index(self) -> tuple[dict[str, list[int]], list[int], int, dict[str, list[int]]]:
         """Normalized name -> positions of in-box rows; the in-box rows whose
@@ -511,7 +507,7 @@ def default_entity_extractor(text: str) -> list[str]:
 def predict_ner_pipeline(
     text: str,
     extractor: Extractor,
-    gazetteer: list[GazetteerEntry],
+    gazetteer: Gazetteer,
     table: CountyCentroidTable,
 ) -> tuple[Coordinate, str]:
     """Entity extraction, Virginia-restricted lookup, population ranking.
@@ -521,7 +517,6 @@ def predict_ner_pipeline(
     to the county centroid, then the statewide center, so coverage is
     total. Entities match as in :meth:`Gazetteer.entity_matches`.
     """
-    gazetteer = Gazetteer.of(gazetteer)
     candidates = [g for entity in extractor(text) for g in gazetteer.entity_matches(entity)]
     if candidates:
         best = min(candidates, key=lambda g: (-g.population, g.name))
@@ -529,12 +524,11 @@ def predict_ner_pipeline(
     return predict_county_centroid(text, table)
 
 
-def gazetteer_resolver(gazetteer: list[GazetteerEntry], confidence: float = 1.0) -> Resolver:
+def gazetteer_resolver(gazetteer: Gazetteer) -> Resolver:
     """Resolver finding gazetteer names as whole-word matches (see
-    :meth:`Gazetteer.name_matches`)."""
-    gazetteer = Gazetteer.of(gazetteer)
+    :meth:`Gazetteer.name_matches`), each at confidence 1."""
 
     def resolve(text: str) -> list[ResolvedToponym]:
-        return [ResolvedToponym(g.name, g.coordinate, confidence) for g in gazetteer.name_matches(text)]
+        return [ResolvedToponym(g.name, g.coordinate, 1.0) for g in gazetteer.name_matches(text)]
 
     return resolve

@@ -85,6 +85,8 @@ def _cmd_run(args) -> int:
 def _cmd_report(args) -> int:
     if args.resamples < 1:
         raise ConfigInvalid(f"--resamples must be at least 1, got {args.resamples}")
+    if args.seed < 0:  # numpy seeds only with integers >= 0
+        raise ConfigInvalid(f"--seed must be at least 0, got {args.seed}")
     from .report import generate_report  # numpy loads for the report only
 
     path = generate_report(args.run_dir, ci_seed=args.seed, resamples=args.resamples)

@@ -213,13 +213,13 @@ def split_corpus(rows: list[GrantAbstract], cfg: SplitConfig = SplitConfig()) ->
     return dev, test
 
 
-def sample_fixed(evalset: EvalSet, n: int, seed: int, name: str | None = None) -> EvalSet:
+def sample_fixed(evalset: EvalSet, n: int, seed: int) -> EvalSet:
     """Seeded sample of ``n`` members without replacement, sorted by row_id."""
     if n > len(evalset.members):
         raise SampleTooLarge(f"n={n} exceeds |{evalset.name}|={len(evalset.members)}")
     rng = random.Random(seed)
     picked = rng.sample(sorted(evalset.members), n)
-    return EvalSet(name or f"{evalset.name}-n{n}-s{seed}", tuple(sorted(picked)))
+    return EvalSet(f"{evalset.name}-n{n}-s{seed}", tuple(sorted(picked)))
 
 
 # Leading all-caps name segment before the first comma: uppercase words,
@@ -227,17 +227,8 @@ def sample_fixed(evalset: EvalSet, n: int, seed: int, name: str | None = None) -
 _PATENTEE_RE = re.compile(r"^(\s*)((?:[A-Z][A-Z'.\-]*|&)(?:\s+(?:[A-Z][A-Z'.\-]*|&))*)\s*,")
 
 
-def redact_patentee(text: str, extra_names: list[str] | tuple[str, ...] = ()) -> str:
-    """Mask patentee names with ``[NAME]``.
-
-    The leading all-caps segment before the first comma is replaced;
-    every entry of ``extra_names`` is additionally replaced
-    case-sensitively. Idempotent.
-    """
+def redact_patentee(text: str) -> str:
+    """Mask the patentee's name with ``[NAME]``: the leading all-caps
+    segment before the first comma is replaced. Idempotent."""
     m = _PATENTEE_RE.match(text)
-    if m:
-        text = f"{m.group(1)}[NAME],{text[m.end():]}"
-    for name in extra_names:
-        if name:
-            text = text.replace(name, "[NAME]")
-    return text
+    return f"{m.group(1)}[NAME],{text[m.end():]}" if m else text

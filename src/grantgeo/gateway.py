@@ -1,9 +1,10 @@
-"""Uniform chat-completion interface with token, latency, and cost capture.
+"""Uniform chat-completion interface with token and cost capture.
 
 Two backends share one calling convention: a deterministic fixture-replay
 backend (first-class, used by all offline evaluation) and a minimal live
 HTTP client. Costs are computed in decimal arithmetic so reported dollars
-carry no binary-float drift.
+carry no binary-float drift. What a finished cell records, its accounting
+and tool trace, lives with the cell in :mod:`grantgeo.runners`.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from __future__ import annotations
 import json
 import os
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from decimal import Decimal
 from pathlib import Path
 from typing import NamedTuple
@@ -144,9 +145,6 @@ class PriceTable:
             return self._prices[max(candidates, key=len)]
         raise KeyError(f"no price for model {model_id!r}")
 
-    def items(self):
-        return self._prices.items()
-
 
 def default_price_table() -> PriceTable:
     """Packaged per-1M-token prices for the evaluated model families."""
@@ -173,43 +171,6 @@ def call_cost(usage: TokenUsage, p_in, p_out) -> Decimal:
     """
     p_in, p_out = _to_decimal(p_in), _to_decimal(p_out)
     return (Decimal(usage.input_tokens) * p_in + Decimal(usage.output_tokens) * p_out) / _MICRO
-
-
-@dataclass
-class ToolCallRecord:
-    """One executed tool call; turn_index is 1-based within the trace."""
-
-    turn_index: int
-    tool_name: str
-    arguments: dict
-    result: dict = field(default_factory=dict)
-    selected: bool = False
-
-    def __post_init__(self):  # the fields trace_statistics reads
-        typed = isinstance(self.tool_name, str) and isinstance(self.selected, bool)
-        if not (typed and is_int(self.turn_index) and self.turn_index >= 1):
-            raise ValueError("a tool call needs an integer turn_index >= 1, a string tool_name and a boolean selected")
-
-
-@dataclass(slots=True)
-class RunRecord:
-    """Per-call accounting attached to every Prediction."""
-
-    method_id: str
-    row_id: str
-    usage: TokenUsage = TokenUsage()
-    latency_s: float = 0.0
-    cost_usd: Decimal = Decimal(0)
-    tool_calls: list[ToolCallRecord] = field(default_factory=list)
-    raw_response: str = ""
-    failed: bool = False
-    reason: str | None = None
-
-    def __post_init__(self):
-        if not (is_real(self.latency_s) and self.latency_s >= 0):
-            raise ValueError(f"latency_s must be a finite number >= 0, not {self.latency_s!r}")
-        if not (isinstance(self.cost_usd, Decimal) and self.cost_usd.is_finite() and self.cost_usd >= 0):
-            raise ValueError(f"cost_usd must be a finite Decimal >= 0, not {self.cost_usd!r}")
 
 
 class _Turn(NamedTuple):
@@ -275,10 +236,6 @@ class FixtureBackend:
     @classmethod
     def from_jsonl(cls, path: str | Path) -> "FixtureBackend":
         return cls(read_jsonl(path, "fixture-script", _parse_turn))
-
-    @property
-    def remaining_turns(self) -> int:
-        return len(self._turns) - self._pos
 
     def complete(
         self,

@@ -1,6 +1,6 @@
 """Geodesy and clustering primitives.
 
-Everything here is pure: coordinate parsing/formatting, great-circle
+Everything here is pure: coordinate parsing, great-circle
 distance, spherical centroids, geodesic DBSCAN, and bounding-box tests.
 All distance math uses a single Earth radius constant so tolerances are
 consistent across the package.
@@ -88,11 +88,9 @@ VIRGINIA_BBOX = BoundingBox(36.54, 39.47, -83.68, -75.24)
 
 @dataclass(frozen=True)
 class ClusterAssignment:
-    """Per-point cluster labels (NOISE for unclustered) plus parameters."""
+    """Per-point cluster labels (NOISE for unclustered)."""
 
     labels: tuple[int, ...]
-    eps_km: float
-    min_pts: int
 
 
 # Degrees-minutes-seconds, e.g. 37°00'07.2"N 77°07'58.8"W. Both straight
@@ -150,36 +148,6 @@ def _dms_to_degrees(deg: str, minutes: str, seconds: str) -> float:
     if m >= 60 or s >= 60:
         raise UnparseableCoordinate(f"minutes/seconds out of range: {m}' {s}\"")
     return d + m / 60.0 + s / 3600.0
-
-
-def format_dms(c: Coordinate, frac_digits: int = 5) -> str:
-    """Render a coordinate as DMS with ``frac_digits`` on the seconds.
-
-    Zero latitude renders as N and zero longitude as W. Round-trips
-    through parse_coordinate_text to within 10**-frac_digits arc-seconds.
-    """
-    lat_hemi = "N" if c.lat >= 0 else "S"
-    lon_hemi = "E" if c.lon > 0 else "W"
-    return (
-        f"{_axis_dms(abs(c.lat), frac_digits)}{lat_hemi} "
-        f"{_axis_dms(abs(c.lon), frac_digits)}{lon_hemi}"
-    )
-
-
-def _axis_dms(value: float, frac_digits: int) -> str:
-    d = int(value)
-    rem = (value - d) * 60.0
-    m = int(rem)
-    s = (rem - m) * 60.0
-    s_txt = f"{s:.{frac_digits}f}"
-    # Rounding the seconds can carry into minutes and degrees.
-    if float(s_txt) >= 60.0:
-        s_txt = f"{0.0:.{frac_digits}f}"
-        m += 1
-        if m == 60:
-            m = 0
-            d += 1
-    return f"{d}°{m}'{s_txt}\""
 
 
 def haversine_km(a: Coordinate, b: Coordinate) -> float:
@@ -262,7 +230,7 @@ def geodesic_dbscan(points: list[Coordinate], eps_km: float, min_pts: int) -> Cl
             if len(neighbors[j]) >= min_pts:
                 queue.extend(neighbors[j])
         cluster += 1
-    return ClusterAssignment(tuple(labels), eps_km, min_pts)  # type: ignore[arg-type]
+    return ClusterAssignment(tuple(labels))  # type: ignore[arg-type]
 
 
 def within_bbox(c: Coordinate, box: BoundingBox) -> bool:

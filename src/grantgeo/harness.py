@@ -320,6 +320,10 @@ def build_manifest(
         roster = list(config.methods.values())
     if any(spec.pipeline == "tool_chain" for spec in roster):
         tool_validators()  # checks the tool schemas before any cell runs
+    output_dir = Path(output_dir) if output_dir else config.output_dir
+    nearest = next((p for p in (output_dir, *output_dir.parents) if p.exists()), None)
+    if nearest is not None and not nearest.is_dir():  # the run could not make its directory
+        raise ConfigInvalid(f"output directory {output_dir}: {nearest} is not a directory")
     return RunManifest(
         config=config,
         evalset=name,
@@ -327,7 +331,7 @@ def build_manifest(
         seed=seed,
         dry_run=dry_run,
         max_rows=max_rows,
-        output_dir=Path(output_dir) if output_dir else config.output_dir,
+        output_dir=output_dir,
     )
 
 
@@ -538,7 +542,7 @@ def _write_results_csv(
                 f"{p.coordinate.lat:.6f}" if p.coordinate else "",
                 f"{p.coordinate.lon:.6f}" if p.coordinate else "",
                 f"{p.error_km:.6f}" if p.error_km is not None else "",
-                "true" if p.run.failed else "false",
+                "true" if p.failed else "false",
             ]
         rows.append(row)
     write_csv(path, header, rows)
@@ -584,7 +588,7 @@ def run_evaluation(manifest: RunManifest) -> RunOutcome:
         preds = [predict(grant) for grant in grants]
         del predict  # release this method's backend and caches before the next setup runs
         predictions[spec.method_id] = preds
-        failures += sum(1 for p in preds if p.run.failed)
+        failures += sum(1 for p in preds if p.failed)
         method_dir = run_dir / "runs" / spec.method_id
         method_dir.mkdir(parents=True, exist_ok=True)
         records = (p.to_json(pipeline.request(spec, grant)) for grant, p in zip(grants, preds))

@@ -310,20 +310,17 @@ def marginal_cost_per_hit(cost_per_1k, hit_rate_pp: float) -> float:
 
 
 def latency_summary(
-    records: Sequence,
+    latencies_s: Sequence[float],
     baseline_s_per_grant: float = BASELINE_SECONDS_PER_GRANT,
 ) -> LatencySummary:
-    """Hours per located / per 1k and the speedup against the baseline.
+    """Hours per located / per 1k and the speedup against the baseline,
+    from per-grant latencies in seconds.
 
     The speedup is None (undefined) when the mean latency is 0.
-
-    ``records`` may be RunRecords or anything with a ``latency_s``
-    attribute; plain numbers (seconds) are accepted too.
     """
-    latencies = [getattr(r, "latency_s", r) for r in records]
-    if not latencies:
-        raise EmptyInput("no records")
-    mean_s = float(np.mean([float(v) for v in latencies]))
+    if not latencies_s:
+        raise EmptyInput("no latencies")
+    mean_s = float(np.mean(latencies_s))
     hours_per_located = mean_s / 3600.0
     hours_per_1k = hours_per_located * 1000.0
     baseline_per_1k = baseline_s_per_grant * 1000.0 / 3600.0

@@ -22,7 +22,6 @@ from .agent import ToolUsageStats, trace_statistics
 from .corpus import MalformedRow, read_jsonl, write_csv
 from .harness import RUN_FILE, DataMissing, NoResults
 from .metrics import (
-    BASELINE_SECONDS_PER_GRANT,
     BootstrapCI,
     MethodSummary,
     ZeroHitRate,
@@ -40,7 +39,7 @@ def _read_roster(run_dir: Path) -> tuple[list[str], list[str]]:
     path = run_dir / RUN_FILE
     try:
         doc = json.loads(path.read_bytes())
-    except FileNotFoundError as exc:
+    except (FileNotFoundError, NotADirectoryError) as exc:
         raise NoResults(f"no finished run under {run_dir}: {RUN_FILE} is missing") from exc
     except ValueError as exc:
         raise MalformedRow(f"{path}: not JSON ({exc})") from exc
@@ -88,15 +87,11 @@ class CallLogTotals:
         )
 
 
-def build_method_summary(
-    log: CallLogTotals,
-    ci: BootstrapCI,
-    baseline_s_per_grant: float = BASELINE_SECONDS_PER_GRANT,
-) -> MethodSummary:
+def build_method_summary(log: CallLogTotals, ci: BootstrapCI) -> MethodSummary:
     stats = summarize_errors(log.errors)
     latencies = log.located_latencies
     cost_per_located = (log.total_cost / len(latencies)) if latencies else Decimal(0)
-    lat = latency_summary(latencies or [0.0], baseline_s_per_grant)
+    lat = latency_summary(latencies or [0.0])
     hit_pp = stats.bands[10.0] * 100.0
     try:
         marginal = marginal_cost_per_hit(cost_per_located * 1000, hit_pp)
@@ -115,10 +110,7 @@ def build_method_summary(
 
 
 def summarize_run(
-    run_dir: Path,
-    ci_seed: int = 42,
-    resamples: int = 10_000,
-    baseline_s_per_grant: float = BASELINE_SECONDS_PER_GRANT,
+    run_dir: Path, ci_seed: int = 42, resamples: int = 10_000
 ) -> tuple[list[CallLogTotals], list[MethodSummary]]:
     """The run in ``run_dir``: the totals of each listed method's call log
     and a summary of each method with a scored row, both in roster order.
@@ -128,18 +120,13 @@ def summarize_run(
     logs = [CallLogTotals.of(mid, _read_log(run_dir, mid, rows)) for mid in methods]
     scored = [log for log in logs if log.errors]
     cis = bootstrap_cis([log.errors for log in scored], resamples=resamples, seed=ci_seed)
-    return logs, [build_method_summary(log, ci, baseline_s_per_grant) for log, ci in zip(scored, cis)]
+    return logs, [build_method_summary(log, ci) for log, ci in zip(scored, cis)]
 
 
-def generate_report(
-    run_dir: str | Path,
-    ci_seed: int = 42,
-    resamples: int = 10_000,
-    baseline_s_per_grant: float = BASELINE_SECONDS_PER_GRANT,
-) -> Path:
+def generate_report(run_dir: str | Path, ci_seed: int = 42, resamples: int = 10_000) -> Path:
     """Write report.md plus plot-ready CSVs for the run in ``run_dir``."""
     run_dir = Path(run_dir)
-    logs, summaries = summarize_run(run_dir, ci_seed, resamples, baseline_s_per_grant)
+    logs, summaries = summarize_run(run_dir, ci_seed, resamples)
     if not summaries:
         raise NoResults(f"no scored rows in {run_dir}")
     by_id = {log.method_id: log for log in logs}
@@ -191,7 +178,7 @@ def generate_report(
             "|---|---|---|---|---|",
         ]
         for mid, stats in sorted(tool_usage.items()):
-            ratio = f"{stats.geocode_centroid_ratio:.2f}:1" if stats.geocode_centroid_ratio else "n/a"
+            ratio = f"{stats.geocode_centroid_ratio:.2f}:1" if stats.geocode_centroid_ratio is not None else "n/a"
             fcs = f"{stats.first_call_success_rate * 100:.1f}%" if stats.first_call_success_rate is not None else "n/a"
             msi = f"{stats.mean_selected_index:.2f}" if stats.mean_selected_index is not None else "n/a"
             lines.append(f"| {mid} | {stats.calls_per_entry_mean:.2f} | {ratio} | {fcs} | {msi} |")

@@ -1,10 +1,16 @@
-"""One-shot and five-call-ensemble pipelines over any backend."""
+"""The cell format, and the one-shot and five-call-ensemble pipelines.
+
+A cell is one method's answer for one grant: a :class:`Prediction`, with
+its :class:`RunRecord` accounting and, for the tool-calling agent, its
+:class:`ToolCallRecord` trace. Every pipeline builds its cells with
+:meth:`Prediction.of`.
+"""
 
 from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from decimal import Decimal
 
 from .corpus import GrantAbstract
@@ -14,9 +20,7 @@ from .gateway import (
     ModelConfig,
     PriceTable,
     DEFAULT_PRICES,
-    RunRecord,
     TokenUsage,
-    ToolCallRecord,
     call_cost,
 )
 from .geo import (
@@ -36,6 +40,41 @@ class AllCallsFailed(RuntimeError):
     """No usable points remained after all member calls failed."""
 
 
+@dataclass
+class ToolCallRecord:
+    """One executed tool call; turn_index is 1-based within the trace."""
+
+    turn_index: int
+    tool_name: str
+    arguments: dict
+    result: dict = field(default_factory=dict)
+    selected: bool = False
+
+    def __post_init__(self):  # the fields trace_statistics reads
+        typed = isinstance(self.tool_name, str) and isinstance(self.selected, bool)
+        if not (typed and is_int(self.turn_index) and self.turn_index >= 1):
+            raise ValueError("a tool call needs an integer turn_index >= 1, a string tool_name and a boolean selected")
+
+
+@dataclass(slots=True)
+class RunRecord:
+    """A cell's accounting: what its calls used, took and cost, its tool
+    trace, the model's reply and, when it failed, why."""
+
+    usage: TokenUsage = TokenUsage()
+    latency_s: float = 0.0
+    cost_usd: Decimal = Decimal(0)
+    tool_calls: list[ToolCallRecord] = field(default_factory=list)
+    raw_response: str = ""
+    reason: str | None = None
+
+    def __post_init__(self):
+        if not (is_real(self.latency_s) and self.latency_s >= 0):
+            raise ValueError(f"latency_s must be a finite number >= 0, not {self.latency_s!r}")
+        if not (isinstance(self.cost_usd, Decimal) and self.cost_usd.is_finite() and self.cost_usd >= 0):
+            raise ValueError(f"cost_usd must be a finite Decimal >= 0, not {self.cost_usd!r}")
+
+
 @dataclass(slots=True)
 class Prediction:
     """A method's coordinate answer for one grant, plus provenance. Its
@@ -52,13 +91,17 @@ class Prediction:
         if km is not None and not (self.coordinate is not None and is_real(km) and km >= 0):
             raise ValueError(f"error_km must be None, or a finite number >= 0 with a coordinate, not {km!r}")
 
+    @property
+    def failed(self) -> bool:
+        """A cell fails exactly when it has no coordinate."""
+        return self.coordinate is None
+
     @classmethod
     def of(cls, method_id: str, grant: GrantAbstract, coordinate: Coordinate | None, **accounting) -> Prediction:
-        """Every pipeline's cell: failed exactly when there is no coordinate,
-        scored when the grant has a ground truth. ``accounting`` holds the
-        other :class:`RunRecord` fields, which default to zero and empty."""
-        run = RunRecord(method_id, grant.row_id, failed=coordinate is None, **accounting)
-        return cls(method_id, grant.row_id, coordinate, _error_km(coordinate, grant), run)
+        """Every pipeline's cell, scored when the grant has a ground truth.
+        ``accounting`` holds the :class:`RunRecord` fields, which default to
+        zero and empty."""
+        return cls(method_id, grant.row_id, coordinate, _error_km(coordinate, grant), RunRecord(**accounting))
 
     def to_json(self, request: str) -> dict:
         """This cell's call-log record; ``request`` summarizes what was asked."""
@@ -74,7 +117,7 @@ class Prediction:
             "cost_usd": str(run.cost_usd),
             "final_coordinate": [coordinate.lat, coordinate.lon] if coordinate else None,
             "error_km": None if self.error_km is None else round(self.error_km, 6),  # as the results CSV prints it
-            "failed": run.failed,
+            "failed": self.failed,
             "reason": run.reason,
         }
 
@@ -87,8 +130,8 @@ class Prediction:
             raise ValueError("final_coordinate must be null or a [lat, lon] list, and failed true exactly when null")
         usage = TokenUsage(doc["usage"]["input_tokens"], doc["usage"]["output_tokens"])
         run = RunRecord(
-            doc["method_id"], doc["row_id"], usage, doc["latency_s"], Decimal(doc["cost_usd"]),
-            [ToolCallRecord(**tc) for tc in doc["tool_calls"]], doc["response"], failed, doc["reason"],
+            usage, doc["latency_s"], Decimal(doc["cost_usd"]),
+            [ToolCallRecord(**tc) for tc in doc["tool_calls"]], doc["response"], doc["reason"],
         )
         coordinate = None if coordinate is None else Coordinate(*coordinate)
         return cls(doc["method_id"], doc["row_id"], coordinate, doc["error_km"], run)

@@ -19,7 +19,6 @@ from grantgeo.agent import (
     NotFound,
     ProviderError,
     TOOL_CATALOG,
-    ToolCallRecord,
     handle_compute_centroid,
     run_tool_chain,
     tool_validators,
@@ -30,8 +29,8 @@ from grantgeo.agent import (
 from grantgeo.corpus import GrantAbstract, MalformedRow
 from grantgeo.gateway import (
     FixtureBackend,
+    FixtureExhausted,
     ModelConfig,
-    RunRecord,
     TokenUsage,
     ToolCallRequest,
     text_turn,
@@ -39,7 +38,7 @@ from grantgeo.gateway import (
 )
 from grantgeo.geo import Coordinate, VIRGINIA_BBOX, within_bbox
 from grantgeo.prompts import TOOL_SYSTEM_PROMPT
-from grantgeo.runners import Prediction
+from grantgeo.runners import Prediction, RunRecord, ToolCallRecord
 
 import replay_trace
 
@@ -495,9 +494,10 @@ class TestRunToolChain:
         backend = FixtureBackend(turns)
         prediction = run_tool_chain(backend, Geocoder(cache_path=cache), CFG, GRANT)
         assert len(prediction.run.tool_calls) == 10  # 11th refused
-        assert not prediction.run.failed
+        assert not prediction.failed
         assert prediction.coordinate == Coordinate(37.1, -77.2)
-        assert backend.remaining_turns == 0
+        with pytest.raises(FixtureExhausted):  # the nudge's answer was the script's last turn
+            backend.complete(CFG, [])
 
     def test_budget_exhausted_failure(self, tmp_path):
         cache = tmp_path / "cache.jsonl"
@@ -506,7 +506,7 @@ class TestRunToolChain:
         turns = [tool_call_turn("geocode_place", {"query": query}) for _ in range(12)]
         backend = FixtureBackend(turns)
         prediction = run_tool_chain(backend, Geocoder(cache_path=cache), CFG, GRANT)
-        assert prediction.run.failed
+        assert prediction.failed
         assert prediction.run.reason == "BudgetExhausted"
         assert len(prediction.run.tool_calls) == 10
 
@@ -517,7 +517,7 @@ class TestRunToolChain:
         ]
         backend = FixtureBackend(turns)
         prediction = run_tool_chain(backend, Geocoder(), CFG, GRANT)
-        assert not prediction.run.failed
+        assert not prediction.failed
         assert len(prediction.run.tool_calls) == 1
         assert "invalid arguments" in prediction.run.tool_calls[0].result["error"]
 
@@ -529,7 +529,7 @@ class TestRunToolChain:
     def test_centroid_of_bad_points_reported_to_model(self, points):
         turns = [tool_call_turn("compute_centroid", {"points": points}), text_turn("37.000000, -77.000000")]
         prediction = run_tool_chain(FixtureBackend(turns), Geocoder(), CFG, GRANT)
-        assert not prediction.run.failed
+        assert not prediction.failed
         assert prediction.run.tool_calls[0].result["error"].startswith("invalid arguments: ")
 
     def test_unknown_tool_reported_to_model(self):
@@ -539,7 +539,7 @@ class TestRunToolChain:
         ]
         backend = FixtureBackend(turns)
         prediction = run_tool_chain(backend, Geocoder(), CFG, GRANT)
-        assert not prediction.run.failed
+        assert not prediction.failed
         assert "invalid arguments" in prediction.run.tool_calls[0].result["error"]
 
     def test_geocode_failure_budget(self):
@@ -554,12 +554,12 @@ class TestRunToolChain:
     def test_unparseable_final_text(self):
         backend = FixtureBackend([text_turn("the grant is near the swamp")])
         prediction = run_tool_chain(backend, Geocoder(), CFG, GRANT)
-        assert prediction.run.failed
+        assert prediction.failed
         assert prediction.run.reason == "Unparseable"
 
 
 def _traced_prediction(method_id, row_id, calls, final=None):
-    run = RunRecord(method_id, row_id, TokenUsage(), 0.0, Decimal(0), tool_calls=calls)
+    run = RunRecord(TokenUsage(), 0.0, Decimal(0), tool_calls=calls)
     return Prediction(method_id, row_id, final, None, run)
 
 

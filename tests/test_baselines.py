@@ -348,21 +348,21 @@ class TestTuneHeuristicGrid:
 class TestPredictNerPipeline:
     def test_county_fallback_when_no_entity_resolves(self):
         coordinate, flag = predict_ner_pipeline(
-            "some text naming Henrico Co.", lambda text: [], [], TABLE
+            "some text naming Henrico Co.", lambda text: [], Gazetteer(), TABLE
         )
         assert coordinate == TABLE.get("Henrico")
         assert flag == "county"
 
     def test_statewide_when_nothing_extractable(self):
-        coordinate, flag = predict_ner_pipeline("nothing here", lambda text: [], [], TABLE)
+        coordinate, flag = predict_ner_pipeline("nothing here", lambda text: [], Gazetteer(), TABLE)
         assert coordinate == VIRGINIA_CENTER
         assert flag == "statewide"
 
     def test_population_ranking(self):
-        gaz = [
+        gaz = Gazetteer([
             GazetteerEntry("Cypress Swamp", Coordinate(36.9, -77.0), 100, "swamp"),
             GazetteerEntry("Cypress", Coordinate(37.3, -77.8), 10_000, "populated_place"),
-        ]
+        ])
         coordinate, flag = predict_ner_pipeline(
             "near Cypress Swamp", lambda text: ["Cypress Swamp"], gaz, TABLE
         )
@@ -370,17 +370,17 @@ class TestPredictNerPipeline:
         assert coordinate == Coordinate(37.3, -77.8)
 
     def test_population_tie_breaks_by_name(self):
-        gaz = [
+        gaz = Gazetteer([
             GazetteerEntry("Mill B", Coordinate(37.2, -77.2), 10, "mill"),
             GazetteerEntry("Mill A", Coordinate(37.1, -77.1), 10, "mill"),
-        ]
+        ])
         coordinate, _ = predict_ner_pipeline(
             "x", lambda text: ["Mill A", "Mill B"], gaz, TABLE
         )
         assert coordinate == Coordinate(37.1, -77.1)
 
     def test_out_of_state_gazetteer_rows_ignored(self):
-        gaz = [GazetteerEntry("Boston", Coordinate(42.36, -71.06), 600_000, "city")]
+        gaz = Gazetteer([GazetteerEntry("Boston", Coordinate(42.36, -71.06), 600_000, "city")])
         coordinate, flag = predict_ner_pipeline("near Boston", lambda text: ["Boston"], gaz, TABLE)
         assert flag == "statewide"
 
@@ -400,11 +400,11 @@ class TestPredictNerPipeline:
         assert haversine_km(coordinate, central_va_truth) > 350
 
 
-def _reference_resolve(rows, text, confidence=1.0):
+def _reference_resolve(rows, text):
     """The unindexed scan: every row's whole-word pattern over the text."""
     lowered = text.lower()
     return [
-        ResolvedToponym(g.name, g.coordinate, confidence)
+        ResolvedToponym(g.name, g.coordinate, 1.0)
         for g in rows
         if re.search(rf"\b{re.escape(g.name.lower())}\b", lowered)
     ]
@@ -481,9 +481,9 @@ class TestGazetteerIndex:
     @settings(max_examples=250, deadline=None)
     def test_resolver_matches_reference_scan(self, case):
         rows, texts = case
-        for resolve in (gazetteer_resolver(rows), gazetteer_resolver(Gazetteer(rows))):
-            for text in texts:
-                assert resolve(text) == _reference_resolve(rows, text)
+        resolve = gazetteer_resolver(Gazetteer(rows))
+        for text in texts:
+            assert resolve(text) == _reference_resolve(rows, text)
 
     @given(_gazetteer_case())
     @settings(max_examples=250, deadline=None)
@@ -494,7 +494,7 @@ class TestGazetteerIndex:
             got = [id(g) for g in gazetteer.entity_matches(entity)]
             assert got == [id(g) for g in _reference_entity_matches(rows, entity)]
         text = " ".join(texts)
-        assert predict_ner_pipeline(text, lambda _: texts, rows, TABLE) == _reference_ner(text, texts, rows)
+        assert predict_ner_pipeline(text, lambda _: texts, gazetteer, TABLE) == _reference_ner(text, texts, rows)
         entities = default_entity_extractor(text)
         assert predict_ner_pipeline(text, default_entity_extractor, gazetteer, TABLE) == _reference_ner(
             text, entities, rows
@@ -509,7 +509,7 @@ class TestGazetteerIndex:
         ]
         # "(old) mill" is whole-word only after a word character: the leading
         # boundary sits between that character and the parenthesis.
-        resolved = gazetteer_resolver(rows)("by the mill(old) mill on Mill Run")
+        resolved = gazetteer_resolver(Gazetteer(rows))("by the mill(old) mill on Mill Run")
         assert [(r.name, r.coordinate) for r in resolved] == [(g.name, g.coordinate) for g in rows]
 
     def test_name_normalizing_to_empty_matches_every_entity(self):
@@ -535,7 +535,6 @@ class TestGazetteerIndex:
     def test_loaded_gazetteer_is_a_list(self):
         gazetteer = packaged_gazetteer()
         assert isinstance(gazetteer, list) and gazetteer == list(gazetteer)
-        assert Gazetteer.of(gazetteer) is gazetteer
 
 
 _ABBREVIATIONS = load_abbreviations()

@@ -338,10 +338,6 @@ class TestRedactPatentee:
         text = "William Williams, 400 acs."
         assert redact_patentee(text) == text
 
-    def test_extra_names(self):
-        out = redact_patentee("JOHN PIGG, adj. Capt. William Smith", ["William Smith"])
-        assert out == "[NAME], adj. Capt. [NAME]"
-
     @given(st.text(max_size=120))
     @settings(max_examples=200, deadline=None)
     def test_idempotent(self, text):

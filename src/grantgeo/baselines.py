@@ -5,13 +5,17 @@ center, so every input text yields a coordinate: a county-centroid
 lookup, a gazetteer-gated heuristic geoparser with grid-searched
 parameters, and an entity-extraction pipeline with population-weighted
 ranking. Entity resolution engines are pluggable; the package ships a
-capitalized-phrase scanner and CSV-backed gazetteers as defaults.
+capitalized-phrase scanner and CSV-backed gazetteers as defaults. A
+:class:`Gazetteer` is an immutable sequence whose entries are built on
+access: it holds checked rows, and builds a :class:`GazetteerEntry` only
+for the rows a lookup returns.
 """
 
 from __future__ import annotations
 
 import itertools
 import re
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cache, cached_property, partial
 from importlib import resources
@@ -19,7 +23,7 @@ from pathlib import Path
 from typing import Callable, Iterable
 
 from .corpus import GrantAbstract, read_csv
-from .geo import Coordinate, VIRGINIA_BBOX, haversine_km, is_real, within_bbox
+from .geo import Coordinate, VIRGINIA_BBOX, check_coordinate, haversine_km, is_real, within_bbox
 
 VIRGINIA_CENTER = Coordinate(37.4316, -78.6569)
 """Statewide fallback: Virginia's geographic center."""
@@ -398,29 +402,64 @@ def _normalize_entity(name: str) -> str:
 
 
 _WORD = re.compile(r"\w+")
+# A name holding one of these normalizes to a nonempty name: every word character but "s" and "S"
+# lowers to a word character that "'s" removal leaves.
+_NOT_S_WORD = re.compile(r"[^\WsS]")
+
+GazetteerRow = tuple[str, float, float, int, str]
+"""``(name, lat, lon, population, feature_class)``, the coordinate checked."""
 
 
-class Gazetteer(list):
-    """Gazetteer rows in file order, with name indexes built on first lookup.
+class Gazetteer(Sequence):
+    """Gazetteer rows in file order, read-only, with name indexes built on first lookup.
 
-    A ``list`` of :class:`GazetteerEntry`, so it goes wherever the rows go.
-    The indexes make a lookup cost grow with the text, not with the number
-    of rows; the entity index also remembers the positions each distinct
-    entity matched, so each entity is looked up once per gazetteer. The
-    name index and the entity index are built apart, each on its own first
-    lookup. They hold the rows as they were at that lookup: build a new
-    ``Gazetteer`` rather than editing one that has been searched.
+    A sequence of :class:`GazetteerEntry` that holds each row as a plain
+    :data:`GazetteerRow`: ``gazetteer[i]`` builds that row's entry on first
+    access and keeps it, so ``gazetteer[i] is gazetteer[i]``, and only the
+    rows a lookup returns are ever built. ``Gazetteer(entries)`` keeps the
+    entries it is given. The indexes make a lookup cost grow with the text,
+    not with the number of rows; the entity index also remembers the
+    positions each distinct entity matched, so each entity is looked up
+    once per gazetteer. The name index and the entity index are built
+    apart, each on its own first lookup.
     """
+
+    def __init__(self, entries: Iterable[GazetteerEntry] = ()):
+        self._entries: list[GazetteerEntry | None] = list(entries)
+        self._rows: tuple[GazetteerRow, ...] = tuple(
+            (g.name, g.coordinate.lat, g.coordinate.lon, g.population, g.feature_class) for g in self._entries
+        )
+
+    @classmethod
+    def _of_rows(cls, rows: Iterable[GazetteerRow]) -> "Gazetteer":
+        gazetteer = cls()
+        gazetteer._rows = tuple(rows)
+        gazetteer._entries = [None] * len(gazetteer._rows)
+        return gazetteer
+
+    def __len__(self) -> int:
+        return len(self._rows)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(*i.indices(len(self._rows)))]
+        entry = self._entries[i]
+        if entry is None:
+            name, lat, lon, population, feature_class = self._rows[i]
+            entry = self._entries[i] = GazetteerEntry(name, Coordinate(lat, lon), population, feature_class)
+        return entry
 
     @cached_property
     def _entity_index(self) -> tuple[dict[str, list[int]], list[int], int, dict[str, list[int]]]:
         """Normalized name -> positions of in-box rows; the in-box rows whose
         name normalizes to empty; the longest normalized name, in tokens; and
         entity -> positions of its matches, filled in as entities are looked up."""
+        box = VIRGINIA_BBOX  # no margin
+        min_lat, max_lat, min_lon, max_lon = box.min_lat, box.max_lat, box.min_lon, box.max_lon
         by_name: dict[str, list[int]] = {}
-        for i, g in enumerate(self):
-            if within_bbox(g.coordinate, VIRGINIA_BBOX):
-                by_name.setdefault(_normalize_entity(g.name), []).append(i)
+        for i, (name, lat, lon, _, _) in enumerate(self._rows):
+            if min_lat <= lat <= max_lat and min_lon <= lon <= max_lon:
+                by_name.setdefault(_normalize_entity(name), []).append(i)
         empty = by_name.pop("", [])
         longest = max((name.count(" ") + 1 for name in by_name), default=0)
         return by_name, empty, longest, {}
@@ -442,18 +481,20 @@ class Gazetteer(list):
         return [self[i] for i in memo[entity]]
 
     @cached_property
-    def _word_index(self) -> tuple[dict[str, list[int]], list[int]]:
+    def _word_index(self) -> tuple[dict[str, list[int]], list[int], list[str]]:
         """First word of each lowered name -> row positions; the rows whose
-        name does not start with a word character, checked on every text."""
+        name does not start with a word character, checked on every text;
+        and each row's lowered name."""
+        lowered = [row[0].lower() for row in self._rows]
         by_word: dict[str, list[int]] = {}
         always: list[int] = []
-        for i, g in enumerate(self):
-            m = _WORD.match(g.name.lower())
+        for i, name in enumerate(lowered):
+            m = _WORD.match(name)
             if m:
                 by_word.setdefault(m.group(0), []).append(i)
             else:
                 always.append(i)
-        return by_word, always
+        return by_word, always, lowered
 
     def name_matches(self, text: str) -> list[GazetteerEntry]:
         """Rows whose lowered name occurs as whole words in the lowered text,
@@ -465,28 +506,30 @@ class Gazetteer(list):
         occur in the text as a substring.
         """
         lowered = text.lower()
-        by_word, always = self._word_index
+        by_word, always, names = self._word_index
         words = set(_WORD.findall(lowered))
         found = []
         for i in sorted(itertools.chain(always, *(by_word[word] for word in by_word.keys() & words))):
-            name = self[i].name.lower()
+            name = names[i]
             if name in lowered and re.search(rf"\b{re.escape(name)}\b", lowered):
                 found.append(self[i])
         return found
 
 
 def load_gazetteer(path: str | Path) -> Gazetteer:
-    """Gazetteer CSV: ``name,lat,lon,population,feature_class``."""
-    return Gazetteer(read_csv(path, "gazetteer", _gazetteer_row))
+    """Gazetteer CSV: ``name,lat,lon,population,feature_class``. A row whose
+    coordinate is not a real latitude and longitude, or whose name normalizes
+    to empty (and so would match every entity), is MalformedRow."""
+    return Gazetteer._of_rows(read_csv(path, "gazetteer", _gazetteer_row))
 
 
-def _gazetteer_row(row: dict) -> GazetteerEntry:
-    return GazetteerEntry(
-        name=row["name"],
-        coordinate=Coordinate(float(row["lat"]), float(row["lon"])),
-        population=int(row["population"] or 0),
-        feature_class=row["feature_class"],
-    )
+def _gazetteer_row(row: dict) -> GazetteerRow:
+    name, lat, lon = row["name"], float(row["lat"]), float(row["lon"])
+    check_coordinate(lat, lon)
+    parsed = name, lat, lon, int(row["population"] or 0), row["feature_class"]
+    if not _NOT_S_WORD.search(name) and not _normalize_entity(name):
+        raise ValueError(f"name {name!r} has no word to match")
+    return parsed
 
 
 def packaged_gazetteer() -> Gazetteer:

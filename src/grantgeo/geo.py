@@ -54,12 +54,17 @@ class Coordinate:
     lon: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.lat) and math.isfinite(self.lon)):
-            raise ValueError(f"non-finite coordinate ({self.lat}, {self.lon})")
-        if not -90.0 <= self.lat <= 90.0:
-            raise ValueError(f"latitude {self.lat} outside [-90, 90]")
-        if not -180.0 <= self.lon <= 180.0:
-            raise ValueError(f"longitude {self.lon} outside [-180, 180]")
+        check_coordinate(self.lat, self.lon)
+
+
+def check_coordinate(lat: float, lon: float) -> None:
+    """ValueError unless both are finite, ``lat`` in [-90, 90] and ``lon`` in [-180, 180]."""
+    if not (math.isfinite(lat) and math.isfinite(lon)):
+        raise ValueError(f"non-finite coordinate ({lat}, {lon})")
+    if not -90.0 <= lat <= 90.0:
+        raise ValueError(f"latitude {lat} outside [-90, 90]")
+    if not -180.0 <= lon <= 180.0:
+        raise ValueError(f"longitude {lon} outside [-180, 180]")
 
 
 @dataclass(frozen=True)

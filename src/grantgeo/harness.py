@@ -98,6 +98,8 @@ class MethodSpec:
         cost = self.total_cost_usd = Decimal(str(self.total_cost_usd))  # a YAML number or a string such as "140.00"
         if not (isinstance(self.method_id, str) and self.method_id and isinstance(self.redact_names, bool)):
             raise ValueError("method_id must be a non-empty string and redact_names true or false")
+        if self.method_id in (".", "..") or any(c in self.method_id for c in "/\\\0"):
+            raise ValueError(f"method_id {self.method_id!r} is not a single path component")  # it names a log directory
         if not (cost.is_finite() and cost >= 0 and is_real(self.latency_s_per_grant) and self.latency_s_per_grant >= 0):
             raise ValueError("total_cost_usd and latency_s_per_grant must be finite numbers >= 0")
         self.latency_s_per_grant = float(self.latency_s_per_grant)
@@ -634,7 +636,8 @@ def sweep(manifest: RunManifest, axis: str, values: list) -> tuple[Path, int]:
 
     temperature sweeps require rosters whose models use temperature (not
     reasoning effort), and vice versa; a mismatch raises
-    AxisInapplicable, and a temperature that is not a number ConfigInvalid.
+    AxisInapplicable, and a temperature that is not a number, or a value
+    given twice, ConfigInvalid.
     Each value is a run in ``<axis>_<value>/``; :mod:`grantgeo.report`
     tabulates those runs. Returns the report's path and the failed cells.
     """
@@ -652,6 +655,9 @@ def sweep(manifest: RunManifest, axis: str, values: list) -> tuple[Path, int]:
         values = [float(v) if axis == "temperature" else str(v) for v in values]
     except ValueError as exc:
         raise ConfigInvalid(f"sweep values: temperatures must be numbers ({exc})") from exc
+    repeated = sorted({v for v in values if values.count(v) > 1})
+    if repeated:  # a second run at a value would overwrite the first's directory and repeat its rows
+        raise ConfigInvalid(f"sweep values given more than once: {repeated}")
     rosters = [(v, [_sweep_clone(spec, axis, v) for spec in manifest.methods]) for v in values]  # before any run
 
     runs: list[tuple[object, Path]] = []

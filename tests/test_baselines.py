@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 import re
+from collections.abc import MutableSequence, Sequence
 
 import pytest
 from hypothesis import example, given, settings
@@ -24,6 +25,7 @@ from grantgeo.baselines import (
     gazetteer_resolver,
     heuristic_geoparse,
     load_abbreviations,
+    load_gazetteer,
     packaged_gazetteer,
     predict_county_centroid,
     predict_ner_pipeline,
@@ -34,7 +36,7 @@ from grantgeo.baselines import (
     _scan_back,
     _scan_forward,
 )
-from grantgeo.corpus import GrantAbstract, MalformedRow
+from grantgeo.corpus import GrantAbstract, MalformedRow, write_csv
 from grantgeo.geo import Coordinate, VIRGINIA_BBOX, haversine_km, within_bbox
 
 TABLE = CountyCentroidTable.packaged()
@@ -532,9 +534,85 @@ class TestGazetteerIndex:
         got[0].clear()  # the caller owns the list it was given
         assert gazetteer.entity_matches(entities[0]) == got[3]
 
-    def test_loaded_gazetteer_is_a_list(self):
+    def test_loaded_gazetteer_is_a_read_only_sequence(self):
         gazetteer = packaged_gazetteer()
-        assert isinstance(gazetteer, list) and gazetteer == list(gazetteer)
+        assert isinstance(gazetteer, Sequence) and not isinstance(gazetteer, MutableSequence)
+        assert gazetteer[:] == list(gazetteer) == [gazetteer[i] for i in range(len(gazetteer))]
+        with pytest.raises(TypeError):
+            gazetteer[0] = gazetteer[1]
+
+
+_COLUMNS = ["name", "lat", "lon", "population", "feature_class"]
+# A surrogate is not UTF-8, and csv reads a NUL only from Python 3.11.
+_TEXT = st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\x00"), max_size=8)
+
+
+def _write_gazetteer(path, columns, rows):
+    """``rows`` of (name, lat, lon, population, feature_class) texts, written in ``columns`` order."""
+    write_csv(path, columns, ([row[_COLUMNS.index(c)] for c in columns] for row in rows))
+
+
+class TestLoadGazetteer:
+    @given(
+        st.permutations(_COLUMNS),
+        st.lists(
+            st.tuples(
+                st.one_of(_NAMES, _TEXT).filter(_normalize_entity),
+                st.floats(-90, 90).map(repr),
+                st.floats(-180, 180).map(repr),
+                st.one_of(st.just(""), st.integers(0, 10**9).map(str)),
+                _TEXT,
+            ),
+            max_size=8,
+        ),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_rows_load_as_written(self, tmp_path_factory, columns, rows):
+        path = tmp_path_factory.mktemp("gaz") / "gazetteer.csv"
+        _write_gazetteer(path, columns, rows)
+        assert list(load_gazetteer(path)) == [
+            GazetteerEntry(name, Coordinate(float(lat), float(lon)), int(pop or 0), fc)
+            for name, lat, lon, pop, fc in rows
+        ]
+
+    @given(_gazetteer_case())
+    @settings(max_examples=150, deadline=None)
+    def test_lookups_match_reference_scans(self, tmp_path_factory, case):
+        rows, texts = case
+        path = tmp_path_factory.mktemp("gaz") / "gazetteer.csv"
+        written = [
+            (g.name, repr(g.coordinate.lat), repr(g.coordinate.lon), str(g.population), g.feature_class)
+            for g in rows
+            if _normalize_entity(g.name)
+        ]
+        _write_gazetteer(path, _COLUMNS, written)
+        gazetteer = load_gazetteer(path)
+        resolve = gazetteer_resolver(gazetteer)
+        found = [(resolve(text), gazetteer.entity_matches(text)) for text in texts]  # entries built by lookups
+        loaded = list(gazetteer)
+        assert loaded == [g for g in rows if _normalize_entity(g.name)]
+        assert all(gazetteer[i] is g for i, g in enumerate(loaded))
+        for text, (resolved, matched) in zip(texts, found):
+            assert resolved == _reference_resolve(loaded, text)
+            assert [id(g) for g in matched] == [id(g) for g in _reference_entity_matches(loaded, text)]
+
+    @pytest.mark.parametrize(
+        "lat, lon",
+        [("nan", "-77.1"), ("37.1", "inf"), ("90.5", "-77.1"), ("37.1", "-180.5"), ("abc", "-77.1")],
+    )
+    def test_bad_coordinate_is_malformed_row(self, tmp_path, lat, lon):
+        path = tmp_path / "gazetteer.csv"
+        _write_gazetteer(path, _COLUMNS, [("Oak Hill", "37.2", "-77.4", "", "place"), ("Mill", lat, lon, "", "mill")])
+        with pytest.raises(MalformedRow, match=rf"^{re.escape(str(path))}:3: not a gazetteer row \(ValueError: "):
+            load_gazetteer(path)
+
+    @pytest.mark.parametrize("name", ["", "'s", "...", "(-)", "'S"])
+    def test_name_normalizing_to_empty_is_malformed_row(self, tmp_path, name):
+        path = tmp_path / "gazetteer.csv"
+        _write_gazetteer(path, _COLUMNS, [("Oak Hill", "37.2", "-77.4", "", "place"), (name, "37.1", "-77.1", "", "x")])
+        with pytest.raises(MalformedRow, match=rf"^{re.escape(str(path))}:3: .* has no word to match"):
+            load_gazetteer(path)
+        assert not _normalize_entity(name)
 
 
 _ABBREVIATIONS = load_abbreviations()

@@ -856,6 +856,19 @@ class TestCli:
         assert main(["run", "--config", str(config_path), "--method", "H-2"]) == 2
         assert f"{name}{named}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("method", ["H-2", "H-3"])
+    @pytest.mark.parametrize("name", ["", "'s", "..."])
+    def test_nameless_gazetteer_row_exit_two(self, tmp_path, capsys, method, name):
+        """A name that normalizes to empty would match every entity, so every grant would get its coordinate."""
+        hf.build_full_workspace(tmp_path)
+        gazetteer = tmp_path / "fixtures" / "gazetteer.csv"
+        with gazetteer.open("a", encoding="utf-8") as fh:
+            fh.write(f"{name},37.2,-77.4,0,place\n")
+        config_path = tmp_path / "config.yaml"
+        config_path.write_text(yaml.safe_dump(hf.full_config()), encoding="utf-8")
+        assert main(["run", "--config", str(config_path), "--method", method]) == 2
+        assert f"data error: {gazetteer}:3: not a gazetteer row" in capsys.readouterr().err
+
     @pytest.mark.parametrize("name, method", [("ground_truth.csv", "H-4"), ("external.csv", "X-1")])
     def test_input_csv_not_utf8_exit_two(self, tmp_path, capsys, name, method):
         hf.build_full_workspace(tmp_path)
@@ -945,6 +958,23 @@ class TestCli:
             args = [*command, "--config", str(config_path), "--output-dir", str(out)]
             assert main([*args, "--method", "M-5", "--method", "H-4", "--method", "M-5"]) == 1
             assert "methods named more than once: ['M-5']" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("method_id", ["../../escaped", "a/b", "a\\b", "a\0b", ".", ".."])
+    def test_method_id_not_one_path_component_exit_one(self, tmp_path, capsys, method_id):
+        """The method's call log is written under runs/<method_id>/, which must stay inside the run."""
+        config_path = hf.build_workspace(tmp_path, n_grants=3, methods=[{"method_id": method_id, "pipeline": "county_centroid"}])
+        out = tmp_path / "cli_out"
+        assert main(["run", "--config", str(config_path), "--output-dir", str(out)]) == 1
+        assert f"method_id {method_id!r} is not a single path component" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_repeated_sweep_value_exit_one(self, tmp_path, capsys):
+        config_path = hf.build_workspace(tmp_path, n_grants=3)
+        out = tmp_path / "cli_out"
+        args = ["sweep", "--config", str(config_path), "--axis", "temperature", "--values", "0.2", "0.5", "0.20"]
+        assert main([*args, "--method", "M-5", "--output-dir", str(out)]) == 1
+        assert capsys.readouterr().err == "config error: sweep values given more than once: [0.2]\n"
         assert not out.exists()
 
     def test_every_cell_failed_exactly_when_it_has_no_coordinate(self, tmp_path):

@@ -96,7 +96,6 @@ _LAZY = {
         (
             "BootstrapCI",
             "ErrorStats",
-            "MethodSummary",
             "OlsFit",
             "bootstrap_ci",
             "bootstrap_cis",

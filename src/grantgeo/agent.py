@@ -51,6 +51,8 @@ from .runners import Prediction, ToolCallRecord
 
 GEOCODE_STRATEGIES = ("natural_feature", "restricted_va", "standard_va", "county_fallback")
 DEFAULT_STRATEGY = "standard_va"
+GEOCODE_TIMEOUT_S = 30.0
+"""Seconds a live geocoding request may take before it is a ProviderError."""
 
 # Wire-format tool catalog; fixtures and live runs share these documents.
 GEOCODE_PLACE_SCHEMA = {
@@ -352,11 +354,10 @@ class GoogleGeocodeProvider:
 
     ENDPOINT = "https://maps.googleapis.com/maps/api/geocode/json"
 
-    def __init__(self, api_key: str | None = None, timeout_s: float = 30.0):
+    def __init__(self, api_key: str | None = None):
         import os
 
         self.api_key = api_key if api_key is not None else os.environ.get(GEOCODER_API_KEY_ENV)
-        self.timeout_s = timeout_s
 
     def _build_query(self, query: str, strategy: str) -> str:
         if strategy == "natural_feature":
@@ -379,7 +380,7 @@ class GoogleGeocodeProvider:
             "key": self.api_key,
         }
         try:
-            resp = requests.get(self.ENDPOINT, params=params, timeout=self.timeout_s)
+            resp = requests.get(self.ENDPOINT, params=params, timeout=GEOCODE_TIMEOUT_S)
         except requests.RequestException as exc:
             raise ProviderError(str(exc)) from exc
         if resp.status_code != 200:
@@ -581,68 +582,41 @@ def _mark_selected(trace: list[ToolCallRecord], final: Coordinate) -> None:
 
 @dataclass
 class ToolUsageStats:
-    """Per-method tool-usage summary over a set of traced predictions."""
+    """One method's tool usage over its traced predictions."""
 
-    entries: int
     calls_per_entry_mean: float
-    per_tool: dict[str, dict[str, float]]
     geocode_centroid_ratio: float | None
     first_call_success_rate: float | None
     mean_selected_index: float | None
 
 
-def _describe(values: list[int]) -> dict[str, float]:
-    return {
-        "mean": statistics.fmean(values),
-        "sd": statistics.stdev(values) if len(values) > 1 else 0.0,
-        "median": statistics.median(values),
-        "min": min(values),
-        "max": max(values),
-    }
+def trace_statistics(predictions: list[Prediction]) -> ToolUsageStats:
+    """Summarize the tool usage of one method's non-empty list of predictions.
 
-
-def trace_statistics(predictions: list[Prediction]) -> dict[str, ToolUsageStats]:
-    """Summarize tool usage per method.
-
-    Covers calls per entry split by tool, the geocode:centroid ratio,
-    the first-call success rate (selected call is the entry's first
-    geocode call), and the mean selected call index.
+    Covers the mean calls per entry, the geocode:centroid ratio, the
+    first-call success rate (selected call is the entry's first geocode
+    call), and the mean selected call index.
     """
-    by_method: dict[str, list[Prediction]] = {}
+    total_geo = sum(1 for p in predictions for r in p.run.tool_calls if r.tool_name == "geocode_place")
+    total_cent = sum(1 for p in predictions for r in p.run.tool_calls if r.tool_name == "compute_centroid")
+
+    selected_indices: list[int] = []
+    first_call_hits = 0
+    traced = 0
     for p in predictions:
-        by_method.setdefault(p.method_id, []).append(p)
+        if not p.run.tool_calls:
+            continue
+        traced += 1
+        selected = next((r for r in p.run.tool_calls if r.selected), None)
+        first_geo = next((r for r in p.run.tool_calls if r.tool_name == "geocode_place"), None)
+        if selected is not None:
+            selected_indices.append(selected.turn_index)
+            if first_geo is not None and selected.turn_index == first_geo.turn_index:
+                first_call_hits += 1
 
-    out: dict[str, ToolUsageStats] = {}
-    for method_id, preds in by_method.items():
-        tool_names = sorted({r.tool_name for p in preds for r in p.run.tool_calls})
-        per_tool = {
-            name: _describe([sum(1 for r in p.run.tool_calls if r.tool_name == name) for p in preds])
-            for name in tool_names
-        }
-        total_geo = sum(1 for p in preds for r in p.run.tool_calls if r.tool_name == "geocode_place")
-        total_cent = sum(1 for p in preds for r in p.run.tool_calls if r.tool_name == "compute_centroid")
-        ratio = (total_geo / total_cent) if total_cent else None
-
-        selected_indices: list[int] = []
-        first_call_hits = 0
-        traced = 0
-        for p in preds:
-            if not p.run.tool_calls:
-                continue
-            traced += 1
-            selected = next((r for r in p.run.tool_calls if r.selected), None)
-            first_geo = next((r for r in p.run.tool_calls if r.tool_name == "geocode_place"), None)
-            if selected is not None:
-                selected_indices.append(selected.turn_index)
-                if first_geo is not None and selected.turn_index == first_geo.turn_index:
-                    first_call_hits += 1
-
-        out[method_id] = ToolUsageStats(
-            entries=len(preds),
-            calls_per_entry_mean=statistics.fmean([len(p.run.tool_calls) for p in preds]),
-            per_tool=per_tool,
-            geocode_centroid_ratio=ratio,
-            first_call_success_rate=(first_call_hits / traced) if traced else None,
-            mean_selected_index=statistics.fmean(selected_indices) if selected_indices else None,
-        )
-    return out
+    return ToolUsageStats(
+        calls_per_entry_mean=statistics.fmean([len(p.run.tool_calls) for p in predictions]),
+        geocode_centroid_ratio=(total_geo / total_cent) if total_cent else None,
+        first_call_success_rate=(first_call_hits / traced) if traced else None,
+        mean_selected_index=statistics.fmean(selected_indices) if selected_indices else None,
+    )

@@ -38,44 +38,43 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="grantgeo", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    run_p = sub.add_parser("run", help="run a method roster over an evaluation set")
-    run_p.add_argument("--config", required=True)
-    run_p.add_argument("--evalset")
-    run_p.add_argument("--method", action="append", dest="methods")
+    roster = argparse.ArgumentParser(add_help=False)  # the options run and sweep share
+    roster.add_argument("--config", required=True)
+    roster.add_argument("--evalset")
+    roster.add_argument("--method", action="append", dest="methods")
+    roster.add_argument("--max-rows", type=int)
+    roster.add_argument("--seed", type=int, default=42)
+    roster.add_argument("--output-dir")
+
+    run_p = sub.add_parser("run", parents=[roster], help="run a method roster over an evaluation set")
     run_p.add_argument("--dry-run", action="store_true")
-    run_p.add_argument("--max-rows", type=int)
-    run_p.add_argument("--seed", type=int, default=42)
-    run_p.add_argument("--output-dir")
 
     report_p = sub.add_parser("report", help="summarize a completed run directory")
     report_p.add_argument("--run-dir", required=True)
     report_p.add_argument("--seed", type=int, default=42)
     report_p.add_argument("--resamples", type=int, default=10_000)
 
-    sweep_p = sub.add_parser("sweep", help="sweep temperature or reasoning effort")
-    sweep_p.add_argument("--config", required=True)
+    sweep_p = sub.add_parser("sweep", parents=[roster], help="sweep temperature or reasoning effort")
     sweep_p.add_argument("--axis", required=True, choices=["temperature", "effort", "reasoning_effort"])
     sweep_p.add_argument("--values", required=True, nargs="+")
-    sweep_p.add_argument("--evalset")
-    sweep_p.add_argument("--method", action="append", dest="methods")
-    sweep_p.add_argument("--max-rows", type=int)
-    sweep_p.add_argument("--seed", type=int, default=42)
-    sweep_p.add_argument("--output-dir")
 
     return parser
 
 
-def _cmd_run(args) -> int:
-    config = load_config(args.config)
-    manifest = build_manifest(
-        config,
+def _manifest(args, dry_run: bool = False):
+    return build_manifest(
+        load_config(args.config),
         evalset=args.evalset,
         methods=args.methods,
         seed=args.seed,
-        dry_run=args.dry_run,
+        dry_run=dry_run,
         max_rows=args.max_rows,
         output_dir=args.output_dir,
     )
+
+
+def _cmd_run(args) -> int:
+    manifest = _manifest(args, dry_run=args.dry_run)
     outcome = run_evaluation(manifest)
     if not manifest.dry_run:
         print(f"run complete: {outcome.cells} cells, {outcome.failures} failures -> {outcome.run_dir}")
@@ -95,15 +94,7 @@ def _cmd_report(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    config = load_config(args.config)
-    manifest = build_manifest(
-        config,
-        evalset=args.evalset,
-        methods=args.methods,
-        seed=args.seed,
-        max_rows=args.max_rows,
-        output_dir=args.output_dir,
-    )
+    manifest = _manifest(args)
     axis = "reasoning_effort" if args.axis in ("effort", "reasoning_effort") else "temperature"
     path, failures = sweep(manifest, axis, args.values)
     print(f"sweep report written: {path}")

@@ -23,6 +23,12 @@ from .geo import is_int, is_real
 MODEL_API_KEY_ENV = "MODEL_API_KEY"
 GEOCODER_API_KEY_ENV = "GEOCODER_API_KEY"
 
+LIVE_TIMEOUT_S = 120.0
+"""Seconds a live chat-completion request may take before it is retried."""
+
+LIVE_MAX_RETRIES = 1
+"""Retries after a failed live request, before BackendUnavailable/BackendTimeout."""
+
 _MICRO = Decimal(10) ** 6
 _REASONING_EFFORTS = ("low", "medium", "high")
 
@@ -32,7 +38,7 @@ class BackendUnavailable(RuntimeError):
 
 
 class BackendTimeout(RuntimeError):
-    """The backend did not answer within the configured timeout."""
+    """The backend did not answer within ``LIVE_TIMEOUT_S``."""
 
 
 class FixtureExhausted(RuntimeError):
@@ -290,20 +296,12 @@ class LiveBackend:
     """Minimal chat-completions HTTP client.
 
     Disabled by default in offline runs; exists for the optional live
-    mode. One configurable retry, then BackendUnavailable/BackendTimeout.
+    mode. ``LIVE_MAX_RETRIES`` retries, then BackendUnavailable/BackendTimeout.
     """
 
-    def __init__(
-        self,
-        endpoint: str,
-        api_key: str | None = None,
-        timeout_s: float = 120.0,
-        max_retries: int = 1,
-    ):
+    def __init__(self, endpoint: str, api_key: str | None = None):
         self.endpoint = endpoint
         self.api_key = api_key if api_key is not None else os.environ.get(MODEL_API_KEY_ENV)
-        self.timeout_s = timeout_s
-        self.max_retries = max_retries
 
     def complete(
         self,
@@ -331,13 +329,13 @@ class LiveBackend:
             payload["tools"] = [{"type": "function", "function": t} for t in tools]
 
         last_exc: Exception | None = None
-        for _ in range(self.max_retries + 1):
+        for _ in range(LIVE_MAX_RETRIES + 1):
             try:
                 resp = requests.post(
                     self.endpoint,
                     json=payload,
                     headers={"Authorization": f"Bearer {self.api_key}"},
-                    timeout=self.timeout_s,
+                    timeout=LIVE_TIMEOUT_S,
                 )
             except requests.Timeout as exc:
                 last_exc = BackendTimeout(str(exc))

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from decimal import Decimal
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -89,20 +88,6 @@ class LatencySummary:
     hours_per_located: float
     hours_per_1k: float
     speedup_vs_baseline: float | None  # None when the mean latency is 0
-
-
-@dataclass
-class MethodSummary:
-    """Aggregated statistics for one method over an evaluation set."""
-
-    method_id: str
-    stats: ErrorStats
-    ci: BootstrapCI
-    cost_per_located: Decimal
-    cost_per_1k: Decimal
-    hours_per_1k: float
-    speedup_vs_baseline: float | None
-    marginal_cost_per_hit_pp: float | None = None
 
 
 def _validated(errors: Sequence[float]) -> np.ndarray:

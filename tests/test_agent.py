@@ -571,21 +571,20 @@ class TestTraceStatistics:
             "r2",
             [ToolCallRecord(i, "geocode_place", {}, {"lat": 1, "lng": 2}) for i in range(1, 4)],
         )
-        stats = trace_statistics([p1, p2])["T-1"]
-        assert stats.per_tool["geocode_place"]["mean"] == 2.0
-        assert stats.entries == 2
+        stats = trace_statistics([p1, p2])
+        assert stats.calls_per_entry_mean == 2.0
 
     def test_first_call_success_all(self):
         preds = []
         for i in range(3):
             record = ToolCallRecord(1, "geocode_place", {}, {"lat": 37.0, "lng": -77.0}, selected=True)
             preds.append(_traced_prediction("T-4", f"r{i}", [record], Coordinate(37.0, -77.0)))
-        stats = trace_statistics(preds)["T-4"]
+        stats = trace_statistics(preds)
         assert stats.first_call_success_rate == 1.0
         assert stats.mean_selected_index == 1.0
 
     def test_geocode_centroid_ratio(self):
         calls = [ToolCallRecord(i, "geocode_place", {}, {}) for i in range(1, 9)]
         calls.append(ToolCallRecord(9, "compute_centroid", {}, {}))
-        stats = trace_statistics([_traced_prediction("T-1", "r1", calls)])["T-1"]
+        stats = trace_statistics([_traced_prediction("T-1", "r1", calls)])
         assert stats.geocode_centroid_ratio == 8.0

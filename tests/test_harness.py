@@ -549,13 +549,14 @@ class TestGenerateReport:
     def test_shared_draws_match_per_method_bootstrap(self, tmp_path, monkeypatch):
         _, outcome = _run(_mixed_workspace(tmp_path))
         seen = {}
-        original = report.build_method_summary
+        original = report.summarize_run
 
-        def spy(log, ci, *args):
-            seen[log.method_id] = (list(log.errors), ci)
-            return original(log, ci, *args)
+        def spy(*args):
+            rows = original(*args)
+            seen.update((row.method_id, (list(row.errors), row.ci)) for row in rows if row.ci is not None)
+            return rows
 
-        monkeypatch.setattr(report, "build_method_summary", spy)
+        monkeypatch.setattr(report, "summarize_run", spy)
         generate_report(outcome.run_dir, resamples=700)
         assert {mid: len(errors) for mid, (errors, _) in seen.items()} == {"M-3": 4, "M-5": 4, "H-4": 4, "X-1": 3}
         for errors, ci in seen.values():
@@ -633,14 +634,14 @@ class TestSweep:
         with (tmp_path / "sweep_out" / "sweep.csv").open() as fh:
             rows = {r["method_id"]: r for r in csv.DictReader(fh)}
         seen = {}
-        original = report.build_method_summary
+        original = report.summarize_run
 
         def spy(*args):
-            summary = original(*args)
-            seen[summary.method_id.split("__")[0]] = summary
-            return summary
+            rows = original(*args)
+            seen.update((row.method_id.split("__")[0], row) for row in rows if row.stats is not None)
+            return rows
 
-        monkeypatch.setattr(report, "build_method_summary", spy)
+        monkeypatch.setattr(report, "summarize_run", spy)
         generate_report(tmp_path / "sweep_out" / "temperature_0.2")  # the value's directory is a run
         assert sorted(seen) == sorted(rows) == ["M-5", "M-6"]
         for method_id, s in seen.items():
@@ -1060,6 +1061,63 @@ class TestCli:
         capsys.readouterr()
         assert main(["report", "--run-dir", str(out_dir), "--resamples", "100"]) == 2
         assert "run.json is missing" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key", ["methods", "rows"])
+    def test_run_json_listing_an_id_twice_exit_two(self, tmp_path, capsys, key):
+        """A repeated method would print its rows twice, and a repeated row (its cell repeated in every log) would
+        count one grant twice."""
+        hf.build_full_workspace(tmp_path, n_grants=3)
+        config_path = tmp_path / "config.yaml"
+        config_path.write_text(yaml.safe_dump(hf.full_config()), encoding="utf-8")
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(config_path), "--method", "H-4", "--method", "M-5"]) == 0
+        run_json = out / "run.json"
+        doc = json.loads(run_json.read_text(encoding="utf-8"))
+        repeated = doc[key][0]
+        doc[key].insert(1, repeated)
+        run_json.write_text(json.dumps(doc), encoding="utf-8")
+        if key == "rows":
+            for log in (out / "runs").glob("*/calls.jsonl"):
+                lines = log.read_text(encoding="utf-8").splitlines()
+                log.write_text("\n".join([lines[0], *lines]) + "\n", encoding="utf-8")
+        capsys.readouterr()
+        assert main(["report", "--run-dir", str(out), "--resamples", "100"]) == 2
+        assert capsys.readouterr().err == f"data error: {run_json}: {key} lists {repeated!r} more than once\n"
+        assert not (out / "report.md").exists()
+
+    def test_a_methods_rows_do_not_depend_on_the_roster(self, tmp_path):
+        """Each method's line in every report table but "Processing time" (its latencies are measured locally) and
+        in cost_vs_error.csv is the same for the full roster, the roster reversed, and the method run alone."""
+        hf.build_full_workspace(tmp_path, n_grants=6)
+        doc = hf.full_config()
+        method_ids = [m["method_id"] for m in doc["methods"]]
+        config_path = tmp_path / "config.yaml"
+        config_path.write_text(yaml.safe_dump(doc), encoding="utf-8")
+        doc["methods"].reverse()
+        reversed_path = tmp_path / "reversed.yaml"
+        reversed_path.write_text(yaml.safe_dump(doc), encoding="utf-8")
+
+        def lines_by_method(config: Path, out: Path, *methods: str) -> dict:
+            flags = [arg for m in methods for arg in ("--method", m)]
+            assert main(["run", "--config", str(config), "--output-dir", str(out), *flags]) == 0
+            assert main(["report", "--run-dir", str(out), "--resamples", "200"]) == 0
+            found = {}
+            for section in (out / "report.md").read_text(encoding="utf-8").split("\n## ")[1:]:
+                title, _, body = section.partition("\n")
+                if title != "Processing time":
+                    for line in [line for line in body.splitlines() if line.startswith("|")][2:]:
+                        found[title, line.split(" | ")[0].removeprefix("| ")] = line
+            for line in (out / "cost_vs_error.csv").read_text(encoding="utf-8").splitlines()[1:]:
+                found["cost_vs_error.csv", line.split(",")[0]] = line
+            return found
+
+        full = lines_by_method(config_path, tmp_path / "full")
+        assert len(full) == 4 * 7 + 1 + 7  # four tables of every method, one tool-usage row, the CSV
+        assert lines_by_method(reversed_path, tmp_path / "reversed") == full
+        alone = {}
+        for method_id in method_ids:
+            alone.update(lines_by_method(config_path, tmp_path / method_id, method_id))
+        assert alone == full
 
     def test_missing_call_log_exit_two(self, tmp_path, capsys):
         config_path = hf.build_workspace(tmp_path, n_grants=2)

@@ -23,7 +23,7 @@ from pathlib import Path
 from typing import Callable, Iterable
 
 from .corpus import GrantAbstract, read_csv
-from .geo import Coordinate, VIRGINIA_BBOX, check_coordinate, haversine_km, is_real, within_bbox
+from .geo import BoundingBox, Coordinate, VIRGINIA_BBOX, check_coordinate, haversine_km, is_real, within_bbox
 
 VIRGINIA_CENTER = Coordinate(37.4316, -78.6569)
 """Statewide fallback: Virginia's geographic center."""
@@ -335,7 +335,7 @@ def heuristic_geoparse(
                 break
             candidates = list(resolver(variant))
 
-    box = VIRGINIA_BBOX.with_margin(params.bbox_margin_deg)
+    box = _margin_box(params.bbox_margin_deg)
     survivors = [
         c
         for c in candidates
@@ -356,6 +356,11 @@ def heuristic_geoparse(
     if county_centroid is not None:
         return county_centroid, "county"
     return VIRGINIA_CENTER, "statewide"
+
+
+@cache
+def _margin_box(margin_deg: float) -> BoundingBox:
+    return VIRGINIA_BBOX.with_margin(margin_deg)
 
 
 def tune_heuristic_grid(
@@ -394,10 +399,16 @@ def tune_heuristic_grid(
 
 
 _PUNCTUATION = re.compile(r"[^\w\s]")
+_SAINT = re.compile(r"\bst\.")
 
 
 def _normalize_entity(name: str) -> str:
-    name = name.lower().replace("st.", "saint").replace("'s", "")
+    """Lowered, with "st." at a word start read as "saint" ("St. Paul's" but
+    not "Forest."), "'s" dropped, and punctuation and runs of space as one space."""
+    name = name.lower()
+    if "st." in name:  # most names hold none, and the regex would slow every one
+        name = _SAINT.sub("saint", name)
+    name = name.replace("'s", "")
     return " ".join(_PUNCTUATION.sub(" ", name).split())  # str.split() splits where \s+ matches
 
 
@@ -417,11 +428,12 @@ class Gazetteer(Sequence):
     :data:`GazetteerRow`: ``gazetteer[i]`` builds that row's entry on first
     access and keeps it, so ``gazetteer[i] is gazetteer[i]``, and only the
     rows a lookup returns are ever built. ``Gazetteer(entries)`` keeps the
-    entries it is given. The indexes make a lookup cost grow with the text,
-    not with the number of rows; the entity index also remembers the
-    positions each distinct entity matched, so each entity is looked up
-    once per gazetteer. The name index and the entity index are built
-    apart, each on its own first lookup.
+    entries it is given. The indexes make a lookup cost grow with the text
+    (a name lookup's with the smaller of the text and the gazetteer's
+    distinct first words), not with the number of rows; the entity index
+    also remembers the positions each distinct entity matched, so each
+    entity is looked up once per gazetteer. The name index and the entity
+    index are built apart, each on its own first lookup.
     """
 
     def __init__(self, entries: Iterable[GazetteerEntry] = ()):
@@ -481,10 +493,11 @@ class Gazetteer(Sequence):
         return [self[i] for i in memo[entity]]
 
     @cached_property
-    def _word_index(self) -> tuple[dict[str, list[int]], list[int], list[str]]:
+    def _word_index(self) -> tuple[dict[str, list[int]], list[int], list[str], list[re.Pattern | None]]:
         """First word of each lowered name -> row positions; the rows whose
         name does not start with a word character, checked on every text;
-        and each row's lowered name."""
+        each row's lowered name; and each row's whole-word pattern, compiled
+        the first time the row is a candidate."""
         lowered = [row[0].lower() for row in self._rows]
         by_word: dict[str, list[int]] = {}
         always: list[int] = []
@@ -494,25 +507,36 @@ class Gazetteer(Sequence):
                 by_word.setdefault(m.group(0), []).append(i)
             else:
                 always.append(i)
-        return by_word, always, lowered
+        return by_word, always, lowered, [None] * len(lowered)
 
     def name_matches(self, text: str) -> list[GazetteerEntry]:
         """Rows whose lowered name occurs as whole words in the lowered text,
-        in gazetteer order.
+        neither preceded nor followed by a word character, in gazetteer order:
+        ``Mill Cr.`` is found in "on mill cr. and", ``(Old) Mill`` in "the (old) mill".
 
         A name that starts with a word character can only match where that
         first word is a whole word of the text, so only those rows are
-        checked, and the whole-word pattern is built only for names that
-        occur in the text as a substring.
+        checked. The first words come from the smaller side: a gazetteer with
+        few of them for the text's length looks each up as a substring of the
+        text (a superset of the whole words), else the text's words are looked
+        up in the index. A candidate's pattern is tried only when its name
+        occurs in the text as a substring.
         """
         lowered = text.lower()
-        by_word, always, names = self._word_index
-        words = set(_WORD.findall(lowered))
+        by_word, always, names, patterns = self._word_index
+        if len(by_word) * 8 < len(lowered):
+            hits = (rows for word, rows in by_word.items() if word in lowered)
+        else:
+            hits = (by_word[word] for word in by_word.keys() & _WORD.findall(lowered))
         found = []
-        for i in sorted(itertools.chain(always, *(by_word[word] for word in by_word.keys() & words))):
+        for i in sorted(itertools.chain(always, *hits)):
             name = names[i]
-            if name in lowered and re.search(rf"\b{re.escape(name)}\b", lowered):
-                found.append(self[i])
+            if name in lowered:
+                pattern = patterns[i]
+                if pattern is None:
+                    pattern = patterns[i] = re.compile(rf"(?<!\w){re.escape(name)}(?!\w)")
+                if pattern.search(lowered):
+                    found.append(self[i])
         return found
 
 
@@ -543,8 +567,7 @@ _PHRASE = re.compile(r"[A-Z](?<=\b[A-Z])[a-zA-Z'.]*(?:\s+(?:of\s+)?[A-Z][a-zA-Z'
 
 def default_entity_extractor(text: str) -> list[str]:
     """Capitalized-phrase scanner used when no NER engine is plugged in."""
-    phrases = (m.group(0) for m in _PHRASE.finditer(text))
-    return list(dict.fromkeys(p for p in phrases if len(p) > 2 and p.lower() not in _NAME_STOPWORDS))
+    return list(dict.fromkeys(p for p in _PHRASE.findall(text) if len(p) > 2 and p.lower() not in _NAME_STOPWORDS))
 
 
 def predict_ner_pipeline(

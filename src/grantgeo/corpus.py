@@ -45,11 +45,12 @@ def _row_error(where: str, exc: Exception, missing: str) -> MalformedRow:
 def read_csv(path: str | Path, kind: str, parse: Callable[[dict], object], header: list[str] | None = None) -> list:
     """``parse`` of each nonblank row of a UTF-8 CSV file, as a dict keyed by the file's header,
     which must equal ``header`` if given, as each row's width must; else a short row's missing
-    columns are None. A row error from ``parse`` is MalformedRow naming the file and the line the
-    row ends on; its own MalformedRow or DuplicateId passes unchanged; bad UTF-8 names the file."""
+    columns are None. A leading byte order mark, as Excel writes, is skipped. A row error from
+    ``parse`` is MalformedRow naming the file and the line the row ends on; its own MalformedRow
+    or DuplicateId passes unchanged; bad UTF-8 names the file."""
     out = []
     try:
-        with Path(path).open(newline="", encoding="utf-8") as fh:
+        with Path(path).open(newline="", encoding="utf-8-sig") as fh:
             reader = csv.reader(fh)
             rows = filter(None, reader)  # a blank line reads as []
             names = next(rows, None)

@@ -386,6 +386,28 @@ class TestPredictNerPipeline:
         coordinate, flag = predict_ner_pipeline("near Boston", lambda text: ["Boston"], gaz, TABLE)
         assert flag == "statewide"
 
+    @pytest.mark.parametrize(
+        "text, name",
+        [
+            ("400 acs. at Poplar Forest. Beg. at a pine", "Poplar Forest"),
+            ("200 acs. on the side of Amherst. Beg. at an oak", "Amherst"),
+            ("200 acs. in St. Paul's Parish", "Saint Paul"),
+        ],
+    )
+    def test_st_is_saint_only_at_a_word_start(self, text, name):
+        rows = [
+            GazetteerEntry("Poplar Forest", Coordinate(37.35, -79.26), 0, "plantation"),
+            GazetteerEntry("Amherst", Coordinate(37.58, -79.05), 2000, "populated_place"),
+            GazetteerEntry("Saint Paul", Coordinate(36.9051, -82.3124), 1000, "populated_place"),
+        ]
+        coordinate, flag = predict_ner_pipeline(text, default_entity_extractor, Gazetteer(rows), TABLE)
+        assert (coordinate, flag) == (next(g.coordinate for g in rows if g.name == name), "entity")
+
+    def test_st_normalizes_to_saint_only_at_a_word_start(self):
+        assert [_normalize_entity(e) for e in ("Poplar Forest.", "West.", "1st. St. John's")] == [
+            "poplar forest", "west", "1st saint john"
+        ]
+
     def test_historic_parish_matches_modern_town(self):
         # regression fixture: a parish reference resolves to the modern
         # far-southwest town of the same name, and the pipeline must
@@ -403,12 +425,12 @@ class TestPredictNerPipeline:
 
 
 def _reference_resolve(rows, text):
-    """The unindexed scan: every row's whole-word pattern over the text."""
+    """The unindexed scan: every row's name, not next to a word character, over the text."""
     lowered = text.lower()
     return [
         ResolvedToponym(g.name, g.coordinate, 1.0)
         for g in rows
-        if re.search(rf"\b{re.escape(g.name.lower())}\b", lowered)
+        if re.search(rf"(?<!\w){re.escape(g.name.lower())}(?!\w)", lowered)
     ]
 
 
@@ -509,10 +531,71 @@ class TestGazetteerIndex:
             GazetteerEntry("Mill", Coordinate(38.9, -78.1), 5, "mill"),
             GazetteerEntry("Mill Run", Coordinate(38.0, -78.0), 0, "stream"),
         ]
-        # "(old) mill" is whole-word only after a word character: the leading
-        # boundary sits between that character and the parenthesis.
-        resolved = gazetteer_resolver(Gazetteer(rows))("by the mill(old) mill on Mill Run")
+        resolved = gazetteer_resolver(Gazetteer(rows))("by the (old) mill on Mill Run")
         assert [(r.name, r.coordinate) for r in resolved] == [(g.name, g.coordinate) for g in rows]
+
+    @pytest.mark.parametrize(
+        "name, found_in, not_found_in",
+        [
+            ("Mill Cr.", ["on Mill Cr. and Oak Hill", "Mill Cr.", "(mill cr.)"], ["on Mill Cr.x", "sawmill cr."]),
+            ("(Old) Mill", ["by the (old) mill", "(Old) Mill, Richmond"], ["mill(old) mill", "(old) mills"]),
+        ],
+    )
+    def test_names_beginning_or_ending_in_punctuation_are_whole_words(self, name, found_in, not_found_in):
+        entry = GazetteerEntry(name, Coordinate(37.2, -77.4), 0, "place")
+        gazetteer = Gazetteer([entry])
+        for text in found_in:
+            assert gazetteer.name_matches(text) == [entry], text
+        for text in not_found_in:
+            assert gazetteer.name_matches(text) == [], text
+
+    @given(_gazetteer_case())
+    @settings(max_examples=150, deadline=None)
+    def test_resolver_matches_reference_on_both_sides_of_the_size_switch(self, case):
+        """Few distinct first words for a long text look the first words up in
+        the text; many for a short one look the text's words up in the index.
+        The filler rows' first words occur in no text, so they never match."""
+        rows, texts = case
+        filler = [GazetteerEntry(f"qz{n} Run", Coordinate(37.2, -77.4), 0, "stream") for n in range(100)]
+        long_text = ", ".join(texts) + " " * 60
+        assert len({g.name for g in rows}) * 8 < len(long_text) and len(filler) * 8 > max(map(len, texts))
+        for gazetteer_rows, text in [(rows, long_text)] + [(rows + filler, text) for text in texts]:
+            assert gazetteer_resolver(Gazetteer(gazetteer_rows))(text) == _reference_resolve(gazetteer_rows, text)
+
+    def test_padding_past_the_size_switch_keeps_every_h2_answer(self, monkeypatch):
+        """The packaged gazetteer looks its first words up in each text; padded
+        with names no text holds, it tokenizes each text instead, and every
+        heuristic_geoparse answer and every resolved list stay the same."""
+        rng = random.Random(7)
+        packaged = packaged_gazetteer()
+        names = [g.name for g in packaged] + ["Blackwater Sw.", "Nottoway Riv.", "Surry Co.", "County of Essex"]
+        words = ["on", "the", "side", "of", "acs.", "beg.", "pine", "oak", "Mill", "Swamp", "Henrico", "Co.", "Cr."]
+        texts = []
+        for _ in range(80):
+            share = rng.choice([0.0, 0.02, 0.1])  # of the words that are names
+            picks = (rng.choice(names if rng.random() < share else words) for _ in range(rng.randint(40, 100)))
+            texts.append(" ".join(picks))
+        filler = [GazetteerEntry(f"qz{n} Swamp", Coordinate(37.2, -77.4), 0, "swamp") for n in range(1000)]
+        padded = Gazetteer(list(packaged) + filler)
+        assert len(packaged) * 8 < min(map(len, texts)) and len(filler) * 8 > max(map(len, texts))
+        params = HeuristicParams(confidence_threshold=0.5, bbox_margin_deg=0.1, distance_gate_km=35.0)
+        real, tokenized = baselines._WORD, []
+
+        class CountingWord:
+            match = real.match
+
+            def findall(self, text):
+                tokenized.append(text)
+                return real.findall(text)
+
+        monkeypatch.setattr(baselines, "_WORD", CountingWord())
+        answers = []
+        for gazetteer in (packaged, padded):
+            resolve = gazetteer_resolver(gazetteer)
+            answers.append([(heuristic_geoparse(t, resolve, TABLE, params), resolve(t)) for t in texts])
+            assert bool(tokenized) == (gazetteer is padded)
+        assert answers[0] == answers[1]
+        assert {flag for (_, flag), _ in answers[0]} == {"entity", "county", "statewide"}
 
     def test_name_normalizing_to_empty_matches_every_entity(self):
         blank = GazetteerEntry("'s", Coordinate(37.2, -77.4), 0, "place")

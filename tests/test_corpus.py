@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from grantgeo.baselines import load_gazetteer
 from grantgeo.corpus import (
     GROUND_TRUTH_HEADER,
     DuplicateId,
@@ -30,6 +31,7 @@ from grantgeo.corpus import (
     write_jsonl,
 )
 from grantgeo.geo import Coordinate
+from grantgeo.harness import ingest_external_predictions
 
 GRANT_04_TEXT = (
     "WILLIAM WILLIAMS, 400 acs., on 8. side of the main Black Water Swamp; "
@@ -194,6 +196,26 @@ class TestReaders:
         path.write_bytes(b'{"a": 1}\n{"a": \xff}\n')
         with pytest.raises(MalformedRow, match=rf"^{re.escape(str(path))}:2: not a t record \(UnicodeDecodeError"):
             read_jsonl(path, "t", lambda doc: doc["a"])
+
+    @pytest.mark.parametrize("kind", ["gazetteer", "ground truth", "external predictions"])
+    def test_a_leading_bom_is_skipped(self, tmp_path, kind):
+        grants = [GrantAbstract.from_text("r1", "100 acs. on Blackwater Swamp", Coordinate(37.1, -77.1))]
+        write, load = {
+            "gazetteer": (
+                lambda path: write_csv(path, ["name", "lat", "lon", "population", "feature_class"],
+                                       [["Blackwater Swamp", "37.1", "-77.1", "0", "swamp"]]),
+                load_gazetteer,
+            ),
+            "ground truth": (lambda path: write_ground_truth(path, grants), load_ground_truth),
+            "external predictions": (
+                lambda path: write_csv(path, ["row_id", "lat", "lon"], [["r1", "37.2", "-77.2"]]),
+                lambda path: [p.coordinate for p in ingest_external_predictions(path, "H-1", grants)],
+            ),
+        }[kind]
+        plain, bom = tmp_path / "plain.csv", tmp_path / "bom.csv"
+        write(plain)
+        bom.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        assert list(load(bom)) == list(load(plain)) != []
 
     @pytest.mark.parametrize("error", [MalformedRow("own message"), DuplicateId("own message")])
     def test_parse_errors_of_the_readers_own_types_pass_unchanged(self, tmp_path, error):

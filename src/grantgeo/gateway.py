@@ -356,17 +356,21 @@ class LiveBackend:
 
     @staticmethod
     def _parse(data: dict) -> tuple[ModelResponse, TokenUsage]:
+        """The reply as a script turn, checked by :func:`_parse_turn` like a fixture's."""
         message = data["choices"][0]["message"]
-        usage_doc = data.get("usage", {})
-        usage = TokenUsage(  # which checks the counts are integers, rather than rounding them
-            usage_doc.get("prompt_tokens", usage_doc.get("input_tokens", 0)),
-            usage_doc.get("completion_tokens", usage_doc.get("output_tokens", 0)),
-        )
+        counts = data.get("usage", {})
+        usage = {
+            "input_tokens": counts.get("prompt_tokens", counts.get("input_tokens", 0)),
+            "output_tokens": counts.get("completion_tokens", counts.get("output_tokens", 0)),
+        }
         tool_calls = message.get("tool_calls") or []
         if tool_calls:
             fn = tool_calls[0]["function"]
             args = fn.get("arguments", {})
             if isinstance(args, str):
                 args = json.loads(args) if args else {}
-            return ModelResponse(tool_call=ToolCallRequest(fn["name"], args)), usage
-        return ModelResponse(text=message.get("content") or ""), usage
+            response = {"type": "tool_call", "name": fn["name"], "arguments": args}
+        else:
+            content = message.get("content")
+            response = {"type": "text", "text": "" if content is None else content}
+        return _parse_turn({"response": response, "usage": usage})[1:]

@@ -632,41 +632,30 @@ def _sweep_clone(spec: MethodSpec, axis: str, value) -> MethodSpec:
 
 
 def sweep(manifest: RunManifest, axis: str, values: list) -> tuple[Path, int]:
-    """Clone the roster per axis value, run each, and tabulate results.
+    """Run every method at every axis value as one run, and tabulate it.
 
-    temperature sweeps require rosters whose models use temperature (not
-    reasoning effort), and vice versa; a mismatch raises
-    AxisInapplicable, and a temperature that is not a number, or a value
-    given twice, ConfigInvalid.
-    Each value is a run in ``<axis>_<value>/``; :mod:`grantgeo.report`
-    tabulates those runs. Returns the report's path and the failed cells.
+    Each value clones the roster (``M-5__temperature_0.2``); the clones,
+    value by value, are the roster of one run in ``manifest.output_dir``,
+    which ``report`` reads like any other. An axis the roster's pipelines
+    or models cannot take raises AxisInapplicable before anything runs,
+    and a temperature that is not a number, or a value given twice,
+    ConfigInvalid. Returns the sweep report's path and the failed cells.
     """
     if axis not in SWEEP_AXES:
         raise AxisInapplicable(f"unknown axis {axis!r}")
     for spec in manifest.methods:
         if not PIPELINES[spec.pipeline].llm:
             raise AxisInapplicable(f"{spec.method_id}: pipeline {spec.pipeline} has no {axis}")
-        if axis == "temperature" and spec.model.reasoning_effort is not None:
-            raise AxisInapplicable(f"{spec.method_id}: model is reasoning-effort based")
-        if axis == "reasoning_effort" and spec.model.temperature is not None:
-            raise AxisInapplicable(f"{spec.method_id}: model is temperature based")
-
     try:
         values = [float(v) if axis == "temperature" else str(v) for v in values]
     except ValueError as exc:
         raise ConfigInvalid(f"sweep values: temperatures must be numbers ({exc})") from exc
     repeated = sorted({v for v in values if values.count(v) > 1})
-    if repeated:  # a second run at a value would overwrite the first's directory and repeat its rows
+    if repeated:  # a repeated value would give two clones one method_id
         raise ConfigInvalid(f"sweep values given more than once: {repeated}")
-    rosters = [(v, [_sweep_clone(spec, axis, v) for spec in manifest.methods]) for v in values]  # before any run
+    clones = [_sweep_clone(spec, axis, v) for v in values for spec in manifest.methods]  # before the run
+    outcome = run_evaluation(replace(manifest, methods=clones, dry_run=False))
+    from .report import write_sweep_report  # numpy loads once the run is done
 
-    runs: list[tuple[object, Path]] = []
-    failures = 0
-    for value, clones in rosters:
-        sub = replace(manifest, methods=clones, dry_run=False, output_dir=manifest.output_dir / f"{axis}_{value}")
-        outcome = run_evaluation(sub)
-        failures += outcome.failures
-        runs.append((value, outcome.run_dir))
-    from .report import write_sweep_report  # numpy loads once the runs are done
-
-    return write_sweep_report(manifest.output_dir, axis, runs, [s.method_id for s in manifest.methods]), failures
+    keys = [(v, spec.method_id) for v in values for spec in manifest.methods]
+    return write_sweep_report(manifest.output_dir, axis, keys), outcome.failures

@@ -214,26 +214,24 @@ def generate_report(run_dir: str | Path, ci_seed: int = 42, resamples: int = 10_
     return report_path
 
 
-def write_sweep_report(out_dir: Path, axis: str, runs: list[tuple], method_ids: list[str]) -> Path:
-    """Write sweep.csv and sweep_report.md: per axis value and method, the
-    row :func:`summarize_run` gives for that value's run. ``runs`` pairs
-    each value with its run directory, whose roster lists ``method_ids`` in
-    order; a method with no scored row has n 0 and only its tokens."""
+def write_sweep_report(out_dir: Path, axis: str, keys: list[tuple]) -> Path:
+    """Write sweep.csv and sweep_report.md from the one run in ``out_dir``:
+    :func:`summarize_run`'s rows, in roster order, each under its
+    ``(axis value, base method_id)`` from ``keys``. A method with no scored
+    row has n 0 and only its tokens."""
     header = "axis_value,method_id,n,mean_error_km,ci_lo_km,ci_hi_km,within_10km_pct,cost_per_1k,tokens_per_entry"
     table, md_rows = [], []
-    for value, run_dir in runs:
-        rows = summarize_run(run_dir)  # the report's default CI seed and resamples
-        for row, method_id in zip(rows, method_ids):
-            tokens = f"{row.tokens_per_entry:.1f}"
-            if row.stats is None:
-                table.append([value, method_id, 0, "", "", "", "", "", tokens])
-                md_rows.append([value, method_id, 0, "n/a", "n/a", "n/a", "n/a", tokens])
-                continue
-            st, ci = row.stats, row.ci
-            hits, cost = f"{st.bands[10.0] * 100:.1f}", f"{row.cost_per_1k:.2f}"
-            table.append([value, method_id, st.n, f"{st.mean:.4f}", f"{ci.lo:.4f}", f"{ci.hi:.4f}", hits, cost, tokens])
-            interval = f"[{ci.lo:.2f}, {ci.hi:.2f}]"
-            md_rows.append([value, method_id, st.n, f"{st.mean:.2f}", interval, hits, cost, tokens])
+    for row, (value, method_id) in zip(summarize_run(out_dir), keys):  # the report's default CI seed and resamples
+        tokens = f"{row.tokens_per_entry:.1f}"
+        if row.stats is None:
+            table.append([value, method_id, 0, "", "", "", "", "", tokens])
+            md_rows.append([value, method_id, 0, "n/a", "n/a", "n/a", "n/a", tokens])
+            continue
+        st, ci = row.stats, row.ci
+        hits, cost = f"{st.bands[10.0] * 100:.1f}", f"{row.cost_per_1k:.2f}"
+        table.append([value, method_id, st.n, f"{st.mean:.4f}", f"{ci.lo:.4f}", f"{ci.hi:.4f}", hits, cost, tokens])
+        interval = f"[{ci.lo:.2f}, {ci.hi:.2f}]"
+        md_rows.append([value, method_id, st.n, f"{st.mean:.2f}", interval, hits, cost, tokens])
     write_csv(out_dir / "sweep.csv", header.split(","), table)
     lines = [f"# Sweep report: {axis}", ""]
     lines += _table(

@@ -312,6 +312,19 @@ class TestLiveBackend:
         assert response.text == "37.0, -77.0"
         assert usage == TokenUsage(11, 5)
 
+    def test_null_content_is_empty_text_and_input_tokens_count(self, monkeypatch):
+        import requests
+
+        from grantgeo.gateway import LiveBackend
+
+        resp = requests.Response()
+        body = {"choices": [{"message": {"content": None}}], "usage": {"input_tokens": 3, "output_tokens": 1}}
+        resp.status_code, resp._content = 200, json.dumps(body).encode()
+        monkeypatch.setattr("requests.post", lambda *a, **k: resp)
+        backend = LiveBackend("https://example.invalid/v1/chat", api_key="k")
+        response, usage = backend.complete(ModelConfig("m"), [ChatMessage("user", "hi")])
+        assert (response.text, response.tool_call, usage) == ("", None, TokenUsage(3, 1))
+
     def test_parses_tool_call(self, monkeypatch):
         from grantgeo.gateway import LiveBackend
 
@@ -372,6 +385,36 @@ class TestLiveBackend:
             prediction = run_one_shot(backend, ModelConfig("gpt-4o"), hf.make_grants(1)[0], "M-5")
             assert prediction.failed and prediction.coordinate is None
             assert prediction.run.reason.startswith("BackendUnavailable: malformed response"), prediction.run.reason
+
+    @pytest.mark.parametrize(
+        "message",
+        [
+            {"content": 5},
+            {"content": ["37.1, -77.2"]},
+            {"content": {"t": 1}},
+            {"tool_calls": [{"function": {"name": "geocode_place", "arguments": "[1]"}}]},
+            {"tool_calls": [{"function": {"name": "geocode_place", "arguments": "5"}}]},
+            {"tool_calls": [{"function": {"name": 7, "arguments": "{}"}}]},
+        ],
+    )
+    @pytest.mark.parametrize("runner", ["one_shot", "tool_chain"])
+    def test_reply_off_the_turn_shape_fails_the_row(self, monkeypatch, message, runner):
+        import requests
+
+        from grantgeo.agent import Geocoder, run_tool_chain
+        from grantgeo.gateway import LiveBackend
+        from grantgeo.runners import run_one_shot
+
+        resp = requests.Response()
+        resp.status_code, resp._content = 200, json.dumps({"choices": [{"message": message}]}).encode()
+        monkeypatch.setattr("requests.post", lambda *a, **k: resp)
+        backend, grant = LiveBackend("https://example.invalid/v1/chat", api_key="k"), hf.make_grants(1)[0]
+        if runner == "one_shot":
+            prediction = run_one_shot(backend, ModelConfig("gpt-4o"), grant, "M-5")
+        else:
+            prediction = run_tool_chain(backend, Geocoder(), ModelConfig("gpt-4.1"), grant)
+        assert prediction.failed and prediction.run.tool_calls == []
+        assert prediction.run.reason.startswith("BackendUnavailable: malformed response"), prediction.run.reason
 
     @staticmethod
     def _geocode_once(monkeypatch, tmp_path, body: bytes):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import json
+from dataclasses import replace
 from datetime import datetime
 from decimal import Decimal
 from pathlib import Path
@@ -12,7 +13,7 @@ import pytest
 import yaml
 
 import harness_fixtures as hf
-from grantgeo import report
+from grantgeo import harness, report
 from grantgeo.cli import main
 from grantgeo.corpus import GrantAbstract, MalformedRow, write_ground_truth
 from grantgeo.gateway import text_turn, tool_call_turn, write_fixture_script
@@ -642,7 +643,7 @@ class TestSweep:
             return rows
 
         monkeypatch.setattr(report, "summarize_run", spy)
-        generate_report(tmp_path / "sweep_out" / "temperature_0.2")  # the value's directory is a run
+        generate_report(tmp_path / "sweep_out")  # the sweep's directory is a run
         assert sorted(seen) == sorted(rows) == ["M-5", "M-6"]
         for method_id, s in seen.items():
             row = rows[method_id]
@@ -653,6 +654,59 @@ class TestSweep:
             assert row["within_10km_pct"] == f"{s.stats.bands[10.0] * 100:.1f}"
             assert row["cost_per_1k"] == f"{s.cost_per_1k:.2f}"
         assert (rows["M-5"]["tokens_per_entry"], rows["M-6"]["tokens_per_entry"]) == ("120.0", "176.0")
+
+    def test_a_clone_in_a_sweep_equals_a_plain_run_of_that_clone(self, tmp_path, monkeypatch):
+        config_path = hf.build_workspace(tmp_path, n_grants=6)
+        grants = hf.make_grants(6)
+        write_fixture_script(tmp_path / "fixtures" / "m5_hot.jsonl", hf.one_shot_script(grants, [9, 30], (80, 41)))
+        doc = yaml.safe_load(config_path.read_text(encoding="utf-8"))
+        doc["methods"][0]["sweep_fixtures"] = {0.2: "fixtures/m5.jsonl", 0.9: "fixtures/m5_hot.jsonl"}
+        config_path.write_text(yaml.safe_dump(doc), encoding="utf-8")
+        manifest = build_manifest(load_config(config_path), methods=["M-5", "M-6"], output_dir=tmp_path / "sweep_out")
+        runs = []
+
+        def spy(run_manifest):
+            runs.append([spec.method_id for spec in run_manifest.methods])
+            return run_evaluation(run_manifest)
+
+        monkeypatch.setattr(harness, "run_evaluation", spy)
+        sweep(manifest, "temperature", ["0.2", "0.9"])
+        clones = [harness._sweep_clone(spec, "temperature", v) for v in (0.2, 0.9) for spec in manifest.methods]
+        clone_ids = ["M-5__temperature_0.2", "M-6__temperature_0.2", "M-5__temperature_0.9", "M-6__temperature_0.9"]
+        assert runs == [clone_ids] == [[c.method_id for c in clones]]
+        assert json.loads((tmp_path / "sweep_out" / "run.json").read_text(encoding="utf-8"))["methods"] == clone_ids
+
+        def records(run_dir: Path, method_id: str) -> list[dict]:
+            lines = (run_dir / "runs" / method_id / "calls.jsonl").read_text(encoding="utf-8").splitlines()
+            return [{**json.loads(line), "latency_s": None} for line in lines]
+
+        with (tmp_path / "sweep_out" / "sweep.csv").open() as fh:
+            swept = list(csv.DictReader(fh))
+        assert [(r["axis_value"], r["method_id"]) for r in swept] == [
+            ("0.2", "M-5"), ("0.2", "M-6"), ("0.9", "M-5"), ("0.9", "M-6"),
+        ]
+        for clone, row in zip(clones, swept):
+            plain = tmp_path / "plain" / clone.method_id
+            run_evaluation(replace(manifest, methods=[clone], output_dir=plain))
+            assert records(tmp_path / "sweep_out", clone.method_id) == records(plain, clone.method_id)
+            [alone] = report.summarize_run(plain)
+            st, ci = alone.stats, alone.ci
+            assert row == {
+                "axis_value": row["axis_value"],
+                "method_id": row["method_id"],
+                "n": str(st.n),
+                "mean_error_km": f"{st.mean:.4f}",
+                "ci_lo_km": f"{ci.lo:.4f}",
+                "ci_hi_km": f"{ci.hi:.4f}",
+                "within_10km_pct": f"{st.bands[10.0] * 100:.1f}",
+                "cost_per_1k": f"{alone.cost_per_1k:.2f}",
+                "tokens_per_entry": f"{alone.tokens_per_entry:.1f}",
+            }
+        assert swept[0] != swept[2]  # the second value replays its own script
+        accuracy = generate_report(tmp_path / "sweep_out", resamples=200).read_text(encoding="utf-8")
+        accuracy = accuracy.split("## Accuracy", 1)[1].split("\n## ", 1)[0]
+        listed = [line.split(" | ")[0].removeprefix("| ") for line in accuracy.strip().splitlines()[2:]]
+        assert sorted(listed) == sorted(clone_ids)  # the table is ordered by mean error
 
     def test_non_number_temperature_is_config_invalid(self, tmp_path):
         manifest = build_manifest(load_config(hf.build_workspace(tmp_path)), methods=["M-5"])
@@ -1236,7 +1290,10 @@ class TestCli:
             ]
         )
         assert code == 0
-        assert (out_dir / "sweep.csv").exists()
+        assert sorted(p.name for p in out_dir.iterdir()) == [  # one run, no directory per value
+            "results_gold.csv", "run.json", "runs", "sweep.csv", "sweep_report.md",
+        ]
+        assert main(["report", "--run-dir", str(out_dir), "--resamples", "200"]) == 0
 
     def _sweep_workspace(self, tmp_path, sweep_fixtures=None):
         grants = hf.make_grants(2)

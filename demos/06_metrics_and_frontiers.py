@@ -15,6 +15,7 @@ from grantgeo import (
     pareto_frontier,
     summarize_errors,
 )
+from grantgeo.metrics import CI_LEVEL
 
 rng = np.random.default_rng(7)
 errors = np.abs(rng.normal(25, 12, size=43))
@@ -25,8 +26,8 @@ print("bands:", {f"<={int(t)}km": f"{frac:.0%}" for t, frac in stats.bands.items
 lt1, mid, gt10 = stats.coarse_bands
 print(f"coarse bands: <1km {lt1:.0%} | 1-10km {mid:.0%} | >10km {gt10:.0%}")
 
-ci = bootstrap_ci(errors, resamples=10_000, level=0.95, seed=42)
-print(f"95% bootstrap CI on the mean: [{ci.lo:.1f}, {ci.hi:.1f}] ({ci.resamples} resamples)\n")
+ci = bootstrap_ci(errors, resamples=10_000, seed=42)
+print(f"{CI_LEVEL:.0%} bootstrap CI on the mean: [{ci.lo:.1f}, {ci.hi:.1f}] ({ci.resamples} resamples)\n")
 
 # Outlier-robust view: drop the k largest pooled residuals.
 by_method = {"alpha": list(errors), "beta": list(np.abs(rng.normal(60, 30, size=43)))}

@@ -68,9 +68,7 @@ Extractor = Callable[[str], list[str]]
 
 
 def _normalize_county(name: str) -> str:
-    name = re.sub(r"\s+", " ", name.strip())
-    name = name.replace("&", "and")
-    return re.sub(r"\s+", " ", name).strip().lower()
+    return re.sub(r"\s+", " ", name.strip()).replace("&", "and").lower()
 
 
 def _display_county(name: str) -> str:
@@ -112,9 +110,6 @@ class CountyCentroidTable:
 
     def get(self, name: str) -> Coordinate | None:
         return self._entries.get(_normalize_county(name))
-
-    def __contains__(self, name: str) -> bool:
-        return _normalize_county(name) in self._entries
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -551,6 +546,8 @@ def _gazetteer_row(row: dict) -> GazetteerRow:
     name, lat, lon = row["name"], float(row["lat"]), float(row["lon"])
     check_coordinate(lat, lon)
     parsed = name, lat, lon, int(row["population"] or 0), row["feature_class"]
+    if parsed[3] < 0:
+        raise ValueError(f"population {parsed[3]} is negative")
     if not _NOT_S_WORD.search(name) and not _normalize_entity(name):
         raise ValueError(f"name {name!r} has no word to match")
     return parsed

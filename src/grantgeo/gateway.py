@@ -323,8 +323,8 @@ class LiveBackend:
             payload["reasoning_effort"] = cfg.reasoning_effort
         if cfg.seed is not None:
             payload["seed"] = cfg.seed
-        if cfg.max_output_tokens is not None:
-            payload["max_tokens"] = cfg.max_output_tokens
+        if cfg.max_output_tokens is not None:  # not max_tokens: deprecated, and o-series models refuse it
+            payload["max_completion_tokens"] = cfg.max_output_tokens
         if tools:
             payload["tools"] = [{"type": "function", "function": t} for t in tools]
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 import re
 from collections import deque
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 EARTH_RADIUS_KM = 6371.0088
 """IUGG mean Earth radius in kilometres; sole radius used for distances."""
@@ -69,22 +69,23 @@ def check_coordinate(lat: float, lon: float) -> None:
 
 @dataclass(frozen=True)
 class BoundingBox:
-    """Axis-aligned lat/lon box with an optional margin in degrees."""
+    """Axis-aligned lat/lon box, bounds inclusive."""
 
     min_lat: float
     max_lat: float
     min_lon: float
     max_lon: float
-    margin_deg: float = 0.0
 
     def __post_init__(self):
         if self.min_lat > self.max_lat or self.min_lon > self.max_lon:
             raise ValueError("bounding box min exceeds max")
-        if self.margin_deg < 0:
-            raise ValueError("margin_deg must be >= 0")
 
     def with_margin(self, margin_deg: float) -> "BoundingBox":
-        return replace(self, margin_deg=margin_deg)
+        """This box widened by ``margin_deg`` degrees on every side."""
+        if margin_deg < 0:
+            raise ValueError("margin_deg must be >= 0")
+        m = margin_deg
+        return BoundingBox(self.min_lat - m, self.max_lat + m, self.min_lon - m, self.max_lon + m)
 
 
 VIRGINIA_BBOX = BoundingBox(36.54, 39.47, -83.68, -75.24)
@@ -239,9 +240,5 @@ def geodesic_dbscan(points: list[Coordinate], eps_km: float, min_pts: int) -> Cl
 
 
 def within_bbox(c: Coordinate, box: BoundingBox) -> bool:
-    """True iff ``c`` lies inside the margin-expanded box (inclusive)."""
-    m = box.margin_deg
-    return (
-        box.min_lat - m <= c.lat <= box.max_lat + m
-        and box.min_lon - m <= c.lon <= box.max_lon + m
-    )
+    """True iff ``c`` lies inside the box (inclusive)."""
+    return box.min_lat <= c.lat <= box.max_lat and box.min_lon <= c.lon <= box.max_lon

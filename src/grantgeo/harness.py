@@ -525,21 +525,15 @@ PIPELINES: dict[str, Pipeline] = {
 RUN_FILE = "run.json"
 
 
-def _write_results_csv(
-    path: Path,
-    grants: list[GrantAbstract],
-    roster: list[MethodSpec],
-    predictions: dict[str, list[Prediction]],
-) -> None:
+def _write_results_csv(path: Path, grants: list[GrantAbstract], predictions: dict[str, list[Prediction]]) -> None:
+    """One row per grant: its ground truth, then its cell of each method; each method's cells are in grant order."""
     header = list(GROUND_TRUTH_HEADER)
-    for spec in roster:
-        header += [f"{spec.method_id}_lat", f"{spec.method_id}_lon", f"{spec.method_id}_error_km", f"{spec.method_id}_failed"]
-    by_key = {(mid, p.row_id): p for mid, preds in predictions.items() for p in preds}
+    for mid in predictions:
+        header += [f"{mid}_lat", f"{mid}_lon", f"{mid}_error_km", f"{mid}_failed"]
     rows = []
-    for g in grants:
+    for g, *cells in zip(grants, *predictions.values(), strict=True):
         row = g.ground_truth_row()
-        for spec in roster:
-            p = by_key[(spec.method_id, g.row_id)]
+        for p in cells:
             row += [
                 f"{p.coordinate.lat:.6f}" if p.coordinate else "",
                 f"{p.coordinate.lon:.6f}" if p.coordinate else "",
@@ -596,7 +590,7 @@ def run_evaluation(manifest: RunManifest) -> RunOutcome:
         records = (p.to_json(pipeline.request(spec, grant)) for grant, p in zip(grants, preds))
         write_jsonl(method_dir / "calls.jsonl", records)
 
-    _write_results_csv(run_dir / f"results_{manifest.evalset}.csv", grants, manifest.methods, predictions)
+    _write_results_csv(run_dir / f"results_{manifest.evalset}.csv", grants, predictions)
     rows = [g.row_id for g in grants]
     roster = {"evalset": manifest.evalset, "started": started, "methods": list(predictions), "rows": rows}
     (run_dir / RUN_FILE).write_text(json.dumps(roster) + "\n", encoding="utf-8")

@@ -27,6 +27,9 @@ BAND_THRESHOLDS_KM = (1.0, 5.0, 10.0, 25.0, 50.0)
 BASELINE_SECONDS_PER_GRANT = 502.0
 """Manual-workflow labor time per grant used as the speedup baseline."""
 
+CI_LEVEL = 0.95
+"""Confidence level of every bootstrap interval, and of the reports' CI headers."""
+
 
 class EmptyInput(ValueError):
     pass
@@ -67,7 +70,6 @@ class ErrorStats:
 
 @dataclass(frozen=True)
 class BootstrapCI:
-    level: float
     resamples: int
     seed: int
     lo: float
@@ -85,7 +87,6 @@ class OlsFit:
 
 @dataclass(frozen=True)
 class LatencySummary:
-    hours_per_located: float
     hours_per_1k: float
     speedup_vs_baseline: float | None  # None when the mean latency is 0
 
@@ -147,22 +148,20 @@ _BOOTSTRAP_CHUNK_CELLS = 1 << 16
 def bootstrap_ci(
     errors: Sequence[float],
     resamples: int = 10_000,
-    level: float = 0.95,
     seed: int = 0,
 ) -> BootstrapCI:
-    """Seeded percentile bootstrap on the mean.
+    """Seeded percentile bootstrap on the mean, at :data:`CI_LEVEL`.
 
     Resamples of size n with replacement; the interval is the
-    (alpha/2, 1-alpha/2) quantile pair of the resampled means.
-    Deterministic for a given seed.
+    (alpha/2, 1-alpha/2) quantile pair of the resampled means, with
+    alpha = 1 - ``CI_LEVEL``. Deterministic for a given seed.
     """
-    return bootstrap_cis([errors], resamples, level, seed)[0]
+    return bootstrap_cis([errors], resamples, seed)[0]
 
 
 def bootstrap_cis(
     samples: Sequence[Sequence[float]],
     resamples: int = 10_000,
-    level: float = 0.95,
     seed: int = 0,
 ) -> list[BootstrapCI]:
     """``bootstrap_ci`` for each sample, drawing the indices once per size.
@@ -171,12 +170,10 @@ def bootstrap_cis(
     index matrix, so each block of it is drawn once and gathered for each
     sample of that size in turn. The intervals equal per-sample
     ``bootstrap_ci`` calls bit for bit. Raises ValueError unless
-    ``resamples`` is at least 1 and ``level`` lies strictly between 0 and 1.
+    ``resamples`` is at least 1.
     """
     if resamples < 1:
         raise ValueError(f"resamples must be at least 1, got {resamples}")
-    if not 0.0 < level < 1.0:
-        raise ValueError(f"level must lie strictly between 0 and 1, got {level}")
     arrays = [_validated(sample) for sample in samples]
     by_size: dict[int, list[int]] = {}
     for i, arr in enumerate(arrays):
@@ -193,12 +190,12 @@ def bootstrap_cis(
             idx = rng.integers(0, n, size=(stop - start, n))
             for i in members:
                 means[i][start:stop] = arrays[i][idx].mean(axis=1)
-    alpha = 1.0 - level
+    alpha = 1.0 - CI_LEVEL
     out = []
     for m in means:
         m.sort()
         lo, hi = quantile_sorted(m, alpha / 2.0), quantile_sorted(m, 1.0 - alpha / 2.0)
-        out.append(BootstrapCI(level=level, resamples=resamples, seed=seed, lo=lo, hi=hi))
+        out.append(BootstrapCI(resamples=resamples, seed=seed, lo=lo, hi=hi))
     return out
 
 
@@ -298,19 +295,16 @@ def latency_summary(
     latencies_s: Sequence[float],
     baseline_s_per_grant: float = BASELINE_SECONDS_PER_GRANT,
 ) -> LatencySummary:
-    """Hours per located / per 1k and the speedup against the baseline,
-    from per-grant latencies in seconds.
+    """Hours per 1k located and the speedup against the baseline, from
+    per-grant latencies in seconds.
 
     The speedup is None (undefined) when the mean latency is 0.
     """
     if not latencies_s:
         raise EmptyInput("no latencies")
-    mean_s = float(np.mean(latencies_s))
-    hours_per_located = mean_s / 3600.0
-    hours_per_1k = hours_per_located * 1000.0
+    hours_per_1k = float(np.mean(latencies_s)) / 3600.0 * 1000.0
     baseline_per_1k = baseline_s_per_grant * 1000.0 / 3600.0
     return LatencySummary(
-        hours_per_located=hours_per_located,
         hours_per_1k=hours_per_1k,
         speedup_vs_baseline=baseline_per_1k / hours_per_1k if hours_per_1k else None,
     )

@@ -24,6 +24,7 @@ from .agent import ToolUsageStats, trace_statistics
 from .corpus import MalformedRow, read_jsonl, write_csv
 from .harness import RUN_FILE, DataMissing, NoResults
 from .metrics import (
+    CI_LEVEL,
     BootstrapCI,
     ErrorStats,
     ZeroHitRate,
@@ -151,7 +152,6 @@ def _detail(row: MethodRow) -> list:
 def _processing(row: MethodRow) -> list:
     lat = latency_summary(row.located_latencies or [0.0])
     speedup = f"{lat.speedup_vs_baseline:,.0f}×" if lat.speedup_vs_baseline is not None else "n/a"
-    # Hours per located from hours_per_1k, as always printed: hours_per_located can differ in the last bit.
     return [row.method_id, f"{lat.hours_per_1k / 1000:.4f}", f"{lat.hours_per_1k:.3f}", speedup]
 
 
@@ -173,7 +173,9 @@ def generate_report(run_dir: str | Path, ci_seed: int = 42, resamples: int = 10_
     tool_rows = sorted((row for row in rows if row.tool_usage is not None), key=lambda row: row.method_id)
 
     lines = ["# Run report", "", "## Accuracy", ""]
-    lines += _table(["ID", "n", "Mean ± 95% CI (km)", "Median (km)", "≤10 km (%)"], map(_accuracy, scored))
+    lines += _table(
+        ["ID", "n", f"Mean ± {CI_LEVEL:.0%} CI (km)", "Median (km)", "≤10 km (%)"], map(_accuracy, scored)
+    )
     lines += ["", "## Detailed performance", ""]
     lines += _table(
         ["Method", "n", "mean", "median", "sd", "min", "Q1", "Q3", "max"]
@@ -235,7 +237,8 @@ def write_sweep_report(out_dir: Path, axis: str, keys: list[tuple]) -> Path:
     write_csv(out_dir / "sweep.csv", header.split(","), table)
     lines = [f"# Sweep report: {axis}", ""]
     lines += _table(
-        ["Value", "Method", "n", "Mean error (km)", "95% CI (km)", "≤10 km (%)", "Cost per 1k (USD)", "Tokens / entry"],
+        ["Value", "Method", "n", "Mean error (km)", f"{CI_LEVEL:.0%} CI (km)", "≤10 km (%)", "Cost per 1k (USD)"]
+        + ["Tokens / entry"],
         md_rows,
     )
     report_path = out_dir / "sweep_report.md"

@@ -126,8 +126,9 @@ class Prediction:
         """The cell a call-log record holds (its ``request`` is not kept); the
         constructors check the values, this only the record's own shape."""
         coordinate, failed = doc["final_coordinate"], doc["failed"]
-        if not (coordinate is None or isinstance(coordinate, list)) or failed is not (coordinate is None):
-            raise ValueError("final_coordinate must be null or a [lat, lon] list, and failed true exactly when null")
+        located = isinstance(coordinate, list) and all(map(is_real, coordinate))
+        if not (coordinate is None or located) or failed is not (coordinate is None):
+            raise ValueError("final_coordinate must be null or [lat, lon] numbers, and failed true exactly when null")
         usage = TokenUsage(doc["usage"]["input_tokens"], doc["usage"]["output_tokens"])
         run = RunRecord(
             usage, doc["latency_s"], Decimal(doc["cost_usd"]),

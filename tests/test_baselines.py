@@ -32,6 +32,7 @@ from grantgeo.baselines import (
     tune_heuristic_grid,
     _display_county,
     _is_name_token,
+    _normalize_county,
     _normalize_entity,
     _scan_back,
     _scan_forward,
@@ -119,6 +120,15 @@ class TestPredictCountyCentroid:
     def test_all_centroids_inside_box(self):
         # construction enforces it; double-check the packaged file
         assert len(TABLE) > 100
+
+    @given(st.text(st.sampled_from(" \t\n\u00a0\u2003&aAKqQ"), max_size=12) | st.text(max_size=12))
+    @settings(max_examples=500, deadline=None)
+    @example(" King  &  Queen ")
+    @example("&\u2003&")
+    def test_one_whitespace_pass_normalizes_county_names(self, name):
+        """After collapsing and stripping whitespace, "&" -> "and" adds none, so a second pass changed nothing."""
+        twice = re.sub(r"\s+", " ", re.sub(r"\s+", " ", name.strip()).replace("&", "and")).strip().lower()
+        assert _normalize_county(name) == twice
 
 
 class TestExpandAbbreviations:
@@ -687,6 +697,14 @@ class TestLoadGazetteer:
         path = tmp_path / "gazetteer.csv"
         _write_gazetteer(path, _COLUMNS, [("Oak Hill", "37.2", "-77.4", "", "place"), ("Mill", lat, lon, "", "mill")])
         with pytest.raises(MalformedRow, match=rf"^{re.escape(str(path))}:3: not a gazetteer row \(ValueError: "):
+            load_gazetteer(path)
+
+    @pytest.mark.parametrize("population", ["-500", "-1"])
+    def test_negative_population_is_malformed_row(self, tmp_path, population):
+        """It would rank the feature below every unpopulated one in H-3."""
+        path = tmp_path / "gazetteer.csv"
+        _write_gazetteer(path, _COLUMNS, [("Oak Hill", "37.2", "-77.4", "0", "place"), ("Mill", "37.1", "-77.1", population, "x")])
+        with pytest.raises(MalformedRow, match=rf"^{re.escape(str(path))}:3: not a gazetteer row \(ValueError: population "):
             load_gazetteer(path)
 
     @pytest.mark.parametrize("name", ["", "'s", "...", "(-)", "'S"])

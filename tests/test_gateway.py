@@ -312,6 +312,32 @@ class TestLiveBackend:
         assert response.text == "37.0, -77.0"
         assert usage == TokenUsage(11, 5)
 
+    def test_output_cap_is_sent_as_max_completion_tokens(self, monkeypatch):
+        # The chat API deprecates max_tokens, and o-series models such as o3 refuse it.
+        from grantgeo.gateway import LiveBackend
+
+        class FakeResponse:
+            status_code = 200
+
+            @staticmethod
+            def json():
+                return {"choices": [{"message": {"content": "37.0, -77.0"}}]}
+
+        payloads = []
+        monkeypatch.setattr("requests.post", lambda url, json, **k: payloads.append(json) or FakeResponse())
+        backend = LiveBackend("https://example.invalid/v1/chat", api_key="k")
+        cfg = ModelConfig("o3", reasoning_effort="high", seed=3, max_output_tokens=256)
+        backend.complete(cfg, [ChatMessage("user", "hi")])
+        assert payloads == [
+            {
+                "model": "o3",
+                "messages": [{"role": "user", "content": "hi"}],
+                "reasoning_effort": "high",
+                "seed": 3,
+                "max_completion_tokens": 256,
+            }
+        ]
+
     def test_null_content_is_empty_text_and_input_tokens_count(self, monkeypatch):
         import requests
 

@@ -6,7 +6,7 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from grantgeo import geo
@@ -196,9 +196,16 @@ class TestSphericalCentroid:
             assert abs(c.lat - p.lat) <= 1e-9
             assert abs(c.lon - p.lon) <= 1e-9
 
-    @given(st.lists(st.tuples(st.floats(-80, 80), st.floats(-170, 170)), min_size=2, max_size=8))
+    @given(
+        st.lists(st.tuples(st.floats(-80, 80), st.floats(-170, 170)), min_size=2, max_size=8).filter(
+            lambda raw: math.hypot(*_mean_unit_vector(raw)[:2]) >= 1e-4
+        )
+    )
     @settings(max_examples=200, deadline=None)
     def test_permutation_invariance(self, raw):
+        """Only a summation order changes, so the centroids agree to rounding. The draws keep the mean's
+        horizontal part at least 1e-4 long: the sums' rounding (below 1e-15) then moves the latitude and the
+        longitude by under 1e-9 degrees. A (near-)zero mean is test_degenerate_antipodes' case."""
         pts = [Coordinate(lat, lon) for lat, lon in raw]
         rng = random.Random(42)
         shuffled = pts[:]
@@ -206,7 +213,16 @@ class TestSphericalCentroid:
         a = spherical_centroid(pts)
         b = spherical_centroid(shuffled)
         assert abs(a.lat - b.lat) <= 1e-9
-        assert abs(a.lon - b.lon) <= 1e-9
+        assert abs((a.lon - b.lon + 180.0) % 360.0 - 180.0) <= 1e-9  # 180 and -180 are one meridian
+
+
+def _mean_unit_vector(raw):
+    """The mean (x, y, z) of the (lat, lon) degree pairs as unit vectors."""
+    vectors = [
+        (math.cos(lat) * math.cos(lon), math.cos(lat) * math.sin(lon), math.sin(lat))
+        for lat, lon in ((math.radians(lat), math.radians(lon)) for lat, lon in raw)
+    ]
+    return [sum(axis) / len(vectors) for axis in zip(*vectors)]
 
 
 def brute_force_dbscan(points, eps_km, min_pts, distance=oracle_haversine):
@@ -316,9 +332,28 @@ class TestWithinBbox:
         assert within_bbox(Coordinate(VIRGINIA_BBOX.min_lat, -77.0), VIRGINIA_BBOX)
 
     def test_margin_expansion(self):
-        box = BoundingBox(36.0, 37.0, -78.0, -77.0, margin_deg=0.5)
+        box = BoundingBox(36.0, 37.0, -78.0, -77.0).with_margin(0.5)
+        assert box == BoundingBox(35.5, 37.5, -78.5, -76.5)
         assert within_bbox(Coordinate(37.4, -77.5), box)
         assert not within_bbox(Coordinate(37.6, -77.5), box)
+
+    @given(
+        st.floats(-90, 90), st.floats(-180, 180),
+        st.sampled_from([0.0, 0.1, 0.2, 0.5]) | st.floats(0, 5),
+        st.sampled_from([VIRGINIA_BBOX, BoundingBox(36.0, 37.0, -78.0, -77.0)]),
+    )
+    @settings(max_examples=500, deadline=None)
+    @example(36.34, -77.0, 0.2, VIRGINIA_BBOX)  # 36.54 - 0.2 rounds below 36.34
+    @example(39.67, -75.04, 0.2, VIRGINIA_BBOX)
+    def test_widened_box_compares_as_the_margin_did(self, lat, lon, margin, box):
+        """with_margin widens each bound by the same subtraction or addition the comparison once made."""
+        m = margin
+        margin_test = box.min_lat - m <= lat <= box.max_lat + m and box.min_lon - m <= lon <= box.max_lon + m
+        assert within_bbox(Coordinate(lat, lon), box.with_margin(margin)) == margin_test
+
+    def test_negative_margin_refused(self):
+        with pytest.raises(ValueError, match="margin_deg must be >= 0"):
+            VIRGINIA_BBOX.with_margin(-0.1)
 
     def test_bad_box(self):
         with pytest.raises(ValueError):

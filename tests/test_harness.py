@@ -13,7 +13,7 @@ import pytest
 import yaml
 
 import harness_fixtures as hf
-from grantgeo import harness, report
+from grantgeo import harness, metrics, report
 from grantgeo.cli import main
 from grantgeo.corpus import GrantAbstract, MalformedRow, write_ground_truth
 from grantgeo.gateway import text_turn, tool_call_turn, write_fixture_script
@@ -563,6 +563,21 @@ class TestGenerateReport:
         for errors, ci in seen.values():
             assert ci == bootstrap_ci(errors, resamples=700, seed=42)
 
+    def test_headers_state_the_level_the_intervals_use(self, tmp_path, monkeypatch):
+        config_path = hf.build_workspace(tmp_path, n_grants=4)
+        out = tmp_path / "sweep_out"
+        manifest = build_manifest(load_config(config_path), methods=["M-5"], output_dir=out)
+        wide = report.summarize_run(_run(config_path, output_dir=tmp_path / "plain")[1].run_dir, resamples=700)[0].ci
+        monkeypatch.setattr(metrics, "CI_LEVEL", 0.8)
+        monkeypatch.setattr(report, "CI_LEVEL", 0.8)
+        sweep(manifest, "temperature", ["0.2"])
+        [row] = report.summarize_run(out, resamples=700)
+        assert row.ci == bootstrap_ci(row.errors, resamples=700, seed=42) and row.ci.hi - row.ci.lo < wide.hi - wide.lo
+        text = generate_report(out, resamples=700).read_text(encoding="utf-8")
+        assert "| ID | n | Mean ± 80% CI (km) |" in text
+        assert f"| M-5__temperature_0.2 | 4 | {row.stats.mean:.1f} [{row.ci.lo:.1f}, {row.ci.hi:.1f}] |" in text
+        assert "| Value | Method | n | Mean error (km) | 80% CI (km) |" in (out / "sweep_report.md").read_text(encoding="utf-8")
+
     def test_tool_usage_table_with_one_tool_method_among_others(self, tmp_path):
         _, outcome = _run(_mixed_workspace(tmp_path))
         report = generate_report(outcome.run_dir, resamples=200).read_text(encoding="utf-8")
@@ -897,10 +912,11 @@ class TestCli:
             ("gazetteer.csv", "name,lat,lon,population,feature_class\nBlackwater Sw\udcffamp,37.1,-77.1,0,x\n", ": "),
             ("counties.csv", "county,lat,lon\nSuss\udcffex,36.92,-77.28\n", ": "),
             ("counties.csv", "county,lat,lon\nSussex,36.92,-77.28\nFoo,45.0,-77.0\n", ":3: "),
+            ("gazetteer.csv", "name,lat,lon,population,feature_class\nOak,37.2,-77.4,9,x\nMill,37.1,-77.1,-500,x\n", ":3: "),
         ],
         ids=[
             "gazetteer-no-lon", "gazetteer-lat-text", "counties-no-lon", "counties-lat-text",
-            "gazetteer-not-utf8", "counties-not-utf8", "counties-outside-virginia",
+            "gazetteer-not-utf8", "counties-not-utf8", "counties-outside-virginia", "gazetteer-negative-population",
         ],
     )
     def test_bad_baseline_csv_exit_two(self, tmp_path, capsys, name, text, named):
@@ -1199,6 +1215,8 @@ class TestCli:
             lambda line: _edited(line, final_coordinate=None),
             lambda line: _edited(line, final_coordinate="x"),
             lambda line: _edited(line, final_coordinate=[91.0, -77.0]),
+            lambda line: _edited(line, final_coordinate=[True, False]),
+            lambda line: _edited(line, final_coordinate=[37.1, True]),
             lambda line: _edited(line, tool_calls=[{"turn_index": 1, "tool_name": None, "arguments": {}}]),
             lambda line: _edited(line, failed=True),
             lambda line: _edited(line, final_coordinate=None, error_km=None, failed=False),
@@ -1206,7 +1224,8 @@ class TestCli:
         ids=[
             "torn", "bad-utf8", "not-an-object", "missing-fields", "bad-cost", "bad-tool-call", "bad-usage",
             "nan-cost", "negative-cost", "negative-latency", "infinite-latency", "negative-error", "nan-error",
-            "error-without-coordinate", "text-coordinate", "coordinate-out-of-range", "tool-call-without-name",
+            "error-without-coordinate", "text-coordinate", "coordinate-out-of-range", "boolean-coordinate",
+            "boolean-longitude", "tool-call-without-name",
             "located-but-failed", "unlocated-but-not-failed",
         ],
     )

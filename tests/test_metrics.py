@@ -148,12 +148,6 @@ class TestBootstrapCI:
             widths.append(float(np.mean(sample_widths)))
         assert widths[1] < widths[0]
 
-    def test_level_respected(self):
-        data = [1, 5, 9, 2, 8, 4, 6]
-        wide = bootstrap_ci(data, resamples=4000, level=0.99, seed=5)
-        narrow = bootstrap_ci(data, resamples=4000, level=0.80, seed=5)
-        assert (wide.hi - wide.lo) >= (narrow.hi - narrow.lo)
-
 
     @pytest.mark.parametrize("n", [1, 7, 1000])
     @pytest.mark.parametrize("chunk_cells", [1, 333, 4096, 1 << 20])
@@ -162,19 +156,18 @@ class TestBootstrapCI:
         # Reference: the whole resamples x n index matrix in one draw.
         rng = np.random.default_rng(11)
         means = np.asarray(errors)[rng.integers(0, n, size=(997, n))].mean(axis=1)
-        alpha = 1.0 - 0.9
+        alpha = 1.0 - metrics.CI_LEVEL
         lo, hi = np.quantile(means, [alpha / 2.0, 1.0 - alpha / 2.0])
         monkeypatch.setattr(metrics, "_BOOTSTRAP_CHUNK_CELLS", chunk_cells)
-        ci = bootstrap_ci(errors, resamples=997, level=0.9, seed=11)
+        ci = bootstrap_ci(errors, resamples=997, seed=11)
         assert (ci.lo, ci.hi) == (float(lo), float(hi))
 
 
 class TestBootstrapCIs:
     SIZES = [5, 7, 5, 1, 7, 5]
 
-    @pytest.mark.parametrize("level", [0.9, 0.95])
     @pytest.mark.parametrize("chunk_cells", [1, 333, 4096, 1 << 20])
-    def test_each_sample_matches_single_draw(self, monkeypatch, chunk_cells, level):
+    def test_each_sample_matches_single_draw(self, monkeypatch, chunk_cells):
         rng = np.random.default_rng(5)
         samples = [rng.gamma(2.0, 10.0, size=n).tolist() for n in self.SIZES]
         expected = []
@@ -182,23 +175,18 @@ class TestBootstrapCIs:
             # Reference: this sample's whole resamples x n index matrix in one draw.
             idx = np.random.default_rng(11).integers(0, len(errors), size=(997, len(errors)))
             means = np.asarray(errors)[idx].mean(axis=1)
-            alpha = 1.0 - level
+            alpha = 1.0 - metrics.CI_LEVEL
             lo, hi = np.quantile(means, [alpha / 2.0, 1.0 - alpha / 2.0])
             expected.append((float(lo), float(hi)))
         monkeypatch.setattr(metrics, "_BOOTSTRAP_CHUNK_CELLS", chunk_cells)
-        cis = bootstrap_cis(samples, resamples=997, level=level, seed=11)
+        cis = bootstrap_cis(samples, resamples=997, seed=11)
         assert [(ci.lo, ci.hi) for ci in cis] == expected
-        assert all((ci.level, ci.resamples, ci.seed) == (level, 997, 11) for ci in cis)
+        assert all((ci.resamples, ci.seed) == (997, 11) for ci in cis)
 
     @pytest.mark.parametrize("resamples", [0, -5])
     def test_resamples_below_one_raises(self, resamples):
         with pytest.raises(ValueError, match=f"resamples must be at least 1, got {resamples}"):
             bootstrap_cis([[1.0, 2.0]], resamples=resamples)
-
-    @pytest.mark.parametrize("level", [0.0, 1.0, -0.5, 1.5, float("nan")])
-    def test_level_outside_open_unit_interval_raises(self, level):
-        with pytest.raises(ValueError, match="level must lie strictly between 0 and 1"):
-            bootstrap_cis([[1.0, 2.0]], resamples=10, level=level)
 
     @pytest.mark.parametrize("position", [0, 2, 3])
     def test_empty_sample_anywhere_raises(self, position):
@@ -356,7 +344,6 @@ class TestLatencySummary:
 
     def test_hours_conversion(self):
         out = latency_summary([3600.0])
-        assert out.hours_per_located == 1.0
         assert out.hours_per_1k == 1000.0
 
     def test_empty(self):

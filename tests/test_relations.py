@@ -1,0 +1,69 @@
+"""Metamorphic relations: a cell's call-log record depends only on its method and its grant.
+
+A base run of every pipeline over a 6-grant ``hf.full_config()`` workspace is
+compared with transformed runs of the same workspace. Every cell the two share
+must have the same call-log record, ``latency_s`` masked (baseline cells
+measure it locally). The relations that hold with today's replay backend are
+here; an evalset subset waits for replay keyed by grant.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import json
+from pathlib import Path
+
+import pytest
+import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import harness_fixtures as hf
+from grantgeo.cli import main
+
+N_GRANTS = 6
+METHOD_IDS = [m["method_id"] for m in hf.full_config()["methods"]]
+
+
+def _cells(config_path: Path, out: Path, *args: str) -> tuple[list[str], list[str], dict]:
+    """Run the config into ``out``: run.json's methods and rows, and each cell's record by (method, row)."""
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["run", "--config", str(config_path), "--output-dir", str(out), *args]) == 0
+    run = json.loads((out / "run.json").read_text(encoding="utf-8"))
+    cells = {}
+    for method_id in run["methods"]:
+        for line in (out / "runs" / method_id / "calls.jsonl").read_text(encoding="utf-8").splitlines():
+            record = json.loads(line)
+            cells[record["method_id"], record["row_id"]] = {**record, "latency_s": None}
+    return run["methods"], run["rows"], cells
+
+
+@pytest.fixture(scope="module")
+def base(tmp_path_factory):
+    root = tmp_path_factory.mktemp("relations")
+    hf.build_full_workspace(root, n_grants=N_GRANTS)
+    config_path = root / "config.yaml"
+    config_path.write_text(yaml.safe_dump(hf.full_config()), encoding="utf-8")
+    methods, rows, cells = _cells(config_path, root / "base")
+    assert methods == METHOD_IDS and len(rows) == N_GRANTS and len(cells) == len(METHOD_IDS) * N_GRANTS
+    return config_path, rows, cells
+
+
+@given(roster=st.lists(st.sampled_from(METHOD_IDS), min_size=1, unique=True))
+@settings(max_examples=20, deadline=None)
+def test_a_roster_subset_in_any_order_keeps_every_cell(base, tmp_path_factory, roster):
+    config_path, rows, cells = base
+    flags = [arg for method_id in roster for arg in ("--method", method_id)]
+    methods, subset_rows, subset = _cells(config_path, tmp_path_factory.mktemp("roster"), *flags)
+    assert (methods, subset_rows) == (roster, rows)
+    assert subset == {(m, r): cells[m, r] for m in roster for r in rows}
+
+
+@given(max_rows=st.integers(1, N_GRANTS + 2))
+@settings(max_examples=8, deadline=None)
+def test_a_max_rows_prefix_keeps_every_cell(base, tmp_path_factory, max_rows):
+    config_path, rows, cells = base
+    methods, prefix_rows, prefix = _cells(config_path, tmp_path_factory.mktemp("prefix"), "--max-rows", str(max_rows))
+    assert (methods, prefix_rows) == (METHOD_IDS, rows[:max_rows])
+    assert prefix == {(m, r): cells[m, r] for m in METHOD_IDS for r in rows[:max_rows]}

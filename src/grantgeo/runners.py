@@ -35,6 +35,8 @@ from .geo import (
 )
 from .prompts import build_one_shot_prompt
 
+_JSON_NUMBERS = (float, int)
+
 
 class AllCallsFailed(RuntimeError):
     """No usable points remained after all member calls failed."""
@@ -126,7 +128,11 @@ class Prediction:
         """The cell a call-log record holds (its ``request`` is not kept); the
         constructors check the values, this only the record's own shape."""
         coordinate, failed = doc["final_coordinate"], doc["failed"]
-        located = isinstance(coordinate, list) and all(map(is_real, coordinate))
+        # JSON numbers only (a bool is an int subclass, so match types exactly); Coordinate checks the values.
+        located = (
+            isinstance(coordinate, list) and len(coordinate) == 2
+            and type(coordinate[0]) in _JSON_NUMBERS and type(coordinate[1]) in _JSON_NUMBERS
+        )
         if not (coordinate is None or located) or failed is not (coordinate is None):
             raise ValueError("final_coordinate must be null or [lat, lon] numbers, and failed true exactly when null")
         usage = TokenUsage(doc["usage"]["input_tokens"], doc["usage"]["output_tokens"])

@@ -18,11 +18,11 @@ from __future__ import annotations
 import functools
 import json
 import re
-import statistics
 import threading
 import time
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Iterable
 
 from .corpus import GrantAbstract, MalformedRow, write_jsonl
 from .gateway import (
@@ -590,33 +590,36 @@ class ToolUsageStats:
     mean_selected_index: float | None
 
 
-def trace_statistics(predictions: list[Prediction]) -> ToolUsageStats:
-    """Summarize the tool usage of one method's non-empty list of predictions.
+def trace_statistics(predictions: Iterable[Prediction]) -> ToolUsageStats:
+    """Summarize the tool usage of one method's predictions, read in one pass,
+    so a generator serves as well as a list; of no predictions, every mean is
+    0 or None.
 
     Covers the mean calls per entry, the geocode:centroid ratio, the
     first-call success rate (selected call is the entry's first geocode
     call), and the mean selected call index.
     """
-    total_geo = sum(1 for p in predictions for r in p.run.tool_calls if r.tool_name == "geocode_place")
-    total_cent = sum(1 for p in predictions for r in p.run.tool_calls if r.tool_name == "compute_centroid")
-
-    selected_indices: list[int] = []
-    first_call_hits = 0
-    traced = 0
+    entries = calls = total_geo = total_cent = traced = first_call_hits = selected = selected_sum = 0
     for p in predictions:
-        if not p.run.tool_calls:
+        trace = p.run.tool_calls
+        entries += 1
+        if not trace:
             continue
         traced += 1
-        selected = next((r for r in p.run.tool_calls if r.selected), None)
-        first_geo = next((r for r in p.run.tool_calls if r.tool_name == "geocode_place"), None)
-        if selected is not None:
-            selected_indices.append(selected.turn_index)
-            if first_geo is not None and selected.turn_index == first_geo.turn_index:
+        calls += len(trace)
+        geocodes = [r.turn_index for r in trace if r.tool_name == "geocode_place"]
+        total_geo += len(geocodes)
+        total_cent += sum(r.tool_name == "compute_centroid" for r in trace)
+        chosen = next((r.turn_index for r in trace if r.selected), None)
+        if chosen is not None:
+            selected += 1
+            selected_sum += chosen
+            if geocodes and chosen == geocodes[0]:
                 first_call_hits += 1
 
     return ToolUsageStats(
-        calls_per_entry_mean=statistics.fmean([len(p.run.tool_calls) for p in predictions]),
+        calls_per_entry_mean=calls / entries if entries else 0.0,
         geocode_centroid_ratio=(total_geo / total_cent) if total_cent else None,
         first_call_success_rate=(first_call_hits / traced) if traced else None,
-        mean_selected_index=statistics.fmean(selected_indices) if selected_indices else None,
+        mean_selected_index=selected_sum / selected if selected else None,
     )

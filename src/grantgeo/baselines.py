@@ -528,8 +528,9 @@ class Gazetteer(Sequence):
             name = names[i]
             if name in lowered:
                 pattern = patterns[i]
-                if pattern is None:
-                    pattern = patterns[i] = re.compile(rf"(?<!\w){re.escape(name)}(?!\w)")
+                if pattern is None:  # led by the first character, checked for a word character before it
+                    first = re.escape(name[:1])
+                    pattern = patterns[i] = re.compile(rf"{first}(?<!\w{first}){re.escape(name[1:])}(?!\w)")
                 if pattern.search(lowered):
                     found.append(self[i])
         return found

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from itertools import zip_longest
 from pathlib import Path
 from types import SimpleNamespace
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Iterator
 
 from .geo import Coordinate, is_int, is_real
 
@@ -72,20 +72,21 @@ def read_csv(path: str | Path, kind: str, parse: Callable[[dict], object], heade
     return out
 
 
-def read_jsonl(path: str | Path, kind: str, parse: Callable[[object], object]) -> list:
-    """``parse`` of each nonblank line of a JSONL file; a line that is not UTF-8 JSON, or a row
-    error from ``parse``, is MalformedRow naming the file and line, as in :func:`read_csv`."""
-    out = []
+def read_jsonl(path: str | Path, kind: str, parse: Callable[[object], object]) -> Iterator:
+    """``parse`` of each nonblank line of a JSONL file, yielded as the file is read, so only one
+    line is held at a time; the file is opened at the first ``next``. A line that is not UTF-8
+    JSON, or a row error from ``parse``, is MalformedRow naming the file and line, as in
+    :func:`read_csv`."""
     with Path(path).open("rb") as fh:
         for lineno, line in enumerate(fh, start=1):
             if line.strip():
                 try:
-                    out.append(parse(json.loads(line.decode("utf-8"))))
+                    record = parse(json.loads(line.decode("utf-8")))
                 except (MalformedRow, DuplicateId):
                     raise
                 except _ROW_ERRORS as exc:  # bad UTF-8 and JSON are ValueErrors
                     raise _row_error(f"{path}:{lineno}: not a {kind} record", exc, "field") from exc
-    return out
+                yield record
 
 
 def write_csv(path: str | Path, header: list[str], rows: Iterable[Iterable]) -> None:

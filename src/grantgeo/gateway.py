@@ -15,7 +15,7 @@ import threading
 from dataclasses import dataclass
 from decimal import Decimal
 from pathlib import Path
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
 
 from .corpus import read_jsonl, write_jsonl
 from .geo import is_int, is_real
@@ -234,8 +234,8 @@ class FixtureBackend:
     Thread-safe; identical scripts and inputs produce identical transcripts.
     """
 
-    def __init__(self, turns: list[dict]):
-        self._turns = [_parse_turn(turn) for turn in turns]
+    def __init__(self, turns: Iterable[dict]):
+        self._turns = [_parse_turn(turn) for turn in turns]  # the whole script, checked before any call
         self._pos = 0
         self._lock = threading.Lock()
 

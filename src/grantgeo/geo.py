@@ -124,8 +124,9 @@ def parse_coordinate_text(text: str) -> Coordinate:
     one is found, minutes/seconds are >= 60, or the result is out of
     range.
     """
-    dms = list(_DMS_RE.finditer(text))
-    decimal = list(_DECIMAL_RE.finditer(text))
+    # _DMS_RE needs a "°" and _DECIMAL_RE a ",": a text without a form's literal cannot hold that form.
+    dms = list(_DMS_RE.finditer(text)) if "°" in text else []
+    decimal = list(_DECIMAL_RE.finditer(text)) if "," in text else []
     if len(dms) + len(decimal) == 0:
         raise UnparseableCoordinate(f"no coordinate found in {text!r}")
     if len(dms) + len(decimal) > 1:

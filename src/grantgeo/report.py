@@ -2,12 +2,12 @@
 
 A report reads one finished run: ``run.json`` (evalset, roster and row
 ids, written by :func:`grantgeo.harness.run_evaluation`) and the call log
-of each listed method, one at a time, reducing each to that method's
-:class:`MethodRow`, and nothing else. Every table of ``report.md`` and of
-a sweep's ``sweep_report.md``, and every plot-ready CSV beside them, is
-read from those rows. Through :mod:`grantgeo.metrics` it loads numpy, so
-the harness and the package import it only on demand and ``grantgeo run``
-never pays for numpy.
+of each listed method, one log at a time and one record of it at a time,
+reducing each to that method's :class:`MethodRow`, and nothing else.
+Every table of ``report.md`` and of a sweep's ``sweep_report.md``, and
+every plot-ready CSV beside them, is read from those rows. Through
+:mod:`grantgeo.metrics` it loads numpy, so the harness and the package
+import it only on demand and ``grantgeo run`` never pays for numpy.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 from decimal import Decimal
 from operator import itemgetter
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .agent import ToolUsageStats, trace_statistics
 from .corpus import MalformedRow, read_jsonl, write_csv
@@ -56,16 +56,24 @@ def _read_roster(run_dir: Path) -> tuple[list[str], list[str]]:
     return lists[0], lists[1]
 
 
-def _read_log(run_dir: Path, method_id: str, rows: list[str]) -> list[Prediction]:
-    """One listed method's call log: a cell of that method per listed row, in order."""
+def _read_log(run_dir: Path, method_id: str, rows: list[str]) -> Iterator[Prediction]:
+    """One listed method's call log, checked and yielded a record at a time:
+    a cell of that method per listed row, in order. The first record out of
+    place, or a count short of the rows, is MalformedRow naming the file."""
     path = run_dir / "runs" / method_id / "calls.jsonl"
+    count = 0
     try:
-        cells = read_jsonl(path, "call-log", Prediction.from_json)
+        for count, cell in enumerate(read_jsonl(path, "call-log", Prediction.from_json), start=1):
+            if count > len(rows) or (cell.method_id, cell.row_id) != (method_id, rows[count - 1]):
+                raise MalformedRow(
+                    f"{path}: record {count} is {cell.method_id} {cell.row_id!r},"
+                    f" not {method_id}'s cell for {RUN_FILE} row {count} of {len(rows)}"
+                )
+            yield cell
     except FileNotFoundError as exc:
         raise DataMissing(f"{method_id}: call log {path} is missing") from exc
-    if [(p.method_id, p.row_id) for p in cells] != [(method_id, row_id) for row_id in rows]:
-        raise MalformedRow(f"{path}: {len(cells)} records, not one of {method_id} per {RUN_FILE} row in order")
-    return cells
+    if count != len(rows):
+        raise MalformedRow(f"{path}: {count} records, not one of {method_id} per {RUN_FILE} row")
 
 
 @dataclass(frozen=True)
@@ -87,16 +95,36 @@ class MethodRow:
     ci: BootstrapCI | None = None
 
     @classmethod
-    def of(cls, method_id: str, cells: list[Prediction]) -> "MethodRow":
-        per_entry = max(len(cells), 1)
+    def of(cls, method_id: str, cells: Iterable[Prediction]) -> "MethodRow":
+        """Reduce ``cells`` in one pass, keeping counts and per-cell floats, not cells."""
+        errors: list[float] = []
+        located_latencies: list[float] = []
+        latencies: list[float] = []  # for sum(), which from Python 3.12 rounds unlike a running +=
+        total_cost, tokens = Decimal(0), 0
+
+        def tallied() -> Iterator[Prediction]:
+            nonlocal total_cost, tokens
+            for p in cells:
+                run = p.run
+                latencies.append(run.latency_s)
+                total_cost += run.cost_usd
+                tokens += run.usage.input_tokens + run.usage.output_tokens
+                if p.coordinate is not None:
+                    located_latencies.append(run.latency_s)
+                if p.error_km is not None:
+                    errors.append(p.error_km)
+                yield p
+
+        tool_usage = trace_statistics(tallied())
+        per_entry = max(len(latencies), 1)
         return cls(
             method_id=method_id,
-            errors=[p.error_km for p in cells if p.error_km is not None],
-            located_latencies=[p.run.latency_s for p in cells if p.coordinate is not None],
-            total_cost=sum((p.run.cost_usd for p in cells), Decimal(0)),
-            seconds_per_grant=sum(p.run.latency_s for p in cells) / per_entry,
-            tokens_per_entry=sum(p.run.usage.input_tokens + p.run.usage.output_tokens for p in cells) / per_entry,
-            tool_usage=trace_statistics(cells) if any(p.run.tool_calls for p in cells) else None,
+            errors=errors,
+            located_latencies=located_latencies,
+            total_cost=total_cost,
+            seconds_per_grant=sum(latencies) / per_entry,
+            tokens_per_entry=tokens / per_entry,
+            tool_usage=tool_usage if tool_usage.calls_per_entry_mean else None,
         )
 
     @property
@@ -113,7 +141,7 @@ def summarize_run(run_dir: Path, ci_seed: int = 42, resamples: int = 10_000) -> 
     """The row of each method ``run.json`` lists, in roster order, each
     scored one with its error statistics and its bootstrap interval (the
     draws shared by every method of one size). Reads ``run.json`` and the
-    listed call logs one at a time; the results CSV is never read."""
+    listed call logs a record at a time; the results CSV is never read."""
     methods, row_ids = _read_roster(run_dir)
     rows = [MethodRow.of(mid, _read_log(run_dir, mid, row_ids)) for mid in methods]
     cis = iter(bootstrap_cis([row.errors for row in rows if row.errors], resamples=resamples, seed=ci_seed))

@@ -8,6 +8,7 @@ its :class:`RunRecord` accounting and, for the tool-calling agent, its
 
 from __future__ import annotations
 
+import functools
 import json
 import time
 from dataclasses import dataclass, field, replace
@@ -135,9 +136,12 @@ class Prediction:
         )
         if not (coordinate is None or located) or failed is not (coordinate is None):
             raise ValueError("final_coordinate must be null or [lat, lon] numbers, and failed true exactly when null")
+        cost = doc["cost_usd"]
+        if type(cost) is not str:  # as the writer prints it; Decimal(true) would read $1
+            raise ValueError(f"cost_usd must be a decimal string, not {cost!r}")
         usage = TokenUsage(doc["usage"]["input_tokens"], doc["usage"]["output_tokens"])
         run = RunRecord(
-            usage, doc["latency_s"], Decimal(doc["cost_usd"]),
+            usage, doc["latency_s"], Decimal(cost),
             [ToolCallRecord(**tc) for tc in doc["tool_calls"]], doc["response"], doc["reason"],
         )
         coordinate = None if coordinate is None else Coordinate(*coordinate)
@@ -171,9 +175,12 @@ def _error_km(coordinate: Coordinate | None, grant: GrantAbstract) -> float | No
     return haversine_km(coordinate, grant.ground_truth)
 
 
-def _one_call(backend, cfg: ModelConfig, grant: GrantAbstract):
+def _prompt(grant: GrantAbstract) -> list[ChatMessage]:
+    return [ChatMessage("user", build_one_shot_prompt(grant.text))]
+
+
+def _one_call(backend, cfg: ModelConfig, messages: list[ChatMessage]):
     """Single one-shot call: (coordinate|None, usage, raw_text, reason)."""
-    messages = [ChatMessage("user", build_one_shot_prompt(grant.text))]
     try:
         response, usage = backend.complete(cfg, messages)
     except BACKEND_ERRORS as exc:
@@ -199,7 +206,7 @@ def run_one_shot(
     reason recorded; there is no silent fallback.
     """
     start = time.perf_counter()
-    coordinate, usage, raw, reason = _one_call(backend, cfg, grant)
+    coordinate, usage, raw, reason = _one_call(backend, cfg, _prompt(grant))
     latency = time.perf_counter() - start
     cost = call_cost(usage, *prices.lookup(cfg.model_id))
     return Prediction.of(
@@ -253,6 +260,14 @@ def aggregate_ensemble(points: list[Coordinate], cfg: EnsembleConfig = EnsembleC
     return _centroid([points[i] for i in best])
 
 
+@functools.lru_cache(maxsize=16)
+def _member_configs(cfg: ModelConfig, temperature_type: type, seeds: tuple[int, ...]) -> tuple[ModelConfig, ...]:
+    """Each ensemble member's settings, ``cfg`` with that member's seed, built
+    once per method. ``temperature_type`` keeps apart keys that are equal but
+    print apart in a live request, as temperatures 1 and 1.0 do."""
+    return tuple(replace(cfg, seed=seed) for seed in seeds)
+
+
 def run_ensemble(
     backend,
     cfg: ModelConfig,
@@ -271,12 +286,14 @@ def run_ensemble(
     start = time.perf_counter()
     points: list[Coordinate] = []
     raws: list[str] = []
-    usage_total = TokenUsage()
+    input_tokens = output_tokens = 0
     cost_total = Decimal(0)
     p_in, p_out = prices.lookup(cfg.model_id)
-    for seed in ens.seeds:
-        coordinate, usage, raw, _reason = _one_call(backend, replace(cfg, seed=seed), grant)
-        usage_total = usage_total + usage
+    messages = _prompt(grant)
+    for member in _member_configs(cfg, type(cfg.temperature), ens.seeds):
+        coordinate, usage, raw, _reason = _one_call(backend, member, messages)
+        input_tokens += usage.input_tokens
+        output_tokens += usage.output_tokens
         cost_total += call_cost(usage, p_in, p_out)
         raws.append(raw)
         if coordinate is not None:
@@ -288,7 +305,7 @@ def run_ensemble(
         method_id,
         grant,
         coordinate,
-        usage=usage_total,
+        usage=TokenUsage(input_tokens, output_tokens),
         latency_s=latency,
         cost_usd=cost_total,
         raw_response=json.dumps(raws),

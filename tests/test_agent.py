@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 from decimal import Decimal
 
 import jsonschema
@@ -588,3 +589,16 @@ class TestTraceStatistics:
         calls.append(ToolCallRecord(9, "compute_centroid", {}, {}))
         stats = trace_statistics([_traced_prediction("T-1", "r1", calls)])
         assert stats.geocode_centroid_ratio == 8.0
+
+    def test_a_one_shot_generator_reads_as_the_list(self):
+        geo = [ToolCallRecord(i, "geocode_place", {}, {"lat": 37.0, "lng": -77.0}) for i in (1, 2)]
+        preds = [
+            _traced_prediction("T-1", "r1", [replace(geo[0], selected=True), geo[1]]),
+            _traced_prediction("T-1", "r2", []),
+            _traced_prediction("T-1", "r3", [*geo, ToolCallRecord(3, "compute_centroid", {}, {}, selected=True)]),
+            _traced_prediction("T-1", "r4", [geo[0], replace(geo[1], selected=True)]),
+        ]
+        stats = trace_statistics(preds)
+        assert trace_statistics(p for p in preds) == stats
+        assert (stats.calls_per_entry_mean, stats.geocode_centroid_ratio) == (7 / 4, 6.0)
+        assert (stats.first_call_success_rate, stats.mean_selected_index) == (1 / 3, 2.0)

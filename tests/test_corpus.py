@@ -190,12 +190,12 @@ class TestReaders:
     def test_jsonl_lines_named(self, tmp_path):
         path = tmp_path / "t.jsonl"
         path.write_bytes(b'{"a": 1}\n\n{"b": 2}\n')
-        assert read_jsonl(path, "t", dict.keys) == [{"a": 1}.keys(), {"b": 2}.keys()]
+        assert list(read_jsonl(path, "t", dict.keys)) == [{"a": 1}.keys(), {"b": 2}.keys()]
         with pytest.raises(MalformedRow, match=rf"^{re.escape(str(path))}:3: not a t record \(missing field 'a'\)$"):
-            read_jsonl(path, "t", lambda doc: doc["a"])
+            list(read_jsonl(path, "t", lambda doc: doc["a"]))
         path.write_bytes(b'{"a": 1}\n{"a": \xff}\n')
         with pytest.raises(MalformedRow, match=rf"^{re.escape(str(path))}:2: not a t record \(UnicodeDecodeError"):
-            read_jsonl(path, "t", lambda doc: doc["a"])
+            list(read_jsonl(path, "t", lambda doc: doc["a"]))
 
     @pytest.mark.parametrize("kind", ["gazetteer", "ground truth", "external predictions"])
     def test_a_leading_bom_is_skipped(self, tmp_path, kind):
@@ -226,7 +226,7 @@ class TestReaders:
         (tmp_path / "t.jsonl").write_text("1\n", encoding="utf-8")
         for read, name in ((read_csv, "t.csv"), (read_jsonl, "t.jsonl")):
             with pytest.raises(type(error)) as excinfo:
-                read(tmp_path / name, "t", parse)
+                list(read(tmp_path / name, "t", parse))
             assert excinfo.value is error
 
 
@@ -268,7 +268,7 @@ class TestWriters:
     def test_jsonl_round_trip(self, tmp_path_factory, records):
         path = tmp_path_factory.mktemp("jsonl") / "t.jsonl"
         write_jsonl(path, records)
-        assert read_jsonl(path, "t", lambda doc: doc) == records
+        assert list(read_jsonl(path, "t", lambda doc: doc)) == records
 
     @given(_GRANTS)
     @settings(max_examples=200, deadline=None)

@@ -112,6 +112,39 @@ class TestParseCoordinateText:
             parse_coordinate_text("91.0, -77.0")
 
 
+def _unguarded_parse(text: str) -> Coordinate:
+    """``parse_coordinate_text`` scanning for both forms whatever literals the text holds."""
+    found = [*geo._DMS_RE.finditer(text), *geo._DECIMAL_RE.finditer(text)]
+    if len(found) != 1:
+        raise UnparseableCoordinate(f"{len(found)} coordinates")
+    m = found[0]
+    if m.re is geo._DECIMAL_RE:
+        return Coordinate(float(m.group(1)), float(m.group(2)))
+    lat, lon = geo._dms_to_degrees(*m.group(1, 2, 3)), geo._dms_to_degrees(*m.group(5, 6, 7))
+    return Coordinate(-lat if m.group(4) == "S" else lat, -lon if m.group(8) == "W" else lon)
+
+
+# Pieces of replies that mix both forms, and the literals and digits either form could grow from.
+_REPLY_PIECES = st.sampled_from([
+    "37°00'07.2\"N 77°07'58.8\"W", "10°30’00.0”S 020°00'00.0″E", "37°61'00.0\"N 77°00'00.0\"W",
+    "37.166303, -77.240091", "91.0, -77.0", "+1,2", "37.1,", "-77.2", "°", ",", "'", '"', "N", "W", "S", "E",
+    " ", "\n", ".", "0", "7", "37", "-", "Final answer: ", "(statewide)",
+])
+
+
+class TestParseGuards:
+    @given(st.lists(_REPLY_PIECES, max_size=8).map("".join))
+    @settings(max_examples=500, deadline=None)
+    def test_guarded_parse_equals_the_unguarded_scan(self, text):
+        try:
+            expected = _unguarded_parse(text)
+        except (UnparseableCoordinate, ValueError):
+            with pytest.raises(UnparseableCoordinate):
+                parse_coordinate_text(text)
+        else:
+            assert parse_coordinate_text(text) == expected
+
+
 _SECONDS = st.integers(0, 60 * 10**5 - 1)  # in units of 10**-5 arc-seconds, so five decimals print exactly
 
 

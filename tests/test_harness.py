@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import json
+import tracemalloc
 from dataclasses import replace
 from datetime import datetime
 from decimal import Decimal
@@ -15,8 +16,9 @@ import yaml
 import harness_fixtures as hf
 from grantgeo import harness, metrics, report
 from grantgeo.cli import main
-from grantgeo.corpus import GrantAbstract, MalformedRow, write_ground_truth
-from grantgeo.gateway import text_turn, tool_call_turn, write_fixture_script
+from grantgeo.corpus import GrantAbstract, MalformedRow, write_ground_truth, write_jsonl
+from grantgeo.gateway import TokenUsage, text_turn, tool_call_turn, write_fixture_script
+from grantgeo.geo import Coordinate
 from grantgeo.harness import (
     PIPELINES,
     AxisInapplicable,
@@ -31,6 +33,7 @@ from grantgeo.harness import (
     sweep,
 )
 from grantgeo.metrics import bootstrap_ci
+from grantgeo.runners import Prediction, RunRecord, ToolCallRecord
 
 
 def _run(config_path, **kwargs):
@@ -42,6 +45,25 @@ def _run(config_path, **kwargs):
 def _edited(line: bytes, **fields) -> bytes:
     """A call-log line with ``fields`` set."""
     return json.dumps({**json.loads(line), **fields}).encode()
+
+
+def _tool_chain_run(run_dir: Path, n: int) -> Path:
+    """A finished one-method run of ``n`` tool-chain cells, each with a three-call trace."""
+    rows = [f"r{i:05d}" for i in range(n)]
+    (run_dir / "runs" / "T-1").mkdir(parents=True)
+    (run_dir / "run.json").write_text(json.dumps({"methods": ["T-1"], "rows": rows}), encoding="utf-8")
+    points = [{"lat": 37.1, "lng": -77.2}, {"lat": 37.3, "lng": -77.4}]
+    records = []
+    for i, row_id in enumerate(rows):
+        trace = [
+            ToolCallRecord(1, "geocode_place", {"query": f"place {i}, virginia"}, points[0], selected=True),
+            ToolCallRecord(2, "geocode_place", {"query": f"creek {i}"}, points[1]),
+            ToolCallRecord(3, "compute_centroid", {"points": points}, {"lat": 37.2, "lng": -77.3}),
+        ]
+        run = RunRecord(TokenUsage(900, 120), 0.5 + i % 7 / 10, Decimal("0.00123"), trace, "37.1, -77.2 " * 8)
+        records.append(Prediction("T-1", row_id, Coordinate(37.1, -77.2), 1.5 + i % 13, run).to_json("request " * 10))
+    write_jsonl(run_dir / "runs" / "T-1" / "calls.jsonl", records)
+    return run_dir
 
 
 class TestConfig:
@@ -577,6 +599,19 @@ class TestGenerateReport:
         assert "| ID | n | Mean ± 80% CI (km) |" in text
         assert f"| M-5__temperature_0.2 | 4 | {row.stats.mean:.1f} [{row.ci.lo:.1f}, {row.ci.hi:.1f}] |" in text
         assert "| Value | Method | n | Mean error (km) | 80% CI (km) |" in (out / "sweep_report.md").read_text(encoding="utf-8")
+
+    def test_peak_memory_does_not_grow_with_the_log(self, tmp_path):
+        peaks = []
+        for n in (600, 6000):
+            run_dir = _tool_chain_run(tmp_path / str(n), n)
+            tracemalloc.start()
+            try:
+                [row] = report.summarize_run(run_dir)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert row.stats.n == n and row.tool_usage.calls_per_entry_mean == 3.0
+        assert peaks[1] < 2 * peaks[0]
 
     def test_tool_usage_table_with_one_tool_method_among_others(self, tmp_path):
         _, outcome = _run(_mixed_workspace(tmp_path))
@@ -1208,6 +1243,9 @@ class TestCli:
             lambda line: line.replace(b'"input_tokens": 100', b'"input_tokens": "100"'),
             lambda line: _edited(line, cost_usd="NaN"),
             lambda line: _edited(line, cost_usd="-0.5"),
+            lambda line: _edited(line, cost_usd=True),
+            lambda line: _edited(line, cost_usd=0.1),
+            lambda line: _edited(line, cost_usd=1),
             lambda line: _edited(line, latency_s=-1000),
             lambda line: _edited(line, latency_s=float("inf")),
             lambda line: _edited(line, error_km=-1),
@@ -1223,7 +1261,7 @@ class TestCli:
         ],
         ids=[
             "torn", "bad-utf8", "not-an-object", "missing-fields", "bad-cost", "bad-tool-call", "bad-usage",
-            "nan-cost", "negative-cost", "negative-latency", "infinite-latency", "negative-error", "nan-error",
+            "nan-cost", "negative-cost", "cost-true", "cost-float", "cost-int", "negative-latency", "infinite-latency", "negative-error", "nan-error",
             "error-without-coordinate", "text-coordinate", "coordinate-out-of-range", "boolean-coordinate",
             "boolean-longitude", "tool-call-without-name",
             "located-but-failed", "unlocated-but-not-failed",
@@ -1240,6 +1278,16 @@ class TestCli:
         log.write_bytes(b"\n".join(lines) + b"\n")
         assert main(["report", "--run-dir", str(tmp_path / "out"), "--resamples", "100"]) == 2
         assert f"{log}:2:" in capsys.readouterr().err
+
+    def test_call_log_read_stops_at_the_first_record_out_of_place(self, tmp_path, capsys):
+        config_path = hf.build_workspace(tmp_path, n_grants=3)
+        assert main(["run", "--config", str(config_path)]) == 0
+        log = tmp_path / "out" / "runs" / "M-5" / "calls.jsonl"
+        lines = log.read_bytes().splitlines()
+        lines[1:] = [_edited(lines[1], row_id="r999"), b"not JSON"]
+        log.write_bytes(b"\n".join(lines) + b"\n")
+        assert main(["report", "--run-dir", str(tmp_path / "out"), "--resamples", "100"]) == 2
+        assert f"data error: {log}: record 2 is M-5 'r999', not M-5's cell for run.json row 2 of 3" in capsys.readouterr().err
 
     def test_call_log_of_another_method_exit_two(self, tmp_path, capsys):
         config_path = hf.build_workspace(tmp_path, n_grants=3)

@@ -46,8 +46,8 @@ answers = [
     Coordinate(38.9000, -78.2000),  # stray answer
     Coordinate(36.7000, -76.4000),  # another stray
 ]
-clusters = geodesic_dbscan(answers, eps_km=0.5, min_pts=3)
-print(f"\nDBSCAN labels over five answers (noise = -1): {clusters.labels}")
+labels = geodesic_dbscan(answers, eps_km=0.5, min_pts=3)
+print(f"\nDBSCAN labels over five answers (noise = -1): {labels}")
 
 # Bounding-box membership backs the Virginia-only filters.
 print(f"\nRichmond inside the Virginia box? {within_bbox(richmond, VIRGINIA_BBOX)}")

@@ -23,11 +23,10 @@ errors = np.abs(rng.normal(25, 12, size=43))
 stats = summarize_errors(errors)
 print(f"n={stats.n}  mean={stats.mean:.1f}  median={stats.median:.1f}  sd={stats.sd:.1f}")
 print("bands:", {f"<={int(t)}km": f"{frac:.0%}" for t, frac in stats.bands.items()})
-lt1, mid, gt10 = stats.coarse_bands
-print(f"coarse bands: <1km {lt1:.0%} | 1-10km {mid:.0%} | >10km {gt10:.0%}")
 
-ci = bootstrap_ci(errors, resamples=10_000, seed=42)
-print(f"{CI_LEVEL:.0%} bootstrap CI on the mean: [{ci.lo:.1f}, {ci.hi:.1f}] ({ci.resamples} resamples)\n")
+resamples = 10_000
+ci = bootstrap_ci(errors, resamples=resamples, seed=42)
+print(f"{CI_LEVEL:.0%} bootstrap CI on the mean: [{ci.lo:.1f}, {ci.hi:.1f}] ({resamples} resamples)\n")
 
 # Outlier-robust view: drop the k largest pooled residuals.
 by_method = {"alpha": list(errors), "beta": list(np.abs(rng.normal(60, 30, size=43)))}

@@ -18,7 +18,6 @@ from .geo import (
     EARTH_RADIUS_KM,
     NOISE,
     BoundingBox,
-    ClusterAssignment,
     Coordinate,
     VIRGINIA_BBOX,
     geodesic_dbscan,
@@ -61,7 +60,6 @@ from .agent import (
     TOOL_CATALOG,
     AgentBudget,
     Geocoder,
-    GeocodeResult,
     handle_compute_centroid,
     run_tool_chain,
     trace_statistics,

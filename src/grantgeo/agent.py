@@ -122,26 +122,8 @@ class AgentBudget:
             raise ValueError("budget fields must be positive integers")
 
 
-@dataclass(frozen=True)
-class GeocodeResult:
-    lat: float
-    lng: float
-    formatted_address: str
-    strategy: str
-    query_used: str
-
-    def coordinate(self) -> Coordinate:
-        return Coordinate(self.lat, self.lng)
-
-    def to_payload(self) -> dict:
-        # Field order is fixed so cache replay is byte-identical.
-        return {
-            "lat": self.lat,
-            "lng": self.lng,
-            "formatted_address": self.formatted_address,
-            "strategy": self.strategy,
-            "query_used": self.query_used,
-        }
+GEOCODE_FIELDS = ("lat", "lng", "formatted_address", "strategy", "query_used")
+"""The fields of a geocode result, in the order every payload holds them so cache replay is byte-identical."""
 
 
 # The JSON types a schema may name; as in JSON, a bool is no number.
@@ -284,7 +266,8 @@ class Geocoder:
                     self._tail_fix = (len(data), b"\n")
             offset += len(line) + 1
 
-    def lookup(self, query: str, strategy: str | None = None) -> GeocodeResult:
+    def lookup(self, query: str, strategy: str | None = None) -> dict:
+        """The geocode result for ``query``: a new dict of the GEOCODE_FIELDS, in that order."""
         if not query:
             raise ArgumentInvalid("empty geocode query")
         strategy = strategy or DEFAULT_STRATEGY
@@ -294,8 +277,10 @@ class Geocoder:
             if cached is None:
                 raise NotFound(f"no Virginia result for {query!r} (cached)")
             try:
-                result = GeocodeResult(**cached)
-                inside = within_bbox(result.coordinate(), VIRGINIA_BBOX)
+                if not (isinstance(cached, dict) and cached.keys() == set(GEOCODE_FIELDS)):
+                    raise TypeError(f"fields are not {', '.join(GEOCODE_FIELDS)}")
+                result = {name: cached[name] for name in GEOCODE_FIELDS}
+                inside = within_bbox(Coordinate(result["lat"], result["lng"]), VIRGINIA_BBOX)
             except (TypeError, ValueError) as exc:
                 raise MalformedRow(f"{self._cache_path}: bad cached result for {query!r} ({exc})") from exc
             # The box filter also guards hand-edited cache files.
@@ -315,18 +300,18 @@ class Geocoder:
             if candidate is not None:
                 coord = Coordinate(float(candidate["lat"]), float(candidate["lng"]))
                 if within_bbox(coord, VIRGINIA_BBOX):
-                    result = GeocodeResult(
-                        lat=coord.lat,
-                        lng=coord.lon,
-                        formatted_address=candidate.get("formatted_address", ""),
-                        strategy=strategy,
-                        query_used=candidate.get("query_used", query),
-                    ).to_payload()
+                    result = {
+                        "lat": coord.lat,
+                        "lng": coord.lon,
+                        "formatted_address": candidate.get("formatted_address", ""),
+                        "strategy": strategy,
+                        "query_used": candidate.get("query_used", query),
+                    }
             self._cache[key] = result
             self._persist(query, strategy, result)
         if result is None:
             raise NotFound(f"no Virginia result for {query!r}")
-        return GeocodeResult(**result)
+        return dict(result)
 
     def _persist(self, query: str, strategy: str, result: dict | None) -> None:
         if self._cache_path is None:
@@ -503,7 +488,7 @@ def run_tool_chain(
                     record.result = {"error": "geocode failure budget exhausted; finalize your answer"}
                 else:
                     try:
-                        record.result = geocoder.lookup(args["query"], args.get("strategy")).to_payload()
+                        record.result = geocoder.lookup(args["query"], args.get("strategy"))
                     except NotFound as exc:
                         geocode_failures += 1
                         record.result = {"error": f"not found: {exc}"}

@@ -23,7 +23,7 @@ from pathlib import Path
 from typing import Callable, Iterable
 
 from .corpus import GrantAbstract, read_csv
-from .geo import BoundingBox, Coordinate, VIRGINIA_BBOX, check_coordinate, haversine_km, is_real, within_bbox
+from .geo import Coordinate, VIRGINIA_BBOX, check_coordinate, haversine_km, is_real, within_bbox
 
 VIRGINIA_CENTER = Coordinate(37.4316, -78.6569)
 """Statewide fallback: Virginia's geographic center."""
@@ -330,7 +330,7 @@ def heuristic_geoparse(
                 break
             candidates = list(resolver(variant))
 
-    box = _margin_box(params.bbox_margin_deg)
+    box = VIRGINIA_BBOX.with_margin(params.bbox_margin_deg)
     survivors = [
         c
         for c in candidates
@@ -351,11 +351,6 @@ def heuristic_geoparse(
     if county_centroid is not None:
         return county_centroid, "county"
     return VIRGINIA_CENTER, "statewide"
-
-
-@cache
-def _margin_box(margin_deg: float) -> BoundingBox:
-    return VIRGINIA_BBOX.with_margin(margin_deg)
 
 
 def tune_heuristic_grid(

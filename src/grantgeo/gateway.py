@@ -260,15 +260,17 @@ class FixtureBackend:
         return turn.response, turn.usage
 
 
-def text_turn(text: str, input_tokens: int = 0, output_tokens: int = 0, expect_contains: str | None = None) -> dict:
-    """Build a fixture script turn that answers with plain text."""
-    turn: dict = {
-        "response": {"type": "text", "text": text},
-        "usage": {"input_tokens": input_tokens, "output_tokens": output_tokens},
-    }
+def _turn(response: dict, input_tokens: int, output_tokens: int, expect_contains: str | None) -> dict:
+    """A fixture script turn: the response, its usage and, if given, the text the request must contain."""
+    turn: dict = {"response": response, "usage": {"input_tokens": input_tokens, "output_tokens": output_tokens}}
     if expect_contains is not None:
         turn["expect"] = {"contains": expect_contains}
     return turn
+
+
+def text_turn(text: str, input_tokens: int = 0, output_tokens: int = 0, expect_contains: str | None = None) -> dict:
+    """Build a fixture script turn that answers with plain text."""
+    return _turn({"type": "text", "text": text}, input_tokens, output_tokens, expect_contains)
 
 
 def tool_call_turn(
@@ -279,13 +281,7 @@ def tool_call_turn(
     expect_contains: str | None = None,
 ) -> dict:
     """Build a fixture script turn that issues a tool call."""
-    turn: dict = {
-        "response": {"type": "tool_call", "name": name, "arguments": arguments},
-        "usage": {"input_tokens": input_tokens, "output_tokens": output_tokens},
-    }
-    if expect_contains is not None:
-        turn["expect"] = {"contains": expect_contains}
-    return turn
+    return _turn({"type": "tool_call", "name": name, "arguments": arguments}, input_tokens, output_tokens, expect_contains)
 
 
 def write_fixture_script(path: str | Path, turns: list[dict]) -> None:

@@ -92,13 +92,6 @@ VIRGINIA_BBOX = BoundingBox(36.54, 39.47, -83.68, -75.24)
 """Default Virginia extent used by geocode filtering and baselines."""
 
 
-@dataclass(frozen=True)
-class ClusterAssignment:
-    """Per-point cluster labels (NOISE for unclustered)."""
-
-    labels: tuple[int, ...]
-
-
 # Degrees-minutes-seconds, e.g. 37°00'07.2"N 77°07'58.8"W. Both straight
 # and curly quote glyphs are accepted (OCR tolerance).
 _DMS_RE = re.compile(
@@ -193,8 +186,8 @@ def spherical_centroid(points: list[Coordinate]) -> Coordinate:
     return Coordinate(lat, lon)
 
 
-def geodesic_dbscan(points: list[Coordinate], eps_km: float, min_pts: int) -> ClusterAssignment:
-    """DBSCAN over coordinates with haversine_km as the metric.
+def geodesic_dbscan(points: list[Coordinate], eps_km: float, min_pts: int) -> tuple[int, ...]:
+    """Each point's cluster label under DBSCAN with haversine_km as the metric.
 
     A core point has at least ``min_pts`` neighbours within ``eps_km``,
     counting itself. Points are scanned in index order and border points
@@ -237,7 +230,7 @@ def geodesic_dbscan(points: list[Coordinate], eps_km: float, min_pts: int) -> Cl
             if len(neighbors[j]) >= min_pts:
                 queue.extend(neighbors[j])
         cluster += 1
-    return ClusterAssignment(tuple(labels))  # type: ignore[arg-type]
+    return tuple(labels)  # type: ignore[arg-type]
 
 
 def within_bbox(c: Coordinate, box: BoundingBox) -> bool:

@@ -75,6 +75,12 @@ class AxisInapplicable(ValueError):
     """The sweep axis does not apply to the roster's model configs."""
 
 
+def _check_path_component(kind: str, name) -> None:
+    """ConfigInvalid unless ``name`` is a non-empty string fit to be one file or directory name."""
+    if not isinstance(name, str) or name in ("", ".", "..") or any(c in name for c in "/\\\0"):
+        raise ConfigInvalid(f"{kind} {name!r} is not a single path component")
+
+
 @dataclass
 class MethodSpec:
     """One roster entry: a pipeline plus exactly the fields it needs."""
@@ -96,10 +102,9 @@ class MethodSpec:
 
     def __post_init__(self):
         cost = self.total_cost_usd = Decimal(str(self.total_cost_usd))  # a YAML number or a string such as "140.00"
-        if not (isinstance(self.method_id, str) and self.method_id and isinstance(self.redact_names, bool)):
-            raise ValueError("method_id must be a non-empty string and redact_names true or false")
-        if self.method_id in (".", "..") or any(c in self.method_id for c in "/\\\0"):
-            raise ValueError(f"method_id {self.method_id!r} is not a single path component")  # it names a log directory
+        if not isinstance(self.redact_names, bool):
+            raise ValueError("redact_names must be true or false")
+        _check_path_component("method_id", self.method_id)  # it names a log directory
         if not (cost.is_finite() and cost >= 0 and is_real(self.latency_s_per_grant) and self.latency_s_per_grant >= 0):
             raise ValueError("total_cost_usd and latency_s_per_grant must be finite numbers >= 0")
         self.latency_s_per_grant = float(self.latency_s_per_grant)
@@ -262,10 +267,11 @@ def load_config(path: str | Path) -> HarnessConfig:
 
 def _evalset(name, value) -> dict:
     """One evalset declaration; whether ``n`` fits its set is checked once the corpus is loaded."""
+    _check_path_component("evalset", name)  # it names the results CSV
     doc = _mapping(value, f"evalsets.{name}", ("from", "n", "seed", "require_truth"))
-    n, seed = doc.get("n", 0), doc.get("seed", 0)
-    if not (doc.get("from", "all") in ("all", "dev", "test") and is_int(n) and n >= 0 and is_int(seed)):
-        raise ConfigInvalid(f"evalsets.{name}: need from all, dev or test and integers n >= 0 and seed, got {doc}")
+    n, seed = doc.get("n", 1), doc.get("seed", 0)
+    if not (doc.get("from", "all") in ("all", "dev", "test") and is_int(n) and n >= 1 and is_int(seed)):
+        raise ConfigInvalid(f"evalsets.{name}: need from all, dev or test and integers n >= 1 and seed, got {doc}")
     if not isinstance(doc.get("require_truth", False), bool):
         raise ConfigInvalid(f"evalsets.{name}.require_truth must be true or false, got {doc['require_truth']!r}")
     return doc
@@ -349,6 +355,8 @@ def resolve_evalset(config: HarnessConfig, name: str, rows: list[GrantAbstract])
     if doc.get("require_truth"):
         with_truth = {r.row_id for r in rows if r.ground_truth is not None}
         members = EvalSet(members.name, tuple(m for m in members.members if m in with_truth))
+    if not members.members:  # a run of no grant has nothing to report
+        raise ConfigInvalid(f"evalsets.{name}: selects no grant")
     if "n" in doc:
         try:
             members = sample_fixed(members, doc["n"], doc.get("seed", config.split.seed))

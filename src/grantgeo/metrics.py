@@ -52,8 +52,7 @@ class ErrorStats:
     """Summary of a distance-error sample.
 
     ``bands`` maps each threshold to the inclusive fraction of errors at
-    or below it; ``coarse_bands`` is the (<1 km, 1-10 km, >10 km)
-    triple.
+    or below it.
     """
 
     n: int
@@ -65,13 +64,10 @@ class ErrorStats:
     q3: float
     max: float
     bands: dict[float, float]
-    coarse_bands: tuple[float, float, float]
 
 
 @dataclass(frozen=True)
 class BootstrapCI:
-    resamples: int
-    seed: int
     lo: float
     hi: float
 
@@ -123,11 +119,6 @@ def summarize_errors(errors: Sequence[float]) -> ErrorStats:
     ordered = np.sort(arr)  # the mean and sd stay on arr: their sums depend on the order
     q1, median, q3 = (quantile_sorted(ordered, q) for q in (0.25, 0.5, 0.75))
     bands = {t: float(np.mean(arr <= t)) for t in BAND_THRESHOLDS_KM}
-    coarse = (
-        float(np.mean(arr < 1.0)),
-        float(np.mean((arr >= 1.0) & (arr <= 10.0))),
-        float(np.mean(arr > 10.0)),
-    )
     return ErrorStats(
         n=int(arr.size),
         mean=float(arr.mean()),
@@ -138,7 +129,6 @@ def summarize_errors(errors: Sequence[float]) -> ErrorStats:
         q3=q3,
         max=float(ordered[-1]),
         bands=bands,
-        coarse_bands=coarse,
     )
 
 
@@ -195,7 +185,7 @@ def bootstrap_cis(
     for m in means:
         m.sort()
         lo, hi = quantile_sorted(m, alpha / 2.0), quantile_sorted(m, 1.0 - alpha / 2.0)
-        out.append(BootstrapCI(resamples=resamples, seed=seed, lo=lo, hi=hi))
+        out.append(BootstrapCI(lo=lo, hi=hi))
     return out
 
 

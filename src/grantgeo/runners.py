@@ -234,9 +234,8 @@ def aggregate_ensemble(points: list[Coordinate], cfg: EnsembleConfig = EnsembleC
     if len(points) == 1:
         return points[0]
 
-    assignment = geodesic_dbscan(points, cfg.eps_km, cfg.min_cluster)
     clusters: dict[int, list[int]] = {}
-    for idx, label in enumerate(assignment.labels):
+    for idx, label in enumerate(geodesic_dbscan(points, cfg.eps_km, cfg.min_cluster)):
         if label >= 0:
             clusters.setdefault(label, []).append(idx)
     qualifying = [members for members in clusters.values() if len(members) >= cfg.min_cluster]

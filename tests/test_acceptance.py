@@ -174,7 +174,7 @@ def test_c6_ensemble_aggregation():
     cfg = EnsembleConfig()
     for name, (pts, has_majority) in configs.items():
         reference = aggregate_ensemble(pts, cfg)
-        labels = geodesic_dbscan(pts, cfg.eps_km, cfg.min_cluster).labels
+        labels = geodesic_dbscan(pts, cfg.eps_km, cfg.min_cluster)
         clusters = {}
         for i, lbl in enumerate(labels):
             if lbl >= 0:
@@ -211,7 +211,7 @@ def test_c7_geodesy_oracles():
         ]
         eps = rng.choice([0.4, 0.8, 2.0])
         min_pts = rng.randint(1, 4)
-        assert list(geodesic_dbscan(pts, eps, min_pts).labels) == brute_force_dbscan(pts, eps, min_pts)
+        assert list(geodesic_dbscan(pts, eps, min_pts)) == brute_force_dbscan(pts, eps, min_pts)
     return "1000 distance pairs, 500 clustering instances"
 
 

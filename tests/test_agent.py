@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from grantgeo import agent
 from grantgeo.agent import (
+    GEOCODE_FIELDS,
     GEOCODE_STRATEGIES,
     AgentBudget,
     ArgumentInvalid,
@@ -27,7 +28,7 @@ from grantgeo.agent import (
     validate_tool_call,
     write_geocode_cache,
 )
-from grantgeo.corpus import GrantAbstract, MalformedRow
+from grantgeo.corpus import GrantAbstract, MalformedRow, write_jsonl
 from grantgeo.gateway import (
     FixtureBackend,
     FixtureExhausted,
@@ -247,17 +248,17 @@ class TestGeocoder:
         geocoder = Geocoder(cache_path=cache)
         a = geocoder.lookup("Holloway Swamp, Sussex County, Virginia")
         b = geocoder.lookup("Holloway Swamp, Sussex County, Virginia")
-        assert json.dumps(a.to_payload()) == json.dumps(b.to_payload())
-        assert a.lat == 36.9058167 and a.lng == -77.2405153
-        assert a.formatted_address == "Sussex County, VA, USA"
+        assert json.dumps(a) == json.dumps(b) and a is not b
+        assert a["lat"] == 36.9058167 and a["lng"] == -77.2405153
+        assert a["formatted_address"] == "Sussex County, VA, USA"
 
     def test_second_fixture_point(self, tmp_path):
         cache = tmp_path / "cache.jsonl"
         write_geocode_cache(cache, replay_trace.cache_entries())
         geocoder = Geocoder(cache_path=cache)
         r = geocoder.lookup("Blackwater Swamp, Sussex County, Virginia")
-        assert (r.lat, r.lng) == (37.10810973, -77.15139208)
-        assert r.formatted_address == "Blackwater Swamp, Virginia 23842, USA"
+        assert (r["lat"], r["lng"]) == (37.10810973, -77.15139208)
+        assert r["formatted_address"] == "Blackwater Swamp, Virginia 23842, USA"
 
     def test_out_of_state_candidate_filtered(self):
         provider = CountingProvider({"New York City": {"lat": 40.71, "lng": -74.0, "formatted_address": "NYC"}})
@@ -287,7 +288,7 @@ class TestGeocoder:
         )
         Geocoder(provider=provider, cache_path=cache).lookup("Henrico")
         replayed = Geocoder(cache_path=cache).lookup("Henrico")
-        assert replayed.lat == 37.53
+        assert replayed["lat"] == 37.53
         assert provider.calls == 1
 
     def test_strategy_is_part_of_cache_key(self, tmp_path):
@@ -331,10 +332,17 @@ class TestGeocoder:
         geocoder = Geocoder(cache_path=cache)
         for query, *_ in replay_trace.GEOCODE_RESULTS:
             result = geocoder.lookup(query)
-            assert within_bbox(result.coordinate(), VIRGINIA_BBOX)
+            assert within_bbox(Coordinate(result["lat"], result["lng"]), VIRGINIA_BBOX)
 
 
 HENRICO = {"lat": 37.53, "lng": -77.4, "formatted_address": "Henrico, VA"}
+BLACKWATER = {
+    "lat": 37.1081,
+    "lng": -77.1514,
+    "formatted_address": "Blackwater Swamp, VA",
+    "strategy": "standard_va",
+    "query_used": "Blackwater Swamp",
+}
 
 
 class TestGeocodeCacheFile:
@@ -375,13 +383,35 @@ class TestGeocodeCacheFile:
             {"lat": 37.5},
             {"lat": 137.5, "lng": -77.4, "formatted_address": "", "strategy": "standard_va", "query_used": "x"},
             [37.5, -77.4],
+            {"lat": 37.5, "lng": -77.4, "formatted_address": "", "strategy": "standard_va"},  # no query_used
+            {"lat": 37.5, "lng": -77.4, "formatted_address": "", "strategy": "standard_va", "query_used": "x", "county": ""},
+            {"lat": "37.5", "lng": -77.4, "formatted_address": "", "strategy": "standard_va", "query_used": "x"},
         ],
+        ids=["only-lat", "off-the-globe", "a-list", "missing-field", "extra-field", "lat-a-string"],
     )
     def test_bad_cached_result_is_malformed_row(self, tmp_path, result):
         cache = tmp_path / "cache.jsonl"
         write_geocode_cache(cache, [{"query": "x", "result": result}])
         with pytest.raises(MalformedRow, match=r"cache\.jsonl: bad cached result for 'x'"):
             Geocoder(cache_path=cache).lookup("x")
+
+    def test_reordered_cache_entry_reaches_tool_result_and_call_log_in_fixed_order(self, tmp_path):
+        cache = tmp_path / "cache.jsonl"
+        write_geocode_cache(cache, [{"query": "Blackwater Swamp", "result": dict(reversed(BLACKWATER.items()))}])
+        assert json.dumps(BLACKWATER) not in cache.read_text(encoding="utf-8")
+        rendered = (
+            '{"lat": 37.10810000, "lng": -77.15140000, "formatted_address": "Blackwater Swamp, VA", '
+            '"strategy": "standard_va", "query_used": "Blackwater Swamp"}'
+        )
+        turns = [
+            tool_call_turn("geocode_place", {"query": "Blackwater Swamp"}),
+            text_turn("37.108100, -77.151400", expect_contains=rendered),  # the tool message the model saw
+        ]
+        prediction = run_tool_chain(FixtureBackend(turns), Geocoder(cache_path=cache), CFG, GRANT)
+        assert prediction.run.reason is None and list(prediction.run.tool_calls[0].result) == list(GEOCODE_FIELDS)
+        log = tmp_path / "calls.jsonl"
+        write_jsonl(log, [prediction.to_json("request")])
+        assert f'"result": {json.dumps(BLACKWATER)}' in log.read_text(encoding="utf-8")
 
     def test_bad_middle_line_names_file_and_line(self, tmp_path):
         cache = tmp_path / "cache.jsonl"
@@ -394,7 +424,7 @@ class TestGeocodeCacheFile:
         cache = self._cache(tmp_path, b'{"query": "Holloway Sw')
         Geocoder(provider=CountingProvider({"Henrico": HENRICO}), cache_path=cache).lookup("Henrico")
         replayed = Geocoder(cache_path=cache)
-        assert replayed.lookup("Henrico").lat == 37.53
+        assert replayed.lookup("Henrico")["lat"] == 37.53
         for query, *_ in replay_trace.GEOCODE_RESULTS:
             replayed.lookup(query)
         lines = cache.read_text(encoding="utf-8").split("\n")
@@ -406,7 +436,7 @@ class TestGeocodeCacheFile:
         cache.write_text(json.dumps({"query": "a", "strategy": "standard_va", "result": None}), encoding="utf-8")
         Geocoder(provider=CountingProvider({"Henrico": HENRICO}), cache_path=cache).lookup("Henrico")
         replayed = Geocoder(cache_path=cache)
-        assert replayed.lookup("Henrico").lat == 37.53
+        assert replayed.lookup("Henrico")["lat"] == 37.53
         with pytest.raises(NotFound, match="cached"):
             replayed.lookup("a")
         assert len(cache.read_text(encoding="utf-8").splitlines()) == 2

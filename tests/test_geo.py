@@ -291,8 +291,7 @@ def brute_force_dbscan(points, eps_km, min_pts, distance=oracle_haversine):
 class TestGeodesicDbscan:
     def test_coincident_points(self):
         pts = [Coordinate(37, -77)] * 5
-        out = geodesic_dbscan(pts, 0.5, 3)
-        assert out.labels == (0, 0, 0, 0, 0)
+        assert geodesic_dbscan(pts, 0.5, 3) == (0, 0, 0, 0, 0)
 
     def test_cluster_plus_noise(self):
         close = [Coordinate(37.0, -77.0), Coordinate(37.001, -77.0), Coordinate(37.0, -77.001)]
@@ -303,16 +302,14 @@ class TestGeodesicDbscan:
         for f in (3, 4):
             for i in range(3):
                 assert haversine_km(pts[i], pts[f]) >= 100
-        out = geodesic_dbscan(pts, 0.5, 3)
-        assert out.labels == (0, 0, 0, NOISE, NOISE)
+        assert geodesic_dbscan(pts, 0.5, 3) == (0, 0, 0, NOISE, NOISE)
 
     def test_all_noise(self):
         pts = [Coordinate(37 + i, -77) for i in range(4)]
-        out = geodesic_dbscan(pts, 0.5, 3)
-        assert out.labels == (NOISE,) * 4
+        assert geodesic_dbscan(pts, 0.5, 3) == (NOISE,) * 4
 
     def test_empty_input(self):
-        assert geodesic_dbscan([], 0.5, 3).labels == ()
+        assert geodesic_dbscan([], 0.5, 3) == ()
 
     def test_bad_parameters(self):
         with pytest.raises(ValueError):
@@ -330,7 +327,7 @@ class TestGeodesicDbscan:
             ]
             eps = rng.choice([0.5, 1.0, 3.0])
             min_pts = rng.randint(1, 4)
-            got = list(geodesic_dbscan(pts, eps, min_pts).labels)
+            got = list(geodesic_dbscan(pts, eps, min_pts))
             want = brute_force_dbscan(pts, eps, min_pts)
             assert got == want, (pts, eps, min_pts)
 
@@ -338,7 +335,7 @@ class TestGeodesicDbscan:
         calls = []
         monkeypatch.setattr(geo, "haversine_km", lambda a, b: calls.append((a, b)) or haversine_km(a, b))
         pts = [Coordinate(37.0 + i * 0.001, -77.0) for i in range(5)]
-        assert geodesic_dbscan(pts, 0.5, 3).labels == (0,) * 5
+        assert geodesic_dbscan(pts, 0.5, 3) == (0,) * 5
         assert len(calls) == 10
 
     @given(
@@ -351,7 +348,7 @@ class TestGeodesicDbscan:
         # The reference measures both orders of every pair with the same metric.
         pts = [Coordinate(lat, lon) for lat, lon in raw]
         want = brute_force_dbscan(pts, eps, min_pts, distance=haversine_km)
-        assert list(geodesic_dbscan(pts, eps, min_pts).labels) == want
+        assert list(geodesic_dbscan(pts, eps, min_pts)) == want
 
 
 class TestWithinBbox:

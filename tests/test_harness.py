@@ -1481,3 +1481,36 @@ class TestEvalsets:
             rows2 = list(csv.DictReader(fh))
         assert len(rows2) == 40
         assert not ({r["row_id"] for r in rows} & {r["row_id"] for r in rows2})
+
+    @staticmethod
+    def _config(tmp_path: Path, evalsets: dict, n_grants: int = 3) -> Path:
+        config_path = hf.build_workspace(tmp_path, n_grants=n_grants)
+        doc = yaml.safe_load(config_path.read_text(encoding="utf-8"))
+        doc.update(evalsets=evalsets, default_evalset=next(iter(evalsets)))
+        config_path.write_text(yaml.safe_dump(doc), encoding="utf-8")
+        return config_path
+
+    @pytest.mark.parametrize("name", ["a/b", "../escaped", "a\\b", "a\0b", ".", ".."])
+    def test_name_not_one_path_component_exit_one(self, tmp_path, capsys, name):
+        """The evalset names the results CSV, which must be one file inside the run."""
+        config_path = self._config(tmp_path, {name: {"from": "all"}})
+        out = tmp_path / "cli_out"
+        assert main(["run", "--config", str(config_path), "--evalset", name, "--output-dir", str(out)]) == 1
+        assert f"evalset {name!r} is not a single path component" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "evalset, truthless",
+        [({"from": "all", "n": 0}, False), ({"from": "dev"}, False), ({"from": "all", "require_truth": True}, True)],
+        ids=["n-zero", "empty-dev", "no-truth"],
+    )
+    def test_evalset_selecting_no_grant_exit_one(self, tmp_path, capsys, evalset, truthless):
+        config_path = self._config(tmp_path, {"picked": evalset})  # three grants: a 0.2 dev fraction holds none
+        if truthless:
+            truthless_grants = [replace(g, ground_truth=None) for g in hf.make_grants(3)]
+            write_ground_truth(tmp_path / "fixtures" / "ground_truth.csv", truthless_grants)
+        out = tmp_path / "cli_out"
+        for command in (["run"], ["sweep", "--method", "M-5", "--axis", "temperature", "--values", "0.2"]):
+            assert main([*command, "--config", str(config_path), "--output-dir", str(out)]) == 1
+            assert "evalsets.picked" in capsys.readouterr().err
+        assert not out.exists()

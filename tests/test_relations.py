@@ -67,3 +67,20 @@ def test_a_max_rows_prefix_keeps_every_cell(base, tmp_path_factory, max_rows):
     methods, prefix_rows, prefix = _cells(config_path, tmp_path_factory.mktemp("prefix"), "--max-rows", str(max_rows))
     assert (methods, prefix_rows) == (METHOD_IDS, rows[:max_rows])
     assert prefix == {(m, r): cells[m, r] for m in METHOD_IDS for r in rows[:max_rows]}
+
+
+@given(
+    old=st.sampled_from(METHOD_IDS),
+    new=st.from_regex(r"[A-Za-z0-9_-]{1,12}", fullmatch=True).filter(lambda name: name not in METHOD_IDS),
+)
+@settings(max_examples=14, deadline=None)
+def test_a_renamed_method_keeps_every_record_but_its_method_id(base, tmp_path_factory, old, new):
+    config_path, rows, cells = base
+    doc = hf.full_config()
+    next(m for m in doc["methods"] if m["method_id"] == old)["method_id"] = new
+    renamed_config = config_path.with_name(f"renamed-{old}-{new}.yaml")  # beside the fixtures it names
+    renamed_config.write_text(yaml.safe_dump(doc), encoding="utf-8")
+    methods, renamed_rows, renamed = _cells(renamed_config, tmp_path_factory.mktemp("renamed"))
+    name = {m: new if m == old else m for m in METHOD_IDS}
+    assert (methods, renamed_rows) == ([name[m] for m in METHOD_IDS], rows)
+    assert renamed == {(name[m], r): {**cells[m, r], "method_id": name[m]} for m in METHOD_IDS for r in rows}

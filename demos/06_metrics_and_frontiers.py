@@ -15,7 +15,7 @@ from grantgeo import (
     pareto_frontier,
     summarize_errors,
 )
-from grantgeo.metrics import CI_LEVEL
+from grantgeo.metrics import CI_LEVEL, RESAMPLES
 
 rng = np.random.default_rng(7)
 errors = np.abs(rng.normal(25, 12, size=43))
@@ -24,9 +24,8 @@ stats = summarize_errors(errors)
 print(f"n={stats.n}  mean={stats.mean:.1f}  median={stats.median:.1f}  sd={stats.sd:.1f}")
 print("bands:", {f"<={int(t)}km": f"{frac:.0%}" for t, frac in stats.bands.items()})
 
-resamples = 10_000
-ci = bootstrap_ci(errors, resamples=resamples, seed=42)
-print(f"{CI_LEVEL:.0%} bootstrap CI on the mean: [{ci.lo:.1f}, {ci.hi:.1f}] ({resamples} resamples)\n")
+ci = bootstrap_ci(errors)  # the resamples and seed every report uses
+print(f"{CI_LEVEL:.0%} bootstrap CI on the mean: [{ci.lo:.1f}, {ci.hi:.1f}] ({RESAMPLES} resamples)\n")
 
 # Outlier-robust view: drop the k largest pooled residuals.
 by_method = {"alpha": list(errors), "beta": list(np.abs(rng.normal(60, 30, size=43)))}

@@ -83,6 +83,6 @@ with tempfile.TemporaryDirectory() as tmp:
             print(f"  {path.relative_to(root)}")
 
     print("\n=== report ===")
-    main(["report", "--run-dir", str(out), "--resamples", "2000"])
+    main(["report", "--run-dir", str(out)])
     print()
     print((out / "report.md").read_text())

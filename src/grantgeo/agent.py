@@ -7,15 +7,15 @@ budget, and keeps a full trace so runs can be audited and replayed.
 
 Calls are checked in-package against the subset of JSON Schema 2020-12
 the catalog uses: ``type`` (object, array, string, number), ``properties``,
-``required``, ``enum``, ``minItems`` and ``items``. A catalog schema using
-anything else is refused on first use. Of several violations, the one
-reported is at the fewest path elements, then at the greatest path, then
-first in schema keyword order, with jsonschema's wording.
+``required``, ``enum``, ``minItems`` and ``items``, extra properties
+allowed; the tests check that the catalog uses nothing else. Of several
+violations, the one reported is at the fewest path elements, then at the
+greatest path, then first in schema keyword order: the choice, and the
+wording, of ``jsonschema.validate``.
 """
 
 from __future__ import annotations
 
-import functools
 import json
 import re
 import threading
@@ -98,6 +98,8 @@ COMPUTE_CENTROID_SCHEMA = {
 }
 
 TOOL_CATALOG = [GEOCODE_PLACE_SCHEMA, COMPUTE_CENTROID_SCHEMA]
+_TOOL_PARAMETERS = {tool["name"]: tool["parameters"] for tool in TOOL_CATALOG}
+"""The parameter schema of each catalog entry, by tool name."""
 
 
 class ArgumentInvalid(ValueError):
@@ -133,31 +135,6 @@ _TYPES = {
     "string": lambda v: isinstance(v, str),
     "number": lambda v: isinstance(v, (int, float)) and not isinstance(v, bool),
 }
-# The JSON Schema 2020-12 keywords the checker implements, each with the test
-# its value must pass; a schema using any other keyword is refused.
-_KEYWORDS = {
-    "type": lambda v: isinstance(v, str) and v in _TYPES,
-    "properties": lambda v: isinstance(v, dict) and all(isinstance(sub, dict) for sub in v.values()),
-    "required": lambda v: isinstance(v, list) and all(isinstance(n, str) for n in v) and len(set(v)) == len(v),
-    "enum": lambda v: isinstance(v, list) and all(e is None or isinstance(e, (str, int, float)) for e in v),
-    "minItems": lambda v: is_int(v) and v >= 0,
-    "items": lambda v: isinstance(v, dict),
-    "description": lambda v: isinstance(v, str),
-}
-
-
-def _check_schema(tool: str, schema) -> None:
-    """Raise ValueError, naming the tool and the keyword, unless ``schema``
-    uses only the supported keywords, each with a well-formed value."""
-    if not isinstance(schema, dict):
-        raise ValueError(f"tool {tool!r}: parameters {schema!r} are not a schema object")
-    for key, value in schema.items():
-        if key not in _KEYWORDS:
-            raise ValueError(f"tool {tool!r}: unsupported schema keyword {key!r}")
-        if not _KEYWORDS[key](value):
-            raise ValueError(f"tool {tool!r}: schema keyword {key!r} has unsupported value {value!r}")
-        for sub in value.values() if key == "properties" else [value] if key == "items" else ():
-            _check_schema(tool, sub)
 
 
 def _schema_errors(schema: dict, instance, path: tuple = ()):
@@ -187,30 +164,9 @@ def _schema_errors(schema: dict, instance, path: tuple = ()):
                     yield from _schema_errors(value, item, path + (index,))
 
 
-@functools.cache
-def tool_validators() -> dict:
-    """The parameter schema of each catalog entry, by tool name.
-
-    Each schema is checked on first use, so a catalog using a keyword or
-    value the checker does not implement is a ValueError before any call
-    is validated rather than a rule silently ignored.
-    """
-    for tool in TOOL_CATALOG:
-        _check_schema(tool["name"], tool["parameters"])
-    return {tool["name"]: tool["parameters"] for tool in TOOL_CATALOG}
-
-
 def validate_tool_call(request: ToolCallRequest) -> dict:
-    """Return validated arguments or raise ArgumentInvalid.
-
-    Checks the keywords ``type`` (object, array, string, number),
-    ``properties``, ``required``, ``enum``, ``minItems`` and ``items``
-    with JSON Schema 2020-12 semantics; extra properties are allowed.
-    Of several violations the message reports the one at the fewest path
-    elements, then at the greatest path, then the first in schema keyword
-    order: the choice, and the wording, of ``jsonschema.validate``.
-    """
-    schema = tool_validators().get(request.name)
+    """The arguments if they satisfy the tool's schema (see the module docstring), else ArgumentInvalid."""
+    schema = _TOOL_PARAMETERS.get(request.name)
     if schema is None:
         raise ArgumentInvalid(f"unknown tool {request.name!r}")
     # max keeps the first of equal keys: a tie goes to the earlier keyword.

@@ -4,8 +4,8 @@ Subcommands: ``run`` executes a method roster over an evaluation set,
 ``report`` summarizes a finished run, and ``sweep`` varies temperature
 or reasoning effort across the roster.
 
-Exit codes: 0 success, 1 config error, 2 data error, 3 run completed
-with partial failures.
+Exit codes: 0 success, 1 config or usage error, 2 data error, 3 run
+completed with partial failures.
 """
 
 from __future__ import annotations
@@ -34,8 +34,15 @@ _CONFIG_ERRORS = (ConfigInvalid, AxisInapplicable)
 _DATA_ERRORS = (DataMissing, MalformedRow, DuplicateId, NoResults, FileNotFoundError, IsADirectoryError)
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message: str):
+        """Exit 1 on a usage error, the config-error code, not argparse's 2."""
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_CONFIG, f"{self.prog}: error: {message}\n")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="grantgeo", description=__doc__)
+    parser = _Parser(prog="grantgeo", description=__doc__)  # its subparsers are _Parsers too
     sub = parser.add_subparsers(dest="command", required=True)
 
     roster = argparse.ArgumentParser(add_help=False)  # the options run and sweep share
@@ -51,8 +58,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     report_p = sub.add_parser("report", help="summarize a completed run directory")
     report_p.add_argument("--run-dir", required=True)
-    report_p.add_argument("--seed", type=int, default=42)
-    report_p.add_argument("--resamples", type=int, default=10_000)
 
     sweep_p = sub.add_parser("sweep", parents=[roster], help="sweep temperature or reasoning effort")
     sweep_p.add_argument("--axis", required=True, choices=["temperature", "effort", "reasoning_effort"])
@@ -82,13 +87,9 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    if args.resamples < 1:
-        raise ConfigInvalid(f"--resamples must be at least 1, got {args.resamples}")
-    if args.seed < 0:  # numpy seeds only with integers >= 0
-        raise ConfigInvalid(f"--seed must be at least 0, got {args.seed}")
     from .report import generate_report  # numpy loads for the report only
 
-    path = generate_report(args.run_dir, ci_seed=args.seed, resamples=args.resamples)
+    path = generate_report(args.run_dir)
     print(f"report written: {path}")
     return EXIT_OK
 

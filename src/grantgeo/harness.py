@@ -20,7 +20,7 @@ from pathlib import Path
 
 import yaml
 
-from .agent import AgentBudget, Geocoder, GoogleGeocodeProvider, run_tool_chain, tool_validators
+from .agent import AgentBudget, Geocoder, GoogleGeocodeProvider, run_tool_chain
 from .baselines import (
     CountyCentroidTable,
     Gazetteer,
@@ -81,6 +81,10 @@ def _check_path_component(kind: str, name) -> None:
         raise ConfigInvalid(f"{kind} {name!r} is not a single path component")
 
 
+_METHOD_COLUMNS = ("_lat", "_lon", "_error_km", "_failed")
+"""The suffixes, after its method_id, of each method's results-CSV columns."""
+
+
 @dataclass
 class MethodSpec:
     """One roster entry: a pipeline plus exactly the fields it needs."""
@@ -105,6 +109,9 @@ class MethodSpec:
         if not isinstance(self.redact_names, bool):
             raise ValueError("redact_names must be true or false")
         _check_path_component("method_id", self.method_id)  # it names a log directory
+        clash = next((c for c in (self.method_id + s for s in _METHOD_COLUMNS) if c in GROUND_TRUTH_HEADER), None)
+        if clash:  # a CSV reader would take the method's cell for the ground truth's
+            raise ValueError(f"its results column {clash} would repeat a ground-truth column")
         if not (cost.is_finite() and cost >= 0 and is_real(self.latency_s_per_grant) and self.latency_s_per_grant >= 0):
             raise ValueError("total_cost_usd and latency_s_per_grant must be finite numbers >= 0")
         self.latency_s_per_grant = float(self.latency_s_per_grant)
@@ -326,8 +333,6 @@ def build_manifest(
         roster = [config.methods[m] for m in methods]
     else:
         roster = list(config.methods.values())
-    if any(spec.pipeline == "tool_chain" for spec in roster):
-        tool_validators()  # checks the tool schemas before any cell runs
     output_dir = Path(output_dir) if output_dir else config.output_dir
     nearest = next((p for p in (output_dir, *output_dir.parents) if p.exists()), None)
     if nearest is not None and not nearest.is_dir():  # the run could not make its directory
@@ -537,7 +542,7 @@ def _write_results_csv(path: Path, grants: list[GrantAbstract], predictions: dic
     """One row per grant: its ground truth, then its cell of each method; each method's cells are in grant order."""
     header = list(GROUND_TRUTH_HEADER)
     for mid in predictions:
-        header += [f"{mid}_lat", f"{mid}_lon", f"{mid}_error_km", f"{mid}_failed"]
+        header += [f"{mid}{suffix}" for suffix in _METHOD_COLUMNS]
     rows = []
     for g, *cells in zip(grants, *predictions.values(), strict=True):
         row = g.ground_truth_row()

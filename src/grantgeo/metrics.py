@@ -30,6 +30,12 @@ BASELINE_SECONDS_PER_GRANT = 502.0
 CI_LEVEL = 0.95
 """Confidence level of every bootstrap interval, and of the reports' CI headers."""
 
+RESAMPLES = 10_000
+"""Bootstrap resamples behind every interval a report or sweep prints."""
+
+SEED = 42
+"""Seed of the bootstrap draws behind every interval a report or sweep prints."""
+
 
 class EmptyInput(ValueError):
     pass
@@ -137,8 +143,8 @@ _BOOTSTRAP_CHUNK_CELLS = 1 << 16
 
 def bootstrap_ci(
     errors: Sequence[float],
-    resamples: int = 10_000,
-    seed: int = 0,
+    resamples: int = RESAMPLES,
+    seed: int = SEED,
 ) -> BootstrapCI:
     """Seeded percentile bootstrap on the mean, at :data:`CI_LEVEL`.
 
@@ -151,8 +157,8 @@ def bootstrap_ci(
 
 def bootstrap_cis(
     samples: Sequence[Sequence[float]],
-    resamples: int = 10_000,
-    seed: int = 0,
+    resamples: int = RESAMPLES,
+    seed: int = SEED,
 ) -> list[BootstrapCI]:
     """``bootstrap_ci`` for each sample, drawing the indices once per size.
 

@@ -24,6 +24,7 @@ from .agent import ToolUsageStats, trace_statistics
 from .corpus import MalformedRow, read_jsonl, write_csv
 from .harness import RUN_FILE, DataMissing, NoResults
 from .metrics import (
+    BAND_THRESHOLDS_KM,
     CI_LEVEL,
     BootstrapCI,
     ErrorStats,
@@ -137,14 +138,14 @@ class MethodRow:
         return self.cost_per_located * 1000
 
 
-def summarize_run(run_dir: Path, ci_seed: int = 42, resamples: int = 10_000) -> list[MethodRow]:
+def summarize_run(run_dir: Path) -> list[MethodRow]:
     """The row of each method ``run.json`` lists, in roster order, each
     scored one with its error statistics and its bootstrap interval (the
     draws shared by every method of one size). Reads ``run.json`` and the
     listed call logs a record at a time; the results CSV is never read."""
     methods, row_ids = _read_roster(run_dir)
     rows = [MethodRow.of(mid, _read_log(run_dir, mid, row_ids)) for mid in methods]
-    cis = iter(bootstrap_cis([row.errors for row in rows if row.errors], resamples=resamples, seed=ci_seed))
+    cis = iter(bootstrap_cis([row.errors for row in rows if row.errors]))
     return [replace(row, stats=summarize_errors(row.errors), ci=next(cis)) if row.errors else row for row in rows]
 
 
@@ -173,7 +174,7 @@ def _accuracy(row: MethodRow) -> list:
 def _detail(row: MethodRow) -> list:
     st = row.stats
     quantities = (st.mean, st.median, st.sd, st.min, st.q1, st.q3, st.max)
-    bands = (st.bands[t] * 100 for t in (1.0, 5.0, 10.0, 25.0, 50.0))
+    bands = (st.bands[t] * 100 for t in BAND_THRESHOLDS_KM)
     return [row.method_id, st.n, *(f"{v:.2f}" for v in quantities), *(f"{b:.1f}%" for b in bands)]
 
 
@@ -191,10 +192,10 @@ def _tool_usage(row: MethodRow) -> list:
     return [row.method_id, f"{stats.calls_per_entry_mean:.2f}", ratio, fcs, msi]
 
 
-def generate_report(run_dir: str | Path, ci_seed: int = 42, resamples: int = 10_000) -> Path:
+def generate_report(run_dir: str | Path) -> Path:
     """Write report.md plus plot-ready CSVs for the run in ``run_dir``."""
     run_dir = Path(run_dir)
-    rows = summarize_run(run_dir, ci_seed, resamples)
+    rows = summarize_run(run_dir)
     scored = sorted((row for row in rows if row.stats is not None), key=lambda row: row.stats.mean)
     if not scored:
         raise NoResults(f"no scored rows in {run_dir}")
@@ -207,7 +208,7 @@ def generate_report(run_dir: str | Path, ci_seed: int = 42, resamples: int = 10_
     lines += ["", "## Detailed performance", ""]
     lines += _table(
         ["Method", "n", "mean", "median", "sd", "min", "Q1", "Q3", "max"]
-        + ["≤1 km", "≤5 km", "≤10 km", "≤25 km", "≤50 km"],
+        + [f"≤{t:g} km" for t in BAND_THRESHOLDS_KM],
         map(_detail, scored),
     )
     lines += ["", "## Cost efficiency", ""]
@@ -251,7 +252,7 @@ def write_sweep_report(out_dir: Path, axis: str, keys: list[tuple]) -> Path:
     row has n 0 and only its tokens."""
     header = "axis_value,method_id,n,mean_error_km,ci_lo_km,ci_hi_km,within_10km_pct,cost_per_1k,tokens_per_entry"
     table, md_rows = [], []
-    for row, (value, method_id) in zip(summarize_run(out_dir), keys):  # the report's default CI seed and resamples
+    for row, (value, method_id) in zip(summarize_run(out_dir), keys):
         tokens = f"{row.tokens_per_entry:.1f}"
         if row.stats is None:
             table.append([value, method_id, 0, "", "", "", "", "", tokens])

@@ -23,7 +23,6 @@ from grantgeo.agent import (
     TOOL_CATALOG,
     handle_compute_centroid,
     run_tool_chain,
-    tool_validators,
     trace_statistics,
     validate_tool_call,
     write_geocode_cache,
@@ -108,14 +107,16 @@ def _assert_agrees_with_jsonschema(name: str, schema: dict, arguments) -> None:
 
 @pytest.fixture
 def one_tool_catalog(monkeypatch):
-    """Install a catalog of one tool named ``t``; the checked schemas are rebuilt on either side."""
+    """Install a catalog of one tool named ``t``."""
+    return lambda parameters: monkeypatch.setattr(agent, "_TOOL_PARAMETERS", {"t": parameters})
 
-    def install(parameters: dict) -> None:
-        monkeypatch.setattr(agent, "TOOL_CATALOG", [{"name": "t", "parameters": parameters}])
-        tool_validators.cache_clear()
 
-    yield install
-    tool_validators.cache_clear()
+def _keywords(schema: dict):
+    """Each (keyword, value) of ``schema`` and of the schemas nested in its properties and items."""
+    for key, value in schema.items():
+        yield key, value
+        for sub in value.values() if key == "properties" else [value] if key == "items" else ():
+            yield from _keywords(sub)
 
 
 class TestValidateToolCall:
@@ -162,31 +163,16 @@ class TestValidateToolCall:
             validate_tool_call(ToolCallRequest(name, arguments))
         assert str(got.value) == expected.value.message
 
-    def test_validators_check_each_schema(self, monkeypatch):
-        bad = {"name": "geocode_place", "parameters": {"type": "object", "required": "query"}}
-        monkeypatch.setattr(agent, "TOOL_CATALOG", [bad])
-        tool_validators.cache_clear()
-        try:
-            with pytest.raises(ValueError):
-                tool_validators()
-        finally:
-            tool_validators.cache_clear()
-
-    @pytest.mark.parametrize(
-        "parameters, keyword",
-        [
-            ({"type": "object", "properties": {"query": {"type": "string", "pattern": "^a"}}}, "pattern"),
-            ({"type": "object", "properties": {"query": {"type": "integer"}}}, "type"),
-            ({"type": ["object", "null"]}, "type"),
-            ({"type": "object", "required": "query"}, "required"),
-            ({"type": "array", "minItems": True}, "minItems"),
-            ({"type": "array", "items": False}, "items"),
-        ],
-    )
-    def test_catalog_refuses_what_the_checker_does_not_implement(self, one_tool_catalog, parameters, keyword):
-        one_tool_catalog(parameters)
-        with pytest.raises(ValueError, match=f"'t'.*'{keyword}'"):
-            tool_validators()
+    def test_catalog_uses_only_what_the_checker_implements(self):
+        """The checker would silently ignore any other keyword, and it knows only these types."""
+        implemented = {"type", "properties", "required", "enum", "minItems", "items", "description"}
+        assert [t["name"] for t in TOOL_CATALOG] == list(agent._TOOL_PARAMETERS)
+        for tool in TOOL_CATALOG:
+            assert agent._TOOL_PARAMETERS[tool["name"]] is tool["parameters"]
+            for key, value in _keywords(tool["parameters"]):
+                assert key in implemented, (tool["name"], key)
+                if key == "type":
+                    assert value in agent._TYPES, (tool["name"], value)
 
     @pytest.mark.parametrize(
         "parameters, arguments",

@@ -100,7 +100,7 @@ def test_one_data_mutation_ends_in_an_exit_code(workspace, target, at):
         if path in INPUTS:
             argv = ["run", "--config", str(workspace / "config.yaml"), "--output-dir", str(workspace / "fuzz_out")]
         else:
-            argv = ["report", "--run-dir", str(workspace / "out"), "--resamples", "100"]
+            argv = ["report", "--run-dir", str(workspace / "out")]
         assert _main(argv) in (0, 1, 2, 3)
     finally:
         (workspace / path).write_bytes(original)

@@ -231,7 +231,7 @@ class TestImportLayering:
             "from grantgeo.harness import generate_report\n"
             "import numpy\n"
             "before = set(sys.modules)\n"
-            "generate_report(outcome.run_dir, resamples=200)\n"
+            "generate_report(outcome.run_dir)\n"
             "sweep(build_manifest(config, methods=['M-5'], output_dir=sys.argv[2]), 'temperature', ['0.2'])\n"
             "print(json.dumps([sorted(set(sys.modules) - before), 'numpy.ma' in before, numpy.__version__]))\n"
         )
@@ -254,7 +254,7 @@ class TestImportLayering:
         )
         run = _python(code, "run", "--config", str(tmp_path / "config.yaml"))
         assert run.returncode == 0, run.stderr
-        report = _python(code, "report", "--run-dir", str(tmp_path / "out"), "--resamples", "200")
+        report = _python(code, "report", "--run-dir", str(tmp_path / "out"))
         assert report.returncode == 0, report.stderr
 
     def test_package_serves_the_lazily_imported_names(self):

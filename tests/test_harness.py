@@ -431,7 +431,7 @@ class TestGenerateReport:
     def test_single_method_errors_one_two_three(self, tmp_path):
         config_path = hf.build_workspace(tmp_path, n_grants=3)
         _, outcome = _run(config_path, methods=["M-5"])
-        report_path = generate_report(outcome.run_dir, resamples=500)
+        report_path = generate_report(outcome.run_dir)
         text = report_path.read_text()
         assert "| M-5 | 3 | 2.0 " in text
         assert "| 2.0 |" in text
@@ -469,7 +469,7 @@ class TestGenerateReport:
         config_path = tmp_path / "config.yaml"
         config_path.write_text(yaml.safe_dump(config), encoding="utf-8")
         _, outcome = _run(config_path)
-        generate_report(outcome.run_dir, resamples=500)
+        generate_report(outcome.run_dir)
         with (outcome.run_dir / "pareto_frontier.csv").open() as fh:
             frontier = [r["id"] for r in csv.DictReader(fh)]
         assert frontier == ["M-5"]
@@ -503,7 +503,7 @@ class TestGenerateReport:
         config_path = tmp_path / "config.yaml"
         config_path.write_text(yaml.safe_dump(config), encoding="utf-8")
         _, outcome = _run(config_path)
-        report = generate_report(outcome.run_dir, resamples=200).read_text()
+        report = generate_report(outcome.run_dir).read_text()
         assert "## Tool usage" in report
         assert "| T-4 | 1.00 |" in report
 
@@ -528,7 +528,7 @@ class TestGenerateReport:
         config_path = tmp_path / "config.yaml"
         config_path.write_text(yaml.safe_dump(config), encoding="utf-8")
         _, outcome = _run(config_path)
-        report = generate_report(outcome.run_dir, resamples=200).read_text(encoding="utf-8")
+        report = generate_report(outcome.run_dir).read_text(encoding="utf-8")
         assert "| T-4 | 1.00 | 0.00:1 | 0.0% |" in report.split("## Tool usage", 1)[1]
 
     def test_zero_latency_speedup_is_na(self, tmp_path):
@@ -548,7 +548,7 @@ class TestGenerateReport:
         config_path = tmp_path / "config.yaml"
         config_path.write_text(yaml.safe_dump(config), encoding="utf-8")
         assert main(["run", "--config", str(config_path)]) == 0
-        assert main(["report", "--run-dir", str(tmp_path / "out"), "--resamples", "200"]) == 0
+        assert main(["report", "--run-dir", str(tmp_path / "out")]) == 0
         report = (tmp_path / "out" / "report.md").read_text(encoding="utf-8")
         processing = report.split("## Processing time", 1)[1].split("##", 1)[0]
         assert "| H-1 | 0.0000 | 0.000 | n/a |" in processing
@@ -561,7 +561,7 @@ class TestGenerateReport:
         config_path.write_text(yaml.safe_dump(doc), encoding="utf-8")
         _run(config_path, methods=["H-4"], evalset="dev")
         _, outcome = _run(config_path, methods=["H-4"], evalset="test")
-        report = generate_report(outcome.run_dir, resamples=200).read_text(encoding="utf-8")
+        report = generate_report(outcome.run_dir).read_text(encoding="utf-8")
         assert outcome.cells == 16
         assert "| H-4 | 16 | " in report
 
@@ -580,22 +580,22 @@ class TestGenerateReport:
             return rows
 
         monkeypatch.setattr(report, "summarize_run", spy)
-        generate_report(outcome.run_dir, resamples=700)
+        generate_report(outcome.run_dir)
         assert {mid: len(errors) for mid, (errors, _) in seen.items()} == {"M-3": 4, "M-5": 4, "H-4": 4, "X-1": 3}
         for errors, ci in seen.values():
-            assert ci == bootstrap_ci(errors, resamples=700, seed=42)
+            assert ci == bootstrap_ci(errors)
 
     def test_headers_state_the_level_the_intervals_use(self, tmp_path, monkeypatch):
         config_path = hf.build_workspace(tmp_path, n_grants=4)
         out = tmp_path / "sweep_out"
         manifest = build_manifest(load_config(config_path), methods=["M-5"], output_dir=out)
-        wide = report.summarize_run(_run(config_path, output_dir=tmp_path / "plain")[1].run_dir, resamples=700)[0].ci
+        wide = report.summarize_run(_run(config_path, output_dir=tmp_path / "plain")[1].run_dir)[0].ci
         monkeypatch.setattr(metrics, "CI_LEVEL", 0.8)
         monkeypatch.setattr(report, "CI_LEVEL", 0.8)
         sweep(manifest, "temperature", ["0.2"])
-        [row] = report.summarize_run(out, resamples=700)
-        assert row.ci == bootstrap_ci(row.errors, resamples=700, seed=42) and row.ci.hi - row.ci.lo < wide.hi - wide.lo
-        text = generate_report(out, resamples=700).read_text(encoding="utf-8")
+        [row] = report.summarize_run(out)
+        assert row.ci == bootstrap_ci(row.errors) and row.ci.hi - row.ci.lo < wide.hi - wide.lo
+        text = generate_report(out).read_text(encoding="utf-8")
         assert "| ID | n | Mean ± 80% CI (km) |" in text
         assert f"| M-5__temperature_0.2 | 4 | {row.stats.mean:.1f} [{row.ci.lo:.1f}, {row.ci.hi:.1f}] |" in text
         assert "| Value | Method | n | Mean error (km) | 80% CI (km) |" in (out / "sweep_report.md").read_text(encoding="utf-8")
@@ -615,7 +615,7 @@ class TestGenerateReport:
 
     def test_tool_usage_table_with_one_tool_method_among_others(self, tmp_path):
         _, outcome = _run(_mixed_workspace(tmp_path))
-        report = generate_report(outcome.run_dir, resamples=200).read_text(encoding="utf-8")
+        report = generate_report(outcome.run_dir).read_text(encoding="utf-8")
         assert report.split("## Tool usage", 1)[1] == (
             "\n\n"
             "| Method | Calls / entry (mean) | geo:cent ratio | First-call success | Mean selected index |\n"
@@ -753,7 +753,7 @@ class TestSweep:
                 "tokens_per_entry": f"{alone.tokens_per_entry:.1f}",
             }
         assert swept[0] != swept[2]  # the second value replays its own script
-        accuracy = generate_report(tmp_path / "sweep_out", resamples=200).read_text(encoding="utf-8")
+        accuracy = generate_report(tmp_path / "sweep_out").read_text(encoding="utf-8")
         accuracy = accuracy.split("## Accuracy", 1)[1].split("\n## ", 1)[0]
         listed = [line.split(" | ")[0].removeprefix("| ") for line in accuracy.strip().splitlines()[2:]]
         assert sorted(listed) == sorted(clone_ids)  # the table is ordered by mean error
@@ -794,7 +794,7 @@ class TestCli:
         config_path = hf.build_workspace(tmp_path, n_grants=4)
         code = main(["run", "--config", str(config_path), "--output-dir", str(tmp_path / "cli_out")])
         assert code == 0
-        code = main(["report", "--run-dir", str(tmp_path / "cli_out"), "--resamples", "200"])
+        code = main(["report", "--run-dir", str(tmp_path / "cli_out")])
         assert code == 0
         assert (tmp_path / "cli_out" / "report.md").exists()
 
@@ -1026,19 +1026,26 @@ class TestCli:
             assert f"max_rows must be at least 1, got {max_rows}" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("resamples", ["0", "-5"])
-    def test_report_resamples_below_one_exit_one(self, tmp_path, capsys, resamples):
-        _, outcome = _run(hf.build_workspace(tmp_path, n_grants=4), methods=["H-4"])
-        assert main(["report", "--run-dir", str(outcome.run_dir), "--resamples", resamples]) == 1
+    @pytest.mark.parametrize(
+        "command, message",
+        [
+            (["run", "--method", "H-4"], "the following arguments are required: --config"),
+            (["sweep", "--config", "config.yaml", "--axis", "foo", "--values", "1"], "argument --axis: invalid choice"),
+            (["report", "--run-dir", "cli_out", "--resamples", "200"], "unrecognized arguments: --resamples 200"),
+        ],
+        ids=["run", "sweep", "report"],
+    )
+    def test_usage_error_exit_one(self, tmp_path, capsys, monkeypatch, command, message):
+        """A usage error is a config error (1), not argparse's 2, which is the data-error code."""
+        _run(hf.build_workspace(tmp_path, n_grants=3), methods=["H-4"], output_dir=tmp_path / "cli_out")
+        before = sorted(tmp_path.rglob("*"))
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exited:
+            main(command)
+        assert exited.value.code == 1
         err = capsys.readouterr().err
-        assert err == f"config error: --resamples must be at least 1, got {resamples}\n"
-        assert not (outcome.run_dir / "report.md").exists()
-
-    def test_report_negative_seed_exit_one(self, tmp_path, capsys):
-        _, outcome = _run(hf.build_workspace(tmp_path, n_grants=4), methods=["H-4"])
-        assert main(["report", "--run-dir", str(outcome.run_dir), "--seed", "-1"]) == 1
-        assert capsys.readouterr().err == "config error: --seed must be at least 0, got -1\n"
-        assert not (outcome.run_dir / "report.md").exists()
+        assert err.startswith("usage: grantgeo") and f"error: {message}" in err
+        assert sorted(tmp_path.rglob("*")) == before
 
     def test_report_run_dir_a_file_exit_two(self, tmp_path, capsys):
         not_a_dir = tmp_path / "run.txt"
@@ -1073,6 +1080,15 @@ class TestCli:
         out = tmp_path / "cli_out"
         assert main(["run", "--config", str(config_path), "--output-dir", str(out)]) == 1
         assert f"method_id {method_id!r} is not a single path component" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_method_id_whose_columns_repeat_the_ground_truth_exit_one(self, tmp_path, capsys):
+        """A method named truth would write truth_lat and truth_lon twice, and a CSV reader would keep its answer."""
+        config_path = hf.build_workspace(tmp_path, n_grants=3, methods=[{"method_id": "truth", "pipeline": "county_centroid"}])
+        out = tmp_path / "cli_out"
+        assert main(["run", "--config", str(config_path), "--output-dir", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err == "config error: truth: its results column truth_lat would repeat a ground-truth column\n"
         assert not out.exists()
 
     def test_repeated_sweep_value_exit_one(self, tmp_path, capsys):
@@ -1116,7 +1132,7 @@ class TestCli:
         log = tmp_path / "out" / "runs" / "M-5" / "calls.jsonl"
         log.write_text(log.read_text(encoding="utf-8").splitlines()[0] + "\n", encoding="utf-8")
         capsys.readouterr()
-        assert main(["report", "--run-dir", str(tmp_path / "out"), "--resamples", "100"]) == 2
+        assert main(["report", "--run-dir", str(tmp_path / "out")]) == 2
         assert str(log) in capsys.readouterr().err
 
     def test_bad_geocode_cache_line_exit_two(self, tmp_path, capsys):
@@ -1158,13 +1174,13 @@ class TestCli:
         config_path = hf.build_workspace(tmp_path, n_grants=2)
         out_dir = tmp_path / "out"
         assert main(["run", "--config", str(config_path)]) == 0
-        assert main(["report", "--run-dir", str(out_dir), "--resamples", "100"]) == 0
+        assert main(["report", "--run-dir", str(out_dir)]) == 0
         with (tmp_path / "fixtures" / "m6.jsonl").open("a", encoding="utf-8") as fh:
             fh.write("{oops\n")  # the rerun rewrites M-5's log, then stops at M-6's script
         assert main(["run", "--config", str(config_path)]) == 2
         assert not (out_dir / "run.json").exists()
         capsys.readouterr()
-        assert main(["report", "--run-dir", str(out_dir), "--resamples", "100"]) == 2
+        assert main(["report", "--run-dir", str(out_dir)]) == 2
         assert "run.json is missing" in capsys.readouterr().err
 
     @pytest.mark.parametrize("key", ["methods", "rows"])
@@ -1186,7 +1202,7 @@ class TestCli:
                 lines = log.read_text(encoding="utf-8").splitlines()
                 log.write_text("\n".join([lines[0], *lines]) + "\n", encoding="utf-8")
         capsys.readouterr()
-        assert main(["report", "--run-dir", str(out), "--resamples", "100"]) == 2
+        assert main(["report", "--run-dir", str(out)]) == 2
         assert capsys.readouterr().err == f"data error: {run_json}: {key} lists {repeated!r} more than once\n"
         assert not (out / "report.md").exists()
 
@@ -1205,7 +1221,7 @@ class TestCli:
         def lines_by_method(config: Path, out: Path, *methods: str) -> dict:
             flags = [arg for m in methods for arg in ("--method", m)]
             assert main(["run", "--config", str(config), "--output-dir", str(out), *flags]) == 0
-            assert main(["report", "--run-dir", str(out), "--resamples", "200"]) == 0
+            assert main(["report", "--run-dir", str(out)]) == 0
             found = {}
             for section in (out / "report.md").read_text(encoding="utf-8").split("\n## ")[1:]:
                 title, _, body = section.partition("\n")
@@ -1228,7 +1244,7 @@ class TestCli:
         config_path = hf.build_workspace(tmp_path, n_grants=2)
         assert main(["run", "--config", str(config_path)]) == 0
         (tmp_path / "out" / "runs" / "M-6" / "calls.jsonl").unlink()
-        assert main(["report", "--run-dir", str(tmp_path / "out"), "--resamples", "100"]) == 2
+        assert main(["report", "--run-dir", str(tmp_path / "out")]) == 2
         assert "M-6: call log" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
@@ -1276,7 +1292,7 @@ class TestCli:
         assert damaged != lines[1]
         lines[1] = damaged
         log.write_bytes(b"\n".join(lines) + b"\n")
-        assert main(["report", "--run-dir", str(tmp_path / "out"), "--resamples", "100"]) == 2
+        assert main(["report", "--run-dir", str(tmp_path / "out")]) == 2
         assert f"{log}:2:" in capsys.readouterr().err
 
     def test_call_log_read_stops_at_the_first_record_out_of_place(self, tmp_path, capsys):
@@ -1286,7 +1302,7 @@ class TestCli:
         lines = log.read_bytes().splitlines()
         lines[1:] = [_edited(lines[1], row_id="r999"), b"not JSON"]
         log.write_bytes(b"\n".join(lines) + b"\n")
-        assert main(["report", "--run-dir", str(tmp_path / "out"), "--resamples", "100"]) == 2
+        assert main(["report", "--run-dir", str(tmp_path / "out")]) == 2
         assert f"data error: {log}: record 2 is M-5 'r999', not M-5's cell for run.json row 2 of 3" in capsys.readouterr().err
 
     def test_call_log_of_another_method_exit_two(self, tmp_path, capsys):
@@ -1294,7 +1310,7 @@ class TestCli:
         assert main(["run", "--config", str(config_path)]) == 0
         runs = tmp_path / "out" / "runs"
         (runs / "M-6" / "calls.jsonl").write_bytes((runs / "M-5" / "calls.jsonl").read_bytes())
-        assert main(["report", "--run-dir", str(tmp_path / "out"), "--resamples", "100"]) == 2
+        assert main(["report", "--run-dir", str(tmp_path / "out")]) == 2
         assert f"data error: {runs / 'M-6' / 'calls.jsonl'}: " in capsys.readouterr().err
 
     def test_data_error_exit_two(self, tmp_path):
@@ -1360,7 +1376,7 @@ class TestCli:
         assert sorted(p.name for p in out_dir.iterdir()) == [  # one run, no directory per value
             "results_gold.csv", "run.json", "runs", "sweep.csv", "sweep_report.md",
         ]
-        assert main(["report", "--run-dir", str(out_dir), "--resamples", "200"]) == 0
+        assert main(["report", "--run-dir", str(out_dir)]) == 0
 
     def _sweep_workspace(self, tmp_path, sweep_fixtures=None):
         grants = hf.make_grants(2)

@@ -3,8 +3,10 @@
 A base run of every pipeline over a 6-grant ``hf.full_config()`` workspace is
 compared with transformed runs of the same workspace. Every cell the two share
 must have the same call-log record, ``latency_s`` masked (baseline cells
-measure it locally). The relations that hold with today's replay backend are
-here; an evalset subset waits for replay keyed by grant.
+measure it locally). The evalset-subset relation is a strict xfail: replay
+keeps one cursor per method, not one per grant (ROADMAP item 2), so a grant
+off the recorded prefix gets another grant's answers until replay is keyed by
+grant, when the strict marker makes the test fail until it is removed.
 """
 
 from __future__ import annotations
@@ -71,7 +73,8 @@ def test_a_max_rows_prefix_keeps_every_cell(base, tmp_path_factory, max_rows):
 
 @given(
     old=st.sampled_from(METHOD_IDS),
-    new=st.from_regex(r"[A-Za-z0-9_-]{1,12}", fullmatch=True).filter(lambda name: name not in METHOD_IDS),
+    # a method named truth would repeat the ground truth's truth_lat and truth_lon columns, a config error
+    new=st.from_regex(r"[A-Za-z0-9_-]{1,12}", fullmatch=True).filter(lambda name: name not in [*METHOD_IDS, "truth"]),
 )
 @settings(max_examples=14, deadline=None)
 def test_a_renamed_method_keeps_every_record_but_its_method_id(base, tmp_path_factory, old, new):
@@ -84,3 +87,15 @@ def test_a_renamed_method_keeps_every_record_but_its_method_id(base, tmp_path_fa
     name = {m: new if m == old else m for m in METHOD_IDS}
     assert (methods, renamed_rows) == ([name[m] for m in METHOD_IDS], rows)
     assert renamed == {(name[m], r): {**cells[m, r], "method_id": name[m]} for m in METHOD_IDS for r in rows}
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="replay keeps one cursor per method, so r001 gets r000's recorded answers (ROADMAP item 2)",
+)
+def test_an_evalset_subset_keeps_every_cell(base, tmp_path_factory):
+    config_path, rows, cells = base
+    methods, subset_rows, subset = _cells(config_path, tmp_path_factory.mktemp("evalset"), "--evalset", "one")
+    assert methods == METHOD_IDS and len(subset_rows) == 1 and set(subset_rows) <= set(rows)
+    assert subset == {(m, r): cells[m, r] for m in METHOD_IDS for r in subset_rows}

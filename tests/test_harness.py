@@ -90,6 +90,19 @@ class TestConfig:
         with pytest.raises(ConfigInvalid):
             load_config(config_path)
 
+    @pytest.mark.parametrize("method_id", ["Truth", "truths"])
+    def test_method_id_near_a_ground_truth_column_loads(self, tmp_path, method_id):
+        """Only a method_id one of whose own columns is a ground-truth column is refused."""
+        config_path = hf.build_workspace(tmp_path, methods=[{"method_id": method_id, "pipeline": "county_centroid"}])
+        assert list(load_config(config_path).methods) == [method_id]
+
+    def test_refused_method_ids_follow_the_ground_truth_header(self, tmp_path, monkeypatch):
+        """The check reads GROUND_TRUTH_HEADER and the four column suffixes, not a fixed name."""
+        monkeypatch.setattr(harness, "GROUND_TRUTH_HEADER", [*harness.GROUND_TRUTH_HEADER, "gold_error_km"])
+        config_path = hf.build_workspace(tmp_path, methods=[{"method_id": "gold", "pipeline": "county_centroid"}])
+        with pytest.raises(ConfigInvalid, match="^gold: its results column gold_error_km would repeat a ground-truth column$"):
+            load_config(config_path)
+
     def test_pipeline_field_discipline(self, tmp_path):
         # a county-centroid method must not carry a model config
         config_path = hf.build_workspace(
@@ -1032,8 +1045,10 @@ class TestCli:
             (["run", "--method", "H-4"], "the following arguments are required: --config"),
             (["sweep", "--config", "config.yaml", "--axis", "foo", "--values", "1"], "argument --axis: invalid choice"),
             (["report", "--run-dir", "cli_out", "--resamples", "200"], "unrecognized arguments: --resamples 200"),
+            (["report", "--run-dir", "cli_out", "--seed", "7"], "unrecognized arguments: --seed 7"),
+            ([], "the following arguments are required: command"),
         ],
-        ids=["run", "sweep", "report"],
+        ids=["run", "sweep", "report", "report-seed", "no-command"],
     )
     def test_usage_error_exit_one(self, tmp_path, capsys, monkeypatch, command, message):
         """A usage error is a config error (1), not argparse's 2, which is the data-error code."""
@@ -1046,6 +1061,15 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("usage: grantgeo") and f"error: {message}" in err
         assert sorted(tmp_path.rglob("*")) == before
+
+    @pytest.mark.parametrize("command", [[], ["run"], ["sweep"], ["report"]], ids=["grantgeo", "run", "sweep", "report"])
+    def test_help_exit_zero(self, capsys, command):
+        """Only a usage error changes its exit code; -h still prints its usage and exits 0."""
+        with pytest.raises(SystemExit) as exited:
+            main([*command, "-h"])
+        assert exited.value.code == 0
+        out, err = capsys.readouterr()
+        assert out.startswith(f"usage: {' '.join(['grantgeo', *command])} ") and err == ""
 
     def test_report_run_dir_a_file_exit_two(self, tmp_path, capsys):
         not_a_dir = tmp_path / "run.txt"

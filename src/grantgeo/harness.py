@@ -140,7 +140,6 @@ class RunManifest:
     config: HarnessConfig
     evalset: str
     methods: list[MethodSpec]
-    seed: int = 42
     dry_run: bool = False
     max_rows: int | None = None
     output_dir: Path = Path("runs_out")
@@ -330,9 +329,7 @@ def build_manifest(
         repeated = sorted({m for m in methods if methods.count(m) > 1})
         if repeated:  # a second run of a method would overwrite its log and repeat its CSV columns
             raise ConfigInvalid(f"methods named more than once: {repeated}")
-        roster = [config.methods[m] for m in methods]
-    else:
-        roster = list(config.methods.values())
+    roster = [config.methods[m] for m in methods] if methods else list(config.methods.values())
     output_dir = Path(output_dir) if output_dir else config.output_dir
     nearest = next((p for p in (output_dir, *output_dir.parents) if p.exists()), None)
     if nearest is not None and not nearest.is_dir():  # the run could not make its directory
@@ -340,12 +337,18 @@ def build_manifest(
     return RunManifest(
         config=config,
         evalset=name,
-        methods=roster,
-        seed=seed,
+        methods=[_seeded(spec, seed) for spec in roster],
         dry_run=dry_run,
         max_rows=max_rows,
         output_dir=output_dir,
     )
+
+
+def _seeded(spec: MethodSpec, seed: int) -> MethodSpec:
+    """``spec`` with the run's seed in a one_shot or tool_chain model that sets none (ensembles use their seeds)."""
+    if spec.pipeline not in ("one_shot", "tool_chain") or spec.model.seed is not None:
+        return spec
+    return replace(spec, model=replace(spec.model, seed=seed))
 
 
 def resolve_evalset(config: HarnessConfig, name: str, rows: list[GrantAbstract]) -> EvalSet:
@@ -370,15 +373,19 @@ def resolve_evalset(config: HarnessConfig, name: str, rows: list[GrantAbstract])
     return EvalSet(name, members.members)
 
 
+def _check_file(path: Path, name: str) -> None:
+    """DataMissing naming ``name`` and ``path`` unless ``path`` is a file; a directory is not."""
+    if not path.is_file():
+        raise DataMissing(f"{name} {path} is {'not a file' if path.exists() else 'missing'}")
+
+
 def _check_files(manifest: RunManifest) -> None:
     config = manifest.config
-    if not config.ground_truth.exists():
-        raise DataMissing(f"ground truth file {config.ground_truth} is missing")
+    _check_file(config.ground_truth, "corpus.ground_truth")
     for spec in manifest.methods:
         for key in _PATH_KEYS:
-            p = getattr(spec, key)
-            if p is not None and not Path(p).exists():
-                raise DataMissing(f"{spec.method_id}: {key} {p} is missing")
+            if getattr(spec, key) is not None:
+                _check_file(Path(getattr(spec, key)), f"{spec.method_id}: {key}")
         if config.backend_kind == "fixture" and PIPELINES[spec.pipeline].llm and spec.fixture_script is None:
             raise ConfigInvalid(f"{spec.method_id}: fixture backend requires fixture_script")
 
@@ -431,12 +438,11 @@ def _timed_baseline(spec: MethodSpec, locate: Callable[[str], tuple[Coordinate, 
 
 @dataclass
 class _RunScope:
-    """What a pipeline's setup reads: the run's config, loaded corpus and
-    seed, and its gazetteers, each path loaded (and so indexed) once per run."""
+    """What a pipeline's setup reads: the run's config and loaded corpus,
+    and its gazetteers, each path loaded (and so indexed) once per run."""
 
     config: HarnessConfig
     corpus: list[GrantAbstract]
-    seed: int
     _gazetteers: dict[Path | None, Gazetteer] = field(default_factory=dict, init=False, repr=False)
 
     def gazetteer(self, path: Path | None) -> Gazetteer:
@@ -471,36 +477,22 @@ def _setup_ingest_external(spec: MethodSpec, scope: _RunScope):
     return lambda g: by_id.get(g.row_id) or Prediction.of(spec.method_id, g, None, reason="MissingExternalRow")
 
 
-def _seeded(model: ModelConfig, seed: int) -> ModelConfig:
-    return replace(model, seed=seed) if model.seed is None else model  # manifest seed as the default
-
-
-def _redacted(spec: MethodSpec, grant: GrantAbstract) -> GrantAbstract:
-    if not spec.redact_names:
-        return grant
-    return GrantAbstract.from_text(grant.row_id, redact_patentee(grant.text), grant.ground_truth)
-
-
 def _setup_one_shot(spec: MethodSpec, scope: _RunScope):
     backend = _make_backend(spec, scope.config)
-    model = _seeded(spec.model, scope.seed)
-    return lambda grant: run_one_shot(backend, model, _redacted(spec, grant), spec.method_id, scope.config.prices)
+    return lambda grant: run_one_shot(backend, spec.model, grant, spec.method_id, scope.config.prices)
 
 
 def _setup_ensemble(spec: MethodSpec, scope: _RunScope):
-    backend = _make_backend(spec, scope.config)  # members carry their own seeds
-    return lambda grant: run_ensemble(
-        backend, spec.model, spec.ensemble, _redacted(spec, grant), spec.method_id, scope.config.prices
-    )
+    backend = _make_backend(spec, scope.config)
+    return lambda grant: run_ensemble(backend, spec.model, spec.ensemble, grant, spec.method_id, scope.config.prices)
 
 
 def _setup_tool_chain(spec: MethodSpec, scope: _RunScope):
     backend = _make_backend(spec, scope.config)
-    model = _seeded(spec.model, scope.seed)
     provider = GoogleGeocodeProvider() if scope.config.backend_kind == "live" else None
     geocoder = Geocoder(provider=provider, cache_path=spec.geocode_cache)
     budget = spec.budget or AgentBudget()
-    return lambda grant: run_tool_chain(backend, geocoder, model, grant, budget, spec.method_id, scope.config.prices)
+    return lambda grant: run_tool_chain(backend, geocoder, spec.model, grant, budget, spec.method_id, scope.config.prices)
 
 
 @dataclass(frozen=True)
@@ -514,10 +506,6 @@ class Pipeline:
     optional: tuple[str, ...]
     llm: bool
     setup: Callable[..., Callable[[GrantAbstract], Prediction]]
-
-    def request(self, spec: MethodSpec, grant: GrantAbstract) -> str:
-        """The call-log request: the first 160 characters of the text the model was given, else pipeline:row_id."""
-        return _redacted(spec, grant).text[:160] if self.llm else f"{spec.pipeline}:{grant.row_id}"
 
 
 _MODEL_KEYS = ("fixture_script", "sweep_fixtures")
@@ -536,6 +524,11 @@ PIPELINES: dict[str, Pipeline] = {
 
 
 RUN_FILE = "run.json"
+
+
+def call_log_path(run_dir: Path, method_id: str) -> Path:
+    """Where a run in ``run_dir`` writes ``method_id``'s call log."""
+    return run_dir / "runs" / method_id / "calls.jsonl"
 
 
 def _write_results_csv(path: Path, grants: list[GrantAbstract], predictions: dict[str, list[Prediction]]) -> None:
@@ -562,11 +555,12 @@ def run_evaluation(manifest: RunManifest) -> RunOutcome:
 
     Writes ``runs/<method>/calls.jsonl``, ``results_<evalset>.csv`` and
     then ``run.json`` (the evalset, start time, roster and rows) under the
-    manifest's output directory; an older ``run.json`` is removed first, so
-    a run that stops early leaves none. Per-row failures are recorded as
-    failed rows, never aborting the run. In dry-run mode the config and data
-    files are validated and the planned call matrix is printed; nothing
-    external is touched and nothing is written.
+    manifest's output directory, removing an older CSV and ``run.json``
+    first, so a run that stops early leaves neither. A ``redact_names``
+    method is given, and logs, each grant with the patentee masked. Per-row
+    failures are recorded as failed rows, never aborting the run. In dry-run
+    mode the config and data files are validated and the planned call
+    matrix is printed; nothing external is touched and nothing is written.
     """
     config = manifest.config
     _check_files(manifest)
@@ -585,25 +579,30 @@ def run_evaluation(manifest: RunManifest) -> RunOutcome:
         return RunOutcome(manifest.output_dir, len(grants) * len(manifest.methods), 0, {})
 
     run_dir = manifest.output_dir
+    results_csv = run_dir / f"results_{manifest.evalset}.csv"
     run_dir.mkdir(parents=True, exist_ok=True)
-    (run_dir / RUN_FILE).unlink(missing_ok=True)
+    for stale in (results_csv, run_dir / RUN_FILE):
+        stale.unlink(missing_ok=True)
     predictions: dict[str, list[Prediction]] = {}
     failures = 0
     started = time.strftime("%Y-%m-%dT%H:%M:%S%z")
-    scope = _RunScope(config, rows, manifest.seed)
+    scope = _RunScope(config, rows)
     for spec in manifest.methods:
         pipeline = PIPELINES[spec.pipeline]
+        given = grants
+        if spec.redact_names:
+            given = [GrantAbstract.from_text(g.row_id, redact_patentee(g.text), g.ground_truth) for g in grants]
         predict = pipeline.setup(spec, scope)
-        preds = [predict(grant) for grant in grants]
+        preds = [predict(grant) for grant in given]
         del predict  # release this method's backend and caches before the next setup runs
         predictions[spec.method_id] = preds
         failures += sum(1 for p in preds if p.failed)
-        method_dir = run_dir / "runs" / spec.method_id
-        method_dir.mkdir(parents=True, exist_ok=True)
-        records = (p.to_json(pipeline.request(spec, grant)) for grant, p in zip(grants, preds))
-        write_jsonl(method_dir / "calls.jsonl", records)
+        log = call_log_path(run_dir, spec.method_id)
+        log.parent.mkdir(parents=True, exist_ok=True)
+        requests = (g.text[:160] if pipeline.llm else f"{spec.pipeline}:{g.row_id}" for g in given)
+        write_jsonl(log, (p.to_json(request) for p, request in zip(preds, requests)))
 
-    _write_results_csv(run_dir / f"results_{manifest.evalset}.csv", grants, predictions)
+    _write_results_csv(results_csv, grants, predictions)
     rows = [g.row_id for g in grants]
     roster = {"evalset": manifest.evalset, "started": started, "methods": list(predictions), "rows": rows}
     (run_dir / RUN_FILE).write_text(json.dumps(roster) + "\n", encoding="utf-8")

@@ -22,7 +22,7 @@ from typing import Iterable, Iterator
 
 from .agent import ToolUsageStats, trace_statistics
 from .corpus import MalformedRow, read_jsonl, write_csv
-from .harness import RUN_FILE, DataMissing, NoResults
+from .harness import RUN_FILE, DataMissing, NoResults, call_log_path
 from .metrics import (
     BAND_THRESHOLDS_KM,
     CI_LEVEL,
@@ -61,7 +61,7 @@ def _read_log(run_dir: Path, method_id: str, rows: list[str]) -> Iterator[Predic
     """One listed method's call log, checked and yielded a record at a time:
     a cell of that method per listed row, in order. The first record out of
     place, or a count short of the rows, is MalformedRow naming the file."""
-    path = run_dir / "runs" / method_id / "calls.jsonl"
+    path = call_log_path(run_dir, method_id)
     count = 0
     try:
         for count, cell in enumerate(read_jsonl(path, "call-log", Prediction.from_json), start=1):

@@ -17,7 +17,7 @@ import harness_fixtures as hf
 from grantgeo import harness, metrics, report
 from grantgeo.cli import main
 from grantgeo.corpus import GrantAbstract, MalformedRow, write_ground_truth, write_jsonl
-from grantgeo.gateway import TokenUsage, text_turn, tool_call_turn, write_fixture_script
+from grantgeo.gateway import FixtureBackend, TokenUsage, text_turn, tool_call_turn, write_fixture_script
 from grantgeo.geo import Coordinate
 from grantgeo.harness import (
     PIPELINES,
@@ -33,6 +33,7 @@ from grantgeo.harness import (
     sweep,
 )
 from grantgeo.metrics import bootstrap_ci
+from grantgeo.prompts import ONE_SHOT_PROMPT
 from grantgeo.runners import Prediction, RunRecord, ToolCallRecord
 
 
@@ -45,6 +46,14 @@ def _run(config_path, **kwargs):
 def _edited(line: bytes, **fields) -> bytes:
     """A call-log line with ``fields`` set."""
     return json.dumps({**json.loads(line), **fields}).encode()
+
+
+def _full_workspace(tmp_path: Path, n_grants: int = 2, **doc) -> Path:
+    """``hf.full_config`` (with ``doc``'s top-level keys replaced) and its files under ``tmp_path``; the config path."""
+    hf.build_full_workspace(tmp_path, n_grants=n_grants)
+    config_path = tmp_path / "config.yaml"
+    config_path.write_text(yaml.safe_dump({**hf.full_config(), **doc}), encoding="utf-8")
+    return config_path
 
 
 def _tool_chain_run(run_dir: Path, n: int) -> Path:
@@ -257,24 +266,35 @@ class TestRunEvaluation:
         datetime.strptime(roster.pop("started"), "%Y-%m-%dT%H:%M:%S%z")
         assert roster == {"evalset": "gold", "methods": ["M-5", "M-6", "H-4"], "rows": ["r000", "r001", "r002", "r003"]}
 
-    def test_llm_requests_are_the_text_each_model_was_given(self, tmp_path):
-        hf.build_full_workspace(tmp_path, n_grants=3)
+    def test_llm_requests_are_the_text_each_model_was_given(self, tmp_path, monkeypatch):
+        """Each log's request is the first 160 characters of the abstract its backend was sent, M-5's masked."""
+        config_path = _full_workspace(tmp_path, n_grants=3)
         names = ["JOHN SMITH", "ANN JONES", "WM. BYRD"]
-        grants = [
-            GrantAbstract.from_text(g.row_id, g.text.replace(f"GRANTEE {i}", names[i]), g.ground_truth)
-            for i, g in enumerate(hf.make_grants(3))
-        ]
+        grants = []
+        for i, g in enumerate(hf.make_grants(3)):  # past 160 characters, so the request is cut
+            text = g.text.replace(f"GRANTEE {i}", names[i]) + " Beg. at a Wt. oak." * 4
+            grants.append(GrantAbstract.from_text(g.row_id, text, g.ground_truth))
         write_ground_truth(tmp_path / "fixtures" / "ground_truth.csv", grants)
-        config_path = tmp_path / "config.yaml"
-        config_path.write_text(yaml.safe_dump(hf.full_config()), encoding="utf-8")
+        sent = {}  # each method's backend: the user message of each call
+        complete = FixtureBackend.complete
+
+        def recording(self, cfg, messages, tools=None):
+            sent.setdefault(self, []).append(next(m.content for m in messages if m.role == "user"))
+            return complete(self, cfg, messages, tools)
+
+        monkeypatch.setattr(FixtureBackend, "complete", recording)
         _, outcome = _run(config_path, methods=["M-5", "E-1", "T-4"])
-        requests = {}
+        logged = {}
         for method in ("M-5", "E-1", "T-4"):
-            log = outcome.run_dir / "runs" / method / "calls.jsonl"
-            requests[method] = [json.loads(line)["request"] for line in log.read_text().splitlines()]
-        assert len(set(requests["M-5"])) == 3  # one per grant, not the fixed instruction
-        assert all(r.startswith("[NAME],") for r in requests["M-5"])  # M-5 sets redact_names
-        assert requests["E-1"] == requests["T-4"] == [g.text[:160] for g in grants]
+            log = harness.call_log_path(outcome.run_dir, method).read_text(encoding="utf-8")
+            logged[method] = [json.loads(line)["request"] for line in log.splitlines()]
+        m5, e1, t4 = (  # one abstract per grant: E-1 sends each five times, T-4 twice
+            [message.removeprefix(ONE_SHOT_PROMPT + "\n\n")[:160] for message in dict.fromkeys(messages)]
+            for messages in sent.values()
+        )
+        assert logged["M-5"] == m5
+        assert all(r.startswith("[NAME],") and len(r) == 160 for r in logged["M-5"])  # M-5 sets redact_names
+        assert logged["E-1"] == e1 == logged["T-4"] == t4 == [g.text[:160] for g in grants]
 
     def test_failed_rows_kept_with_flag(self, tmp_path):
         grants = hf.make_grants(3)
@@ -1207,6 +1227,43 @@ class TestCli:
         assert main(["report", "--run-dir", str(out_dir)]) == 2
         assert "run.json is missing" in capsys.readouterr().err
 
+    def test_a_run_that_stops_leaves_no_results_csv(self, tmp_path, capsys):
+        """The rerun rewrites M-5's and E-1's logs, then stops at T-4's script; no CSV of the first run is left."""
+        config_path = _full_workspace(tmp_path, n_grants=3)
+        out_dir = tmp_path / "out"
+        assert main(["run", "--config", str(config_path)]) == 0
+        assert (out_dir / "results_gold.csv").exists()
+        with (tmp_path / "fixtures" / "toolchain.jsonl").open("a", encoding="utf-8") as fh:
+            fh.write("{oops\n")
+        assert main(["run", "--config", str(config_path)]) == 2
+        assert "toolchain.jsonl:7:" in capsys.readouterr().err
+        assert not (out_dir / "results_gold.csv").exists()
+        assert not (out_dir / "run.json").exists()
+
+    @pytest.mark.parametrize(
+        "named, file",
+        [
+            ("T-4: fixture_script", "toolchain.jsonl"),
+            ("T-4: geocode_cache", "geocache.jsonl"),
+            ("H-2: gazetteer", "gazetteer.csv"),
+            ("X-1: predictions_file", "external.csv"),
+            ("corpus.ground_truth", "ground_truth.csv"),
+        ],
+        ids=["fixture_script", "geocode_cache", "gazetteer", "predictions_file", "ground_truth"],
+    )
+    def test_a_roster_path_that_is_a_directory_exit_two_before_any_cell(self, tmp_path, capsys, named, file):
+        config_path = _full_workspace(tmp_path, n_grants=3)
+        out_dir = tmp_path / "out"
+        assert main(["run", "--config", str(config_path)]) == 0
+        before = {p: (p.read_bytes(), p.stat().st_mtime_ns) for p in out_dir.rglob("*") if p.is_file()}
+        path = tmp_path / "fixtures" / file
+        path.unlink()
+        path.mkdir()
+        capsys.readouterr()
+        assert main(["run", "--config", str(config_path)]) == 2
+        assert capsys.readouterr().err == f"data error: {named} {path} is not a file\n"
+        assert {p: (p.read_bytes(), p.stat().st_mtime_ns) for p in out_dir.rglob("*") if p.is_file()} == before
+
     @pytest.mark.parametrize("key", ["methods", "rows"])
     def test_run_json_listing_an_id_twice_exit_two(self, tmp_path, capsys, key):
         """A repeated method would print its rows twice, and a repeated row (its cell repeated in every log) would
@@ -1554,3 +1611,54 @@ class TestEvalsets:
             assert main([*command, "--config", str(config_path), "--output-dir", str(out)]) == 1
             assert "evalsets.picked" in capsys.readouterr().err
         assert not out.exists()
+
+
+class TestRosterSeeds:
+    """A roster spec states the seed its model sends: the run's, unless the model or the ensemble sets its own."""
+
+    LIVE = {"kind": "live", "endpoint": "https://example.invalid/v1/chat"}
+
+    @staticmethod
+    def _live_methods() -> list[dict]:
+        """M-5 (its own seed 7), E-1 (ensemble seeds 11 to 15), T-4 and M-6 (no seed); a live run replays no fixture."""
+        methods = hf.full_config()["methods"][:3]
+        del methods[0]["sweep_fixtures"]
+        methods.append({"method_id": "M-6", "pipeline": "one_shot", "model": {"model_id": "my-model"}})
+        return methods
+
+    @staticmethod
+    def _sent_seeds(monkeypatch) -> list:
+        """The ``seed`` of each payload the live backend posts, in order; every reply is one located answer."""
+
+        class Reply:
+            status_code = 200
+
+            @staticmethod
+            def json():
+                return {"choices": [{"message": {"content": "37.0, -77.0"}}]}
+
+        seeds = []
+        monkeypatch.setenv("MODEL_API_KEY", "k")
+        monkeypatch.setattr("requests.post", lambda url, json, **k: seeds.append(json.get("seed", "unset")) or Reply())
+        return seeds
+
+    def test_the_manifest_states_each_models_seed(self, tmp_path):
+        config = load_config(_full_workspace(tmp_path, backend=self.LIVE, methods=self._live_methods()))
+        manifest = build_manifest(config, seed=9)
+        assert [spec.model.seed for spec in manifest.methods] == [7, None, 9, 9]
+        assert manifest.methods[1].ensemble.seeds == (11, 12, 13, 14, 15)
+        assert [spec.model.seed for spec in config.methods.values()] == [7, None, None, None]  # the config is kept
+
+    def test_each_call_sends_its_specs_seed(self, tmp_path, monkeypatch):
+        config_path = _full_workspace(tmp_path, n_grants=3, backend=self.LIVE, methods=self._live_methods())
+        seeds = self._sent_seeds(monkeypatch)
+        assert main(["run", "--config", str(config_path), "--seed", "9"]) == 0
+        assert seeds == [7] * 3 + [11, 12, 13, 14, 15] * 3 + [9] * 3 + [9] * 3
+
+    def test_a_sweep_clone_keeps_the_seed(self, tmp_path, monkeypatch):
+        config_path = _full_workspace(tmp_path, backend=self.LIVE, methods=self._live_methods())
+        seeds = self._sent_seeds(monkeypatch)
+        methods = ["--method", "M-6", "--method", "M-5", "--method", "T-4"]
+        args = ["sweep", "--config", str(config_path), *methods, "--seed", "9", "--axis", "temperature"]
+        assert main(args + ["--values", "0.5", "0.9"]) == 0
+        assert seeds == ([9] * 2 + [7] * 2 + [9] * 2) * 2

@@ -229,7 +229,11 @@ def load_config(path: str | Path) -> HarnessConfig:
 
         data_doc = _mapping(doc.get("data"), "data", ("county_table",))
         county_path = _resolve(config_dir, data_doc.get("county_table"), "data.county_table")
-        county_table = CountyCentroidTable.from_csv(county_path) if county_path else CountyCentroidTable.packaged()
+        if county_path:
+            _check_file(county_path, "data.county_table")
+            county_table = CountyCentroidTable.from_csv(county_path)
+        else:
+            county_table = CountyCentroidTable.packaged()
 
         methods: dict[str, MethodSpec] = {}
         for m in doc.get("methods") or []:
@@ -623,11 +627,14 @@ def __getattr__(name: str):
 SWEEP_AXES = ("temperature", "reasoning_effort")
 
 
-def _sweep_clone(spec: MethodSpec, axis: str, value) -> MethodSpec:
-    """``spec`` at one axis value, replaying the sweep fixture whose key, read as the axis's type, equals it."""
+def _sweep_clone(spec: MethodSpec, axis: str, value, replays: bool) -> MethodSpec:
+    """``spec`` at one axis value, replaying the sweep fixture whose key, read as the axis's type, equals it.
+
+    Only a run that ``replays`` fixtures needs that entry; a live run sends the value itself.
+    """
     typed = is_real if axis == "temperature" else lambda key: isinstance(key, str)
     fixtures = [path for key, path in spec.sweep_fixtures.items() if typed(key) and key == value]
-    if spec.sweep_fixtures and not fixtures:
+    if replays and spec.sweep_fixtures and not fixtures:
         raise AxisInapplicable(f"{spec.method_id}: sweep_fixtures has no entry for {axis} {value}")
     try:
         model = replace(spec.model, **{axis: value})
@@ -659,7 +666,8 @@ def sweep(manifest: RunManifest, axis: str, values: list) -> tuple[Path, int]:
     repeated = sorted({v for v in values if values.count(v) > 1})
     if repeated:  # a repeated value would give two clones one method_id
         raise ConfigInvalid(f"sweep values given more than once: {repeated}")
-    clones = [_sweep_clone(spec, axis, v) for v in values for spec in manifest.methods]  # before the run
+    replays = manifest.config.backend_kind == "fixture"
+    clones = [_sweep_clone(spec, axis, v, replays) for v in values for spec in manifest.methods]  # before the run
     outcome = run_evaluation(replace(manifest, methods=clones, dry_run=False))
     from .report import write_sweep_report  # numpy loads once the run is done
 

@@ -10,13 +10,24 @@ Every quartile and CI bound is read from one sorted copy of its sample by
 type 7), bit for bit what ``np.quantile`` gives. ``np.quantile`` itself
 imports ``numpy.ma`` on its first call, which would cost a report more
 than all of its arithmetic.
+
+:func:`bootstrap_cis` draws its next index block on a second thread while
+the calling thread averages the current one; numpy releases the
+interpreter lock in both. grantgeo makes no BLAS call, so importing this
+module sets ``OPENBLAS_NUM_THREADS=1`` unless it is already set: an idle
+OpenBLAS worker would otherwise spin on the core the drawer needs.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import queue
+import threading
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
+
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")  # read once, when numpy loads OpenBLAS
 
 import numpy as np
 from numpy.random import default_rng  # numpy would otherwise load numpy.random on the first draw, inside a report
@@ -138,7 +149,65 @@ def summarize_errors(errors: Sequence[float]) -> ErrorStats:
     )
 
 
-_BOOTSTRAP_CHUNK_CELLS = 1 << 16
+_BOOTSTRAP_CHUNK_CELLS = 1 << 15
+
+
+def _block_rows(n: int) -> int:
+    return max(1, _BOOTSTRAP_CHUNK_CELLS // n)
+
+
+def _index_blocks(sizes: Sequence[int], resamples: int, seed: int) -> Iterator[tuple[int, int, int, np.ndarray]]:
+    """Each size's resamples x n index matrix, drawn a block of rows at a time: ``(n, start, stop, idx)``.
+
+    Successive draws continue one stream, so the blocks hold the indices
+    of one whole-matrix draw while holding only about
+    ``_BOOTSTRAP_CHUNK_CELLS`` of them at once.
+    """
+    for n in sizes:
+        rng = default_rng(seed)
+        rows = _block_rows(n)
+        for start in range(0, resamples, rows):
+            stop = min(start + rows, resamples)
+            yield n, start, stop, rng.integers(0, n, size=(stop - start, n))
+
+
+def _drawn_ahead(blocks: Iterator) -> Iterator:
+    """``blocks``' items in order, each produced on a second thread while the caller works on the one before.
+
+    At most two items are out at once, the one the caller works on and the
+    next: the drawer takes a slot before each item, and the caller frees
+    one when it asks for the next. So memory does not depend on how the
+    threads are scheduled. An exception in the drawer is raised here.
+    Closing this generator, as the caller must, stops the drawer and
+    joins the thread.
+    """
+    handoff: queue.SimpleQueue = queue.SimpleQueue()
+    slots = threading.Semaphore(2)
+    stopped = threading.Event()
+    done = object()
+
+    def draw() -> None:
+        try:
+            while slots.acquire() and not stopped.is_set():
+                block = next(blocks, done)
+                handoff.put(block)
+                if block is done:
+                    return
+        except BaseException as exc:  # handed to the caller, which re-raises it
+            handoff.put(exc)
+
+    drawer = threading.Thread(target=draw, name="bootstrap-draws", daemon=True)
+    drawer.start()
+    try:
+        while (item := handoff.get()) is not done:
+            if isinstance(item, BaseException):
+                raise item
+            yield item
+            slots.release()
+    finally:
+        stopped.set()
+        slots.release()  # a drawer waiting for a slot wakes, sees the event and returns
+        drawer.join()
 
 
 def bootstrap_ci(
@@ -164,7 +233,9 @@ def bootstrap_cis(
 
     With one seed, every sample of size n resamples the same resamples x n
     index matrix, so each block of it is drawn once and gathered for each
-    sample of that size in turn. The intervals equal per-sample
+    sample of that size in turn. When there is more than one block, a
+    second thread draws the next while this one gathers; the thread ends
+    before the call returns or raises. The intervals equal per-sample
     ``bootstrap_ci`` calls bit for bit. Raises ValueError unless
     ``resamples`` is at least 1.
     """
@@ -175,17 +246,15 @@ def bootstrap_cis(
     for i, arr in enumerate(arrays):
         by_size.setdefault(arr.size, []).append(i)
     means = [np.empty(resamples) for _ in arrays]
-    for n, members in by_size.items():
-        rng = default_rng(seed)
-        # Successive draws continue one stream, so drawing the index matrix
-        # a block of rows at a time gives the same indices while holding
-        # only about _BOOTSTRAP_CHUNK_CELLS of them at once.
-        rows = max(1, _BOOTSTRAP_CHUNK_CELLS // n)
-        for start in range(0, resamples, rows):
-            stop = min(start + rows, resamples)
-            idx = rng.integers(0, n, size=(stop - start, n))
-            for i in members:
+    blocks = _index_blocks(list(by_size), resamples, seed)
+    if sum(math.ceil(resamples / _block_rows(n)) for n in by_size) > 1:
+        blocks = _drawn_ahead(blocks)  # one block has nothing to overlap, and a thread start would cost more
+    try:
+        for n, start, stop, idx in blocks:
+            for i in by_size[n]:
                 means[i][start:stop] = arrays[i][idx].mean(axis=1)
+    finally:
+        blocks.close()
     alpha = 1.0 - CI_LEVEL
     out = []
     for m in means:

@@ -243,6 +243,18 @@ class TestImportLayering:
         assert not ma_before or int(version.split(".")[0]) < 2
         assert (tmp_path / "out" / "report.md").exists() and (tmp_path / "sweep_out" / "sweep.csv").exists()
 
+    @pytest.mark.parametrize("preset, expected", [(None, "1"), ("3", "3")], ids=["unset", "user-set"])
+    def test_metrics_caps_openblas_threads_unless_set(self, monkeypatch, preset, expected):
+        """grantgeo makes no BLAS call; an idle OpenBLAS worker would spin on the core the bootstrap drawer uses."""
+        if preset is None:
+            monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+        else:
+            monkeypatch.setenv("OPENBLAS_NUM_THREADS", preset)
+        code = "import os, sys, grantgeo.metrics; print(os.environ.get('OPENBLAS_NUM_THREADS'), 'numpy' in sys.modules)"
+        done = _python(code)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.split() == [expected, "True"]
+
     def test_run_and_report_need_no_jsonschema(self, tmp_path):
         hf.build_full_workspace(tmp_path)  # its roster holds a tool_chain method
         (tmp_path / "config.yaml").write_text(yaml.safe_dump(hf.full_config()), encoding="utf-8")

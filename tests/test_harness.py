@@ -754,7 +754,7 @@ class TestSweep:
 
         monkeypatch.setattr(harness, "run_evaluation", spy)
         sweep(manifest, "temperature", ["0.2", "0.9"])
-        clones = [harness._sweep_clone(spec, "temperature", v) for v in (0.2, 0.9) for spec in manifest.methods]
+        clones = [harness._sweep_clone(spec, "temperature", v, True) for v in (0.2, 0.9) for spec in manifest.methods]
         clone_ids = ["M-5__temperature_0.2", "M-6__temperature_0.2", "M-5__temperature_0.9", "M-6__temperature_0.9"]
         assert runs == [clone_ids] == [[c.method_id for c in clones]]
         assert json.loads((tmp_path / "sweep_out" / "run.json").read_text(encoding="utf-8"))["methods"] == clone_ids
@@ -1264,6 +1264,19 @@ class TestCli:
         assert capsys.readouterr().err == f"data error: {named} {path} is not a file\n"
         assert {p: (p.read_bytes(), p.stat().st_mtime_ns) for p in out_dir.rglob("*") if p.is_file()} == before
 
+    @pytest.mark.parametrize("state", ["not a file", "missing"])
+    def test_a_county_table_that_is_not_a_file_exit_two(self, tmp_path, capsys, state):
+        config_path = _full_workspace(tmp_path, n_grants=3)
+        path = tmp_path / "fixtures" / "counties.csv"
+        path.unlink()
+        if state == "not a file":
+            path.mkdir()
+        with pytest.raises(DataMissing):
+            load_config(config_path)
+        assert main(["run", "--config", str(config_path)]) == 2
+        assert capsys.readouterr().err == f"data error: data.county_table {path} is {state}\n"
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("key", ["methods", "rows"])
     def test_run_json_listing_an_id_twice_exit_two(self, tmp_path, capsys, key):
         """A repeated method would print its rows twice, and a repeated row (its cell repeated in every log) would
@@ -1620,9 +1633,8 @@ class TestRosterSeeds:
 
     @staticmethod
     def _live_methods() -> list[dict]:
-        """M-5 (its own seed 7), E-1 (ensemble seeds 11 to 15), T-4 and M-6 (no seed); a live run replays no fixture."""
+        """M-5 (its own seed 7, a sweep fixture for 0.2 only), E-1 (ensemble seeds 11 to 15), T-4 and M-6 (no seed)."""
         methods = hf.full_config()["methods"][:3]
-        del methods[0]["sweep_fixtures"]
         methods.append({"method_id": "M-6", "pipeline": "one_shot", "model": {"model_id": "my-model"}})
         return methods
 
@@ -1662,3 +1674,22 @@ class TestRosterSeeds:
         args = ["sweep", "--config", str(config_path), *methods, "--seed", "9", "--axis", "temperature"]
         assert main(args + ["--values", "0.5", "0.9"]) == 0
         assert seeds == ([9] * 2 + [7] * 2 + [9] * 2) * 2
+
+    @pytest.mark.parametrize("kind", ["fixture", "live"])
+    def test_only_a_replayed_sweep_needs_a_fixture_per_value(self, tmp_path, monkeypatch, kind):
+        """A live run sends the swept value itself, so M-5's lack of a 0.5 sweep fixture matters only in replay."""
+        backend = self.LIVE if kind == "live" else {"kind": "fixture"}
+        config = load_config(_full_workspace(tmp_path, backend=backend, methods=self._live_methods()))
+        manifest = build_manifest(config, methods=["M-5"])
+        if kind == "fixture":
+            with pytest.raises(AxisInapplicable, match="M-5: sweep_fixtures has no entry for temperature 0.5"):
+                sweep(manifest, "temperature", ["0.2", "0.5"])
+            return
+        self._sent_seeds(monkeypatch)
+        runs = []
+        monkeypatch.setattr(harness, "run_evaluation", lambda m: runs.append(m.methods) or run_evaluation(m))
+        sweep(manifest, "temperature", ["0.2", "0.5"])
+        [clones] = runs
+        assert [(c.method_id, c.model.temperature) for c in clones] == [
+            ("M-5__temperature_0.2", 0.2), ("M-5__temperature_0.5", 0.5),
+        ]

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import random
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -185,6 +187,138 @@ class TestBootstrapCIs:
         samples.insert(position, [])
         with pytest.raises(EmptyInput):
             bootstrap_cis(samples, resamples=100)
+
+
+def _serial_means(samples, resamples: int, seed: int, chunk_cells: int = 1 << 16) -> list[np.ndarray]:
+    """Each sample's resample means from the one-thread loop the drawer thread replaced, at its block size."""
+    arrays = [np.asarray(sample, dtype=float) for sample in samples]
+    by_size: dict[int, list[int]] = {}
+    for i, arr in enumerate(arrays):
+        by_size.setdefault(arr.size, []).append(i)
+    means = [np.empty(resamples) for _ in arrays]
+    for n, members in by_size.items():
+        rng = np.random.default_rng(seed)
+        rows = max(1, chunk_cells // n)
+        for start in range(0, resamples, rows):
+            stop = min(start + rows, resamples)
+            idx = rng.integers(0, n, size=(stop - start, n))
+            for i in members:
+                means[i][start:stop] = arrays[i][idx].mean(axis=1)
+    return means
+
+
+class _Watched(np.ndarray):
+    """A sample whose every gather calls ``on_gather`` first."""
+
+    on_gather = staticmethod(lambda: None)
+
+    def __getitem__(self, key):
+        if isinstance(key, np.ndarray):
+            type(self).on_gather()
+        return super().__getitem__(key)
+
+
+class TestDrawerThread:
+    """The next index block is drawn on a second thread; nothing it yields differs from one thread's loop."""
+
+    @pytest.mark.parametrize("resamples", [1, 7, 10_000])
+    @pytest.mark.parametrize(
+        "sizes", [[950, 1000, 1000, 1000], [540, 570, 570, 570, 600], [3, 43, 1001]], ids=["packaged", "llm", "odd"]
+    )
+    def test_every_mean_matches_the_serial_loop(self, monkeypatch, sizes, resamples):
+        rng = np.random.default_rng(len(sizes))
+        samples = [rng.gamma(2.0, 10.0, size=n).tolist() for n in sizes]
+        expected = _serial_means(samples, resamples, seed=42)
+        seen = []
+        real = metrics.quantile_sorted
+        monkeypatch.setattr(metrics, "quantile_sorted", lambda m, q: seen.append(m.copy()) or real(m, q))
+        cis = bootstrap_cis(samples, resamples=resamples)
+        assert len(seen) == 2 * len(samples)
+        for ci, ordered, reference in zip(cis, seen[::2], expected):
+            reference.sort()
+            assert ordered.tobytes() == reference.tobytes()
+            alpha = 1.0 - metrics.CI_LEVEL
+            assert (ci.lo, ci.hi) == tuple(float(q) for q in np.quantile(reference, [alpha / 2.0, 1.0 - alpha / 2.0]))
+
+    def _watch(self, monkeypatch, on_gather):
+        real = metrics._validated
+        monkeypatch.setattr(metrics, "_validated", lambda sample: real(sample).view(_Watched))
+        monkeypatch.setattr(_Watched, "on_gather", staticmethod(on_gather))
+
+    def test_the_drawer_ends_with_the_call(self, monkeypatch):
+        start = threading.active_count()
+        during = []
+        self._watch(monkeypatch, lambda: during.append(threading.active_count()))
+        bootstrap_cis([[1.0, 2.0, 4.0], [3.0] * 900], resamples=500)
+        assert during[0] == start + 1  # the drawer may finish before the last gathers
+        assert threading.active_count() == start
+
+    def test_a_failed_gather_stops_and_joins_the_drawer(self, monkeypatch):
+        start = threading.active_count()
+        gathers = []
+
+        def fail_third():
+            gathers.append(threading.active_count())
+            if len(gathers) == 3:
+                time.sleep(0.05)  # time for the drawer to draw the next block and wait for a slot
+                raise RuntimeError("gather failed")
+
+        self._watch(monkeypatch, fail_third)
+        with pytest.raises(RuntimeError, match="gather failed"):
+            bootstrap_cis([[5.0] * 1000], resamples=10_000)
+        assert gathers == [start + 1] * 3
+        assert threading.active_count() == start
+
+    def test_the_drawer_runs_one_block_ahead(self, monkeypatch):
+        """Drawn blocks the caller has not finished with number at most two, however the threads are scheduled."""
+        drawn, ahead = [], []
+
+        class CountingRng:
+            def __init__(self, seed):
+                self.rng = np.random.default_rng(seed)
+
+            def integers(self, *args, **kwargs):
+                drawn.append(None)
+                return self.rng.integers(*args, **kwargs)
+
+        def gather():  # one sample, so gather k is block k's only one
+            if len(ahead) < 5:
+                time.sleep(0.01)  # time for the drawer to get as far ahead as it may
+            ahead.append(len(drawn) - len(ahead))
+
+        monkeypatch.setattr(metrics, "default_rng", CountingRng)
+        self._watch(monkeypatch, gather)
+        bootstrap_cis([[5.0] * 1000], resamples=10_000)
+        assert len(drawn) == len(ahead) == 313
+        assert max(ahead) == 2
+
+    def test_a_single_block_starts_no_thread(self, monkeypatch):
+        start = threading.active_count()
+        during = []
+        self._watch(monkeypatch, lambda: during.append(threading.active_count()))
+        [ci] = bootstrap_cis([[1.0, 2.0, 4.0]], resamples=7)
+        assert during == [start]
+        reference = np.sort(_serial_means([[1.0, 2.0, 4.0]], 7, seed=42)[0])
+        alpha = 1.0 - metrics.CI_LEVEL
+        assert (ci.lo, ci.hi) == (quantile_sorted(reference, alpha / 2.0), quantile_sorted(reference, 1.0 - alpha / 2.0))
+
+    def test_a_drawer_error_reaches_the_caller(self, monkeypatch):
+        start = threading.active_count()
+
+        class FailingRng:
+            def __init__(self, seed):
+                self.rng, self.draws = np.random.default_rng(seed), 0
+
+            def integers(self, *args, **kwargs):
+                self.draws += 1
+                if self.draws == 3:
+                    raise MemoryError("draw failed")
+                return self.rng.integers(*args, **kwargs)
+
+        monkeypatch.setattr(metrics, "default_rng", FailingRng)
+        with pytest.raises(MemoryError, match="draw failed"):
+            bootstrap_cis([[1.0, 2.0] * 500], resamples=1000)
+        assert threading.active_count() == start
 
 
 class TestDropTopKMean:

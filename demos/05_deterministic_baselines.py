@@ -1,4 +1,4 @@
-"""The three deterministic baselines and the heuristic grid search.
+"""The three deterministic baselines.
 
 All three are total functions: every text gets a coordinate, falling
 back through county centroid to the statewide center.
@@ -9,13 +9,11 @@ from grantgeo import (
     CountyCentroidTable,
     HeuristicParams,
     VIRGINIA_CENTER,
-    GrantAbstract,
     extract_county,
     expand_abbreviations,
     heuristic_geoparse,
     predict_county_centroid,
     predict_ner_pipeline,
-    tune_heuristic_grid,
 )
 from grantgeo.baselines import ResolvedToponym, default_entity_extractor, packaged_gazetteer
 
@@ -50,11 +48,7 @@ def toy_resolver(variant):
 
 params = HeuristicParams(confidence_threshold=0.5, bbox_margin_deg=0.1, distance_gate_km=25.0)
 coordinate, flag = heuristic_geoparse(text, toy_resolver, table, params)
-print(f"heuristic [{flag}] -> ({coordinate.lat:.4f}, {coordinate.lon:.4f})")
-
-gold = [GrantAbstract.from_text("g", text, henrico)]
-tuned = tune_heuristic_grid(gold, toy_resolver, table, [0.3, 0.7], [0.0, 0.2], [25.0, 35.0, 50.0])
-print(f"grid-search pick: {tuned}\n")
+print(f"heuristic [{flag}] -> ({coordinate.lat:.4f}, {coordinate.lon:.4f})\n")
 
 # --- entity pipeline with population-weighted ranking ----------------------
 gazetteer = packaged_gazetteer()

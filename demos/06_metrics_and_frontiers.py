@@ -1,4 +1,4 @@
-"""Evaluation statistics: summaries, CIs, robust means, OLS, frontiers.
+"""Evaluation statistics: summaries, CIs, robust means, frontiers.
 
 Numbers below come from synthetic error vectors; the same functions run
 inside report generation.
@@ -9,7 +9,6 @@ import numpy as np
 from grantgeo import (
     bootstrap_ci,
     drop_top_k_mean,
-    fit_ols,
     latency_summary,
     marginal_cost_per_hit,
     pareto_frontier,
@@ -31,16 +30,6 @@ print(f"{CI_LEVEL:.0%} bootstrap CI on the mean: [{ci.lo:.1f}, {ci.hi:.1f}] ({RE
 by_method = {"alpha": list(errors), "beta": list(np.abs(rng.normal(60, 30, size=43)))}
 for method, (before, after) in drop_top_k_mean(by_method, k=5).items():
     print(f"drop-top-5 mean: {method}: {before:.1f} -> {after:.1f} km")
-
-# Does abstract length explain error? A flat slope says no.
-lengths = rng.integers(15, 90, size=120)
-residual_errors = np.abs(rng.normal(35, 15, size=120)) - 0.05 * lengths
-residual_errors = np.abs(residual_errors)
-fit = fit_ols(lengths, residual_errors)
-print(
-    f"\nlength-vs-error OLS: slope {fit.slope:+.2f} ± {fit.slope_ci_halfwidth:.2f} km/word, "
-    f"R² {fit.r_squared:.3f}, r {fit.pearson_r:+.2f}"
-)
 
 # Cost-vs-error frontier over method summaries.
 methods = [

@@ -75,7 +75,6 @@ from .baselines import (
     heuristic_geoparse,
     predict_county_centroid,
     predict_ner_pipeline,
-    tune_heuristic_grid,
 )
 from .harness import (
     MethodSpec,
@@ -94,11 +93,9 @@ _LAZY = {
         (
             "BootstrapCI",
             "ErrorStats",
-            "OlsFit",
             "bootstrap_ci",
             "bootstrap_cis",
             "drop_top_k_mean",
-            "fit_ols",
             "latency_summary",
             "marginal_cost_per_hit",
             "pareto_frontier",

@@ -2,13 +2,12 @@
 
 Three baselines share a fallback ladder ending at Virginia's geographic
 center, so every input text yields a coordinate: a county-centroid
-lookup, a gazetteer-gated heuristic geoparser with grid-searched
-parameters, and an entity-extraction pipeline with population-weighted
-ranking. Entity resolution engines are pluggable; the package ships a
-capitalized-phrase scanner and CSV-backed gazetteers as defaults. A
-:class:`Gazetteer` is an immutable sequence whose entries are built on
-access: it holds checked rows, and builds a :class:`GazetteerEntry` only
-for the rows a lookup returns.
+lookup, a gazetteer-gated heuristic geoparser, and an entity-extraction
+pipeline with population-weighted ranking. Entity resolution engines are
+pluggable; the package ships a capitalized-phrase scanner and CSV-backed
+gazetteers as defaults. A :class:`Gazetteer` is an immutable sequence
+whose entries are built on access: it holds checked rows, and builds a
+:class:`GazetteerEntry` only for the rows a lookup returns.
 """
 
 from __future__ import annotations
@@ -22,15 +21,11 @@ from importlib import resources
 from pathlib import Path
 from typing import Callable, Iterable
 
-from .corpus import GrantAbstract, read_csv
+from .corpus import read_csv
 from .geo import Coordinate, VIRGINIA_BBOX, check_coordinate, haversine_km, is_real, within_bbox
 
 VIRGINIA_CENTER = Coordinate(37.4316, -78.6569)
 """Statewide fallback: Virginia's geographic center."""
-
-
-class EmptyGold(ValueError):
-    """Grid tuning needs at least one gold row with ground truth."""
 
 
 @dataclass(frozen=True)
@@ -256,8 +251,6 @@ def load_abbreviations(path: str | Path | None = None) -> dict[str, str]:
 
 
 def _abbreviation_row(row: dict) -> tuple[str, str]:
-    if row["abbrev"] is None or row["expansion"] is None:
-        raise ValueError("a row with no abbreviation or no expansion")
     _stem(row["abbrev"])
     return row["abbrev"], row["expansion"]
 
@@ -351,41 +344,6 @@ def heuristic_geoparse(
     if county_centroid is not None:
         return county_centroid, "county"
     return VIRGINIA_CENTER, "statewide"
-
-
-def tune_heuristic_grid(
-    gold: list[GrantAbstract],
-    resolver: Resolver,
-    table: CountyCentroidTable,
-    confidence_grid: Iterable[float],
-    margin_grid: Iterable[float],
-    gate_grid: Iterable[float] = (25.0, 35.0, 50.0),
-) -> HeuristicParams:
-    """Exhaustive grid search minimizing mean error on the gold set.
-
-    Ties break to the lexicographically smallest
-    (confidence, margin, gate) combination.
-    """
-    gold = [g for g in gold if g.ground_truth is not None]
-    if not gold:
-        raise EmptyGold("no gold rows with ground truth")
-    grids = (sorted(set(confidence_grid)), sorted(set(margin_grid)), sorted(set(gate_grid)))
-    if not all(grids):
-        raise ValueError("all three grids must be non-empty")
-
-    best_params: HeuristicParams | None = None
-    best_mean = float("inf")
-    for conf, margin, gate in itertools.product(*grids):
-        params = HeuristicParams(conf, margin, gate)
-        errors = [
-            haversine_km(heuristic_geoparse(g.text, resolver, table, params)[0], g.ground_truth)
-            for g in gold
-        ]
-        mean = sum(errors) / len(errors)
-        if mean < best_mean:
-            best_mean = mean
-            best_params = params
-    return best_params  # type: ignore[return-value]
 
 
 _PUNCTUATION = re.compile(r"[^\w\s]")

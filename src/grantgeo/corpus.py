@@ -9,7 +9,6 @@ import math
 import random
 import re
 from dataclasses import dataclass
-from itertools import zip_longest
 from pathlib import Path
 from types import SimpleNamespace
 from typing import Callable, Iterable, Iterator
@@ -32,7 +31,7 @@ class SampleTooLarge(ValueError):
     """Raised when a sample larger than the source set is requested."""
 
 
-# A missing column or field is a KeyError, a short CSV row's None a TypeError, a value
+# A missing column or field is a KeyError, a JSON value of the wrong type a TypeError, a value
 # that is not a number, a coordinate or JSON a ValueError, and not a decimal an ArithmeticError.
 _ROW_ERRORS = (KeyError, TypeError, ValueError, ArithmeticError)
 
@@ -44,8 +43,8 @@ def _row_error(where: str, exc: Exception, missing: str) -> MalformedRow:
 
 def read_csv(path: str | Path, kind: str, parse: Callable[[dict], object], header: list[str] | None = None) -> list:
     """``parse`` of each nonblank row of a UTF-8 CSV file, as a dict keyed by the file's header,
-    which must equal ``header`` if given, as each row's width must; else a short row's missing
-    columns are None. A leading byte order mark, as Excel writes, is skipped. A row error from
+    which must equal ``header`` if given; a row wider or narrower than the header is MalformedRow.
+    A leading byte order mark, as Excel writes, is skipped. A row error from
     ``parse`` is MalformedRow naming the file and the line the row ends on; its own MalformedRow
     or DuplicateId passes unchanged; bad UTF-8 names the file."""
     out = []
@@ -57,10 +56,10 @@ def read_csv(path: str | Path, kind: str, parse: Callable[[dict], object], heade
             if header is not None and names != header:
                 raise MalformedRow(f"{path}: bad header {names!r}" if names else f"{path}: empty file, header required")
             for row in rows:
-                if header is not None and len(row) != len(header):
-                    raise MalformedRow(f"{path}:{reader.line_num}: expected {len(header)} columns, got {len(row)}")
+                if len(row) != len(names):
+                    raise MalformedRow(f"{path}:{reader.line_num}: expected {len(names)} columns, got {len(row)}")
                 try:
-                    out.append(parse(dict(zip_longest(names, row))))
+                    out.append(parse(dict(zip(names, row))))
                 except (MalformedRow, DuplicateId):
                     raise
                 except _ROW_ERRORS as exc:

@@ -1,9 +1,9 @@
-"""Error statistics, bootstrap CIs, regressions, frontiers, and cost ratios.
+"""Error statistics, bootstrap CIs, frontiers, and cost ratios.
 
 Everything the run reports print comes from here: distance-error
 summaries with accuracy bands, seeded percentile-bootstrap confidence
-intervals, outlier-robust means, a simple OLS fit for the length
-ablation, Pareto frontiers, marginal cost per hit, and latency speedups.
+intervals, outlier-robust means, Pareto frontiers, marginal cost per
+hit, and latency speedups.
 
 Every quartile and CI bound is read from one sorted copy of its sample by
 :func:`quantile_sorted`, the linear-interpolation quantile (Hyndman & Fan
@@ -56,10 +56,6 @@ class KTooLarge(ValueError):
     pass
 
 
-class DegenerateX(ValueError):
-    pass
-
-
 class ZeroHitRate(ValueError):
     pass
 
@@ -87,15 +83,6 @@ class ErrorStats:
 class BootstrapCI:
     lo: float
     hi: float
-
-
-@dataclass(frozen=True)
-class OlsFit:
-    slope: float
-    intercept: float
-    r_squared: float
-    pearson_r: float
-    slope_ci_halfwidth: float
 
 
 @dataclass(frozen=True)
@@ -290,39 +277,6 @@ def drop_top_k_mean(
         adjusted = sum(kept) / len(kept) if kept else None
         out[method] = (original, adjusted)  # type: ignore[assignment]
     return out
-
-
-def fit_ols(x: Sequence[float], y: Sequence[float]) -> OlsFit:
-    """Closed-form simple linear regression of y on x.
-
-    The slope CI halfwidth is 1.96 standard errors (residual variance
-    with n-2 degrees of freedom). Requires n >= 3 and non-constant x.
-    """
-    xa = np.asarray(list(x), dtype=float)
-    ya = np.asarray(list(y), dtype=float)
-    if xa.size != ya.size:
-        raise ValueError("x and y must have equal length")
-    if xa.size < 3:
-        raise ValueError("need at least 3 observations")
-    sxx = float(np.sum((xa - xa.mean()) ** 2))
-    if sxx == 0.0:
-        raise DegenerateX("x is constant")
-    sxy = float(np.sum((xa - xa.mean()) * (ya - ya.mean())))
-    syy = float(np.sum((ya - ya.mean()) ** 2))
-    slope = sxy / sxx
-    intercept = float(ya.mean()) - slope * float(xa.mean())
-    pearson = sxy / np.sqrt(sxx * syy) if syy > 0 else 0.0
-    r_squared = pearson * pearson
-    residuals = ya - (intercept + slope * xa)
-    sigma2 = float(np.sum(residuals**2)) / (xa.size - 2)
-    slope_se = np.sqrt(sigma2 / sxx)
-    return OlsFit(
-        slope=slope,
-        intercept=intercept,
-        r_squared=float(r_squared),
-        pearson_r=float(pearson),
-        slope_ci_halfwidth=float(1.96 * slope_se),
-    )
 
 
 def pareto_frontier(points: Sequence[Mapping]) -> list[Mapping]:

@@ -1,12 +1,17 @@
-"""Builders for self-contained harness workspaces under tmp_path."""
+"""Builders for self-contained harness workspaces under tmp_path, and a
+fresh interpreter that imports this checkout's package."""
 
 from __future__ import annotations
 
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import yaml
 
+import grantgeo
 from grantgeo.baselines import CountyCentroidTable
 from grantgeo.corpus import GrantAbstract, write_csv, write_ground_truth
 from grantgeo.gateway import text_turn, tool_call_turn, write_fixture_script
@@ -16,6 +21,13 @@ from grantgeo.agent import DEFAULT_STRATEGY, write_geocode_cache
 KM_PER_DEG_LAT = math.pi * EARTH_RADIUS_KM / 180.0
 
 _COUNTIES = ["Henrico", "Prince George", "Sussex", "Surry", "Hanover", "New Kent", "Goochland", "Amelia"]
+
+
+def python(*args: str) -> subprocess.CompletedProcess:
+    """Run ``python *args`` in a fresh interpreter that imports this checkout's package."""
+    src = str(Path(grantgeo.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True)
 
 
 def north_of(c: Coordinate, km: float) -> Coordinate:

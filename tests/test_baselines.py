@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 from grantgeo import baselines
 from grantgeo.baselines import (
     CountyCentroidTable,
-    EmptyGold,
     Gazetteer,
     GazetteerEntry,
     HeuristicParams,
@@ -29,7 +28,6 @@ from grantgeo.baselines import (
     packaged_gazetteer,
     predict_county_centroid,
     predict_ner_pipeline,
-    tune_heuristic_grid,
     _display_county,
     _is_name_token,
     _normalize_county,
@@ -37,7 +35,7 @@ from grantgeo.baselines import (
     _scan_back,
     _scan_forward,
 )
-from grantgeo.corpus import GrantAbstract, MalformedRow, write_csv
+from grantgeo.corpus import MalformedRow, write_csv
 from grantgeo.geo import Coordinate, VIRGINIA_BBOX, haversine_km, within_bbox
 
 TABLE = CountyCentroidTable.packaged()
@@ -196,7 +194,7 @@ class TestLoadAbbreviations:
         [
             ("abbrev,expanded\nCr.,Creek\n", ":2: not a abbrev,expansion row (missing column 'expansion')"),
             ("expansion\nCreek\n", ":2: not a abbrev,expansion row (missing column 'abbrev')"),
-            ("abbrev,expansion\nCr.,Creek\nGt.\n", ":3: not a abbrev,expansion row (ValueError"),
+            ("abbrev,expansion\nCr.,Creek\nGt.\n", ":3: expected 2 columns, got 1"),
             ("abbrev,expansion\nCr.,Creek\n,Empty\n", ":3: not a abbrev,expansion row (ValueError"),
             ("abbrev,expansion\n.,Period\n", ":2: not a abbrev,expansion row (ValueError"),
             ("abbrev,expansion\nCr.,Cr\udcffek\n", ": not UTF-8 text"),
@@ -316,45 +314,6 @@ class TestHeuristicGeoparse:
                 assert all(c.confidence >= self.PARAMS.confidence_threshold for c in matching[:1])
                 assert within_bbox(coordinate, box)
                 assert haversine_km(coordinate, TABLE.get("Henrico")) <= self.PARAMS.distance_gate_km
-
-
-class TestTuneHeuristicGrid:
-    def _gold(self, truth):
-        return [GrantAbstract.from_text("g1", "by the mill in Henrico Co.", truth)]
-
-    def test_single_combination(self):
-        gold = self._gold(TABLE.get("Henrico"))
-        params = tune_heuristic_grid(gold, _resolver_returning([]), TABLE, [0.5], [0.1], [35.0])
-        assert params == HeuristicParams(0.5, 0.1, 35.0)
-
-    def test_tight_gate_dominates(self):
-        henrico = TABLE.get("Henrico")
-        # candidate ~30 km from the county centroid; truth at the centroid:
-        # gate 25 rejects it (county fallback, error 0), gate 50 accepts (error ~30)
-        off = Coordinate(henrico.lat + 0.27, henrico.lon)
-        assert 25.0 < haversine_km(off, henrico) < 50.0
-        gold = self._gold(henrico)
-        resolver = _resolver_returning([ResolvedToponym("off", off, 0.9)])
-        params = tune_heuristic_grid(gold, resolver, TABLE, [0.5], [0.0], [25.0, 50.0])
-        assert params.distance_gate_km == 25.0
-        # brute-force cross-check of both candidates
-        errors = {}
-        for gate in (25.0, 50.0):
-            p = HeuristicParams(0.5, 0.0, gate)
-            coordinate, _ = heuristic_geoparse(gold[0].text, resolver, TABLE, p)
-            errors[gate] = haversine_km(coordinate, henrico)
-        assert errors[25.0] < errors[50.0]
-
-    def test_tie_breaks_lexicographically(self):
-        gold = self._gold(TABLE.get("Henrico"))
-        params = tune_heuristic_grid(
-            gold, _resolver_returning([]), TABLE, [0.9, 0.1], [0.3, 0.2], [50.0, 25.0]
-        )
-        assert params == HeuristicParams(0.1, 0.2, 25.0)
-
-    def test_empty_gold(self):
-        with pytest.raises(EmptyGold):
-            tune_heuristic_grid([], _resolver_returning([]), TABLE, [0.5], [0.1], [25.0])
 
 
 class TestPredictNerPipeline:
@@ -714,6 +673,25 @@ class TestLoadGazetteer:
         with pytest.raises(MalformedRow, match=rf"^{re.escape(str(path))}:3: .* has no word to match"):
             load_gazetteer(path)
         assert not _normalize_entity(name)
+
+
+@pytest.mark.parametrize(
+    "load, text, line, width, got",
+    [
+        (load_gazetteer, f"{','.join(_COLUMNS)}\nOak Hill,37.2,-77.4,0,place\nShort Creek,37.1,-77.2\n", 3, 5, 3),
+        (load_gazetteer, f"{','.join(_COLUMNS)}\nOak Hill,37.2,-77.4,0,place,extra\n", 2, 5, 6),
+        (CountyCentroidTable.from_csv, "county,lat,lon\nSussex,36.92,-77.28\nHenrico,37.5\n", 3, 3, 2),
+        (CountyCentroidTable.from_csv, "county,lat,lon\nHenrico,37.5,-77.3,oops\n", 2, 3, 4),
+        (load_abbreviations, "abbrev,expansion\nCr.,Creek\nGt.\n", 3, 2, 1),
+        (load_abbreviations, "abbrev,expansion\nCr.,Creek,extra\n", 2, 2, 3),
+    ],
+    ids=["gazetteer-short", "gazetteer-long", "counties-short", "counties-long", "abbreviations-short", "abbreviations-long"],
+)
+def test_row_wider_or_narrower_than_its_header_is_malformed_row(tmp_path, load, text, line, width, got):
+    path = tmp_path / "table.csv"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(MalformedRow, match=rf"^{re.escape(str(path))}:{line}: expected {width} columns, got {got}$"):
+        load(path)
 
 
 _ABBREVIATIONS = load_abbreviations()

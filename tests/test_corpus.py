@@ -179,13 +179,22 @@ class TestReaders:
 
     def test_header_checked_only_when_given(self, tmp_path):
         path = tmp_path / "t.csv"
-        path.write_text("a,b\n1\n1,2,3\n", encoding="utf-8")
-        assert read_csv(path, "t", dict) == [{"a": "1", "b": None}, {"a": "1", "b": "2", None: "3"}]
-        with pytest.raises(MalformedRow, match=rf"^{re.escape(str(path))}:2: expected 2 columns, got 1$"):
-            read_csv(path, "t", dict, header=["a", "b"])
+        path.write_text("a,b\n1,2\n", encoding="utf-8")
+        assert read_csv(path, "t", dict) == [{"a": "1", "b": "2"}]
+        with pytest.raises(MalformedRow, match=rf"^{re.escape(str(path))}: bad header \['a', 'b'\]$"):
+            read_csv(path, "t", dict, header=["a", "c"])
         path.write_text("\n\n", encoding="utf-8")
+        assert read_csv(path, "t", dict) == []
         with pytest.raises(MalformedRow, match="empty file, header required"):
             read_csv(path, "t", dict, header=["a", "b"])
+
+    @pytest.mark.parametrize("header", [None, ["a", "b"]], ids=["no-header", "header"])
+    @pytest.mark.parametrize("text, line, got", [("a,b\n1,2\n1\n", 3, 1), ("a,b\n1,2,3\n", 2, 3)], ids=["short", "long"])
+    def test_row_width_checked_against_the_header(self, tmp_path, header, text, line, got):
+        path = tmp_path / "t.csv"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(MalformedRow, match=rf"^{re.escape(str(path))}:{line}: expected 2 columns, got {got}$"):
+            read_csv(path, "t", dict, header=header)
 
     def test_jsonl_lines_named(self, tmp_path):
         path = tmp_path / "t.jsonl"

@@ -823,6 +823,21 @@ class TestSweep:
 
 
 class TestCli:
+    @pytest.mark.parametrize(
+        "args, status",
+        [
+            (["--help"], 0),
+            (["run"], 1),  # a usage error is the config-error code, not argparse's 2
+            (["report", "--run-dir", "{empty}"], 2),  # no run.json: a data error
+            (["run", "--config", "{empty}/missing.yaml"], 1),
+        ],
+        ids=["help", "usage-error", "run-dir-without-run-json", "missing-config"],
+    )
+    def test_python_dash_m_exit_status(self, tmp_path, args, status):
+        """``python -m grantgeo`` runs __main__.py, which exits with the status ``main`` returns."""
+        done = hf.python("-m", "grantgeo", *(arg.format(empty=tmp_path) for arg in args))
+        assert done.returncode == status, done.stderr
+
     def test_run_and_report_round_trip(self, tmp_path, capsys):
         config_path = hf.build_workspace(tmp_path, n_grants=4)
         code = main(["run", "--config", str(config_path), "--output-dir", str(tmp_path / "cli_out")])

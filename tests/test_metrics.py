@@ -1,4 +1,4 @@
-"""Statistics: summaries, bootstrap, robust means, OLS, frontiers, costs."""
+"""Statistics: summaries, bootstrap, robust means, frontiers, costs."""
 
 from __future__ import annotations
 
@@ -13,14 +13,12 @@ from hypothesis import strategies as st
 
 from grantgeo import metrics
 from grantgeo.metrics import (
-    DegenerateX,
     EmptyInput,
     KTooLarge,
     ZeroHitRate,
     bootstrap_ci,
     bootstrap_cis,
     drop_top_k_mean,
-    fit_ols,
     latency_summary,
     marginal_cost_per_hit,
     pareto_frontier,
@@ -340,57 +338,6 @@ class TestDropTopKMean:
     def test_k_too_large(self):
         with pytest.raises(KTooLarge):
             drop_top_k_mean({"a": [1, 2]}, 2)
-
-
-class TestFitOls:
-    def test_exact_line(self):
-        fit = fit_ols([0, 1, 2, 3], [1, 3, 5, 7])
-        assert fit.slope == pytest.approx(2.0)
-        assert fit.intercept == pytest.approx(1.0)
-        assert fit.r_squared == pytest.approx(1.0)
-        assert fit.slope_ci_halfwidth == pytest.approx(0.0, abs=1e-9)
-
-    def test_constant_y(self):
-        fit = fit_ols([1, 2, 3, 4], [5, 5, 5, 5])
-        assert fit.slope == 0.0
-        assert fit.r_squared == 0.0
-
-    def test_hand_computed_example(self):
-        fit = fit_ols([1, 2, 3, 4], [2, 1, 4, 3])
-        assert fit.slope == pytest.approx(0.6)
-        assert fit.r_squared == pytest.approx(0.36)
-        assert fit.intercept == pytest.approx(1.0)
-        assert fit.pearson_r == pytest.approx(0.6)
-
-    def test_r_squared_is_pearson_squared(self):
-        rng = random.Random(9)
-        x = [rng.uniform(0, 100) for _ in range(30)]
-        y = [40 - 0.2 * v + rng.gauss(0, 5) for v in x]
-        fit = fit_ols(x, y)
-        assert fit.r_squared == pytest.approx(fit.pearson_r**2, abs=1e-12)
-
-    def test_matches_brute_force_grid(self):
-        x = [1.0, 2.0, 4.0, 7.0]
-        y = [3.0, 4.5, 6.0, 11.0]
-        fit = fit_ols(x, y)
-
-        def sse(slope, intercept):
-            return sum((yi - slope * xi - intercept) ** 2 for xi, yi in zip(x, y))
-
-        best = min(
-            (
-                (sse(s, b), s, b)
-                for s in np.arange(fit.slope - 0.05, fit.slope + 0.05, 0.001)
-                for b in np.arange(fit.intercept - 0.05, fit.intercept + 0.05, 0.001)
-            ),
-        )
-        assert sse(fit.slope, fit.intercept) <= best[0] + 1e-6
-
-    def test_degenerate_x(self):
-        with pytest.raises(DegenerateX):
-            fit_ols([2, 2, 2], [1, 2, 3])
-        with pytest.raises(ValueError):
-            fit_ols([1, 2], [1, 2])
 
 
 def _point(pid, cost, err):

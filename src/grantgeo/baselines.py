@@ -21,7 +21,7 @@ from importlib import resources
 from pathlib import Path
 from typing import Callable, Iterable
 
-from .corpus import read_csv
+from .corpus import DuplicateId, read_csv
 from .geo import Coordinate, VIRGINIA_BBOX, check_coordinate, haversine_km, is_real, within_bbox
 
 VIRGINIA_CENTER = Coordinate(37.4316, -78.6569)
@@ -80,11 +80,21 @@ def _display_county(name: str) -> str:
     return " ".join(tokens)
 
 
-def _county_row(row: dict) -> tuple[str, Coordinate]:
-    coordinate = Coordinate(float(row["lat"]), float(row["lon"]))
+def _county_row(county: str, lat: str, lon: str) -> tuple[str, Coordinate]:
+    coordinate = Coordinate(float(lat), float(lon))
     if not within_bbox(coordinate, VIRGINIA_BBOX):
-        raise ValueError(f"county {row['county']!r} centroid outside the Virginia box")
-    return row["county"], coordinate
+        raise ValueError(f"county {county!r} centroid outside the Virginia box")
+    return county, coordinate
+
+
+def _read_table(path: str | Path, columns: list[str], parse: Callable, key: Callable[[str], str] = str) -> dict:
+    """``parse``'s ``(key, value)`` pair of each row, as a dict; a key repeated after ``key`` is DuplicateId."""
+    table: dict = {}
+    for k, v in read_csv(path, ",".join(columns), parse, columns):
+        if key(k) in table:
+            raise DuplicateId(f"{path}: duplicate {columns[0]} {k!r}")
+        table[key(k)] = v
+    return table
 
 
 class CountyCentroidTable:
@@ -95,8 +105,9 @@ class CountyCentroidTable:
 
     @classmethod
     def from_csv(cls, path: str | Path) -> "CountyCentroidTable":
-        """The table in a ``county,lat,lon`` CSV, each centroid inside the Virginia box."""
-        return cls(dict(read_csv(path, "county,lat,lon", _county_row)))
+        """The table in a ``county,lat,lon`` CSV, each centroid inside the Virginia box; a county
+        named twice, compared as :meth:`get` compares names, is DuplicateId."""
+        return cls(_read_table(path, ["county", "lat", "lon"], _county_row, _normalize_county))
 
     @classmethod
     def packaged(cls) -> "CountyCentroidTable":
@@ -243,16 +254,17 @@ def predict_county_centroid(text: str, table: CountyCentroidTable) -> tuple[Coor
 
 
 def load_abbreviations(path: str | Path | None = None) -> dict[str, str]:
-    """Abbreviation table (CSV ``abbrev,expansion``), packaged by default; a bad row is MalformedRow."""
+    """Abbreviation table (CSV ``abbrev,expansion``), packaged by default; a bad row is MalformedRow,
+    a repeated key DuplicateId."""
     if path is None:
         with resources.as_file(resources.files("grantgeo.data") / "abbreviations.csv") as p:
             return load_abbreviations(p)
-    return dict(read_csv(path, "abbrev,expansion", _abbreviation_row))
+    return _read_table(path, ["abbrev", "expansion"], _abbreviation_row)
 
 
-def _abbreviation_row(row: dict) -> tuple[str, str]:
-    _stem(row["abbrev"])
-    return row["abbrev"], row["expansion"]
+def _abbreviation_row(abbrev: str, expansion: str) -> tuple[str, str]:
+    _stem(abbrev)
+    return abbrev, expansion
 
 
 def _stem(key: str) -> str:
@@ -361,6 +373,9 @@ def _normalize_entity(name: str) -> str:
 
 
 _WORD = re.compile(r"\w+")
+# A lowered name's first word, then the "'" or the "." of a leading "st." after it, which
+# "'s" removal or the "saint" reading can join to that word or replace it by another.
+_LEAD = re.compile(r"(\w+)('|(?<=^st)\.)?")
 # A name holding one of these normalizes to a nonempty name: every word character but "s" and "S"
 # lowers to a word character that "'s" removal leaves.
 _NOT_S_WORD = re.compile(r"[^\WsS]")
@@ -370,18 +385,18 @@ GazetteerRow = tuple[str, float, float, int, str]
 
 
 class Gazetteer(Sequence):
-    """Gazetteer rows in file order, read-only, with name indexes built on first lookup.
+    """Gazetteer rows in file order, read-only, with one name index built on first lookup.
 
     A sequence of :class:`GazetteerEntry` that holds each row as a plain
     :data:`GazetteerRow`: ``gazetteer[i]`` builds that row's entry on first
     access and keeps it, so ``gazetteer[i] is gazetteer[i]``, and only the
     rows a lookup returns are ever built. ``Gazetteer(entries)`` keeps the
-    entries it is given. The indexes make a lookup cost grow with the text
-    (a name lookup's with the smaller of the text and the gazetteer's
-    distinct first words), not with the number of rows; the entity index
-    also remembers the positions each distinct entity matched, so each
-    entity is looked up once per gazetteer. The name index and the entity
-    index are built apart, each on its own first lookup.
+    entries it is given. One name index, from each lowered name's first
+    word to its rows, serves both lookups, so their cost grows with the
+    text (a name lookup's with the smaller of the text and the gazetteer's
+    distinct first words), not with the number of rows. An entity lookup
+    normalizes only the rows it can match, each once per gazetteer, and
+    remembers each distinct entity's matches.
     """
 
     def __init__(self, entries: Iterable[GazetteerEntry] = ()):
@@ -409,53 +424,67 @@ class Gazetteer(Sequence):
             entry = self._entries[i] = GazetteerEntry(name, Coordinate(lat, lon), population, feature_class)
         return entry
 
+    def _normalized(self, norms: dict[int, str | None], i: int) -> str | None:
+        """Row ``i``'s normalized name, or None outside the Virginia box (no margin), kept in ``norms``."""
+        if i not in norms:
+            name, lat, lon = self._rows[i][:3]
+            norms[i] = _normalize_entity(name) if within_bbox(Coordinate(lat, lon), VIRGINIA_BBOX) else None
+        return norms[i]
+
     @cached_property
-    def _entity_index(self) -> tuple[dict[str, list[int]], list[int], int, dict[str, list[int]]]:
-        """Normalized name -> positions of in-box rows; the in-box rows whose
-        name normalizes to empty; the longest normalized name, in tokens; and
-        entity -> positions of its matches, filled in as entities are looked up."""
-        box = VIRGINIA_BBOX  # no margin
-        min_lat, max_lat, min_lon, max_lon = box.min_lat, box.max_lat, box.min_lon, box.max_lon
-        by_name: dict[str, list[int]] = {}
-        for i, (name, lat, lon, _, _) in enumerate(self._rows):
-            if min_lat <= lat <= max_lat and min_lon <= lon <= max_lon:
-                by_name.setdefault(_normalize_entity(name), []).append(i)
-        empty = by_name.pop("", [])
-        longest = max((name.count(" ") + 1 for name in by_name), default=0)
-        return by_name, empty, longest, {}
+    def _entity_index(self) -> tuple[dict[str, list[int]], dict[int, str | None], dict[str, list[int]]]:
+        """The in-box rows whose first normalized token may differ from their
+        name's first word, by that token ("" for a name that normalizes to
+        empty); each row's normalized name, filled in as rows are candidates;
+        and entity -> positions of its matches, filled in as entities are looked up."""
+        _, always, _, _, odd = self._word_index
+        norms: dict[int, str | None] = {}
+        by_token: dict[str, list[int]] = {}
+        for i in itertools.chain(always, odd):
+            if (norm := self._normalized(norms, i)) is not None:
+                by_token.setdefault(norm.partition(" ")[0], []).append(i)
+        return by_token, norms, {}
 
     def entity_matches(self, entity: str) -> list[GazetteerEntry]:
         """In-box rows whose normalized name is a run of whole tokens of the
         normalized entity, in gazetteer order. A name that normalizes to
-        empty matches every entity that does not."""
-        by_name, empty, longest, memo = self._entity_index
+        empty matches every entity that does not.
+
+        The candidates are the rows the name index files under the entity's
+        tokens, and the rows whose first normalized token may differ from
+        their first word (see :meth:`_word_index`); only these are normalized.
+        """
+        by_token, norms, memo = self._entity_index
         if entity not in memo:
-            tokens = _normalize_entity(entity).split()
-            grams = {
-                " ".join(tokens[i : i + n])
-                for n in range(1, min(longest, len(tokens)) + 1)
-                for i in range(len(tokens) - n + 1)
-            }
-            hits = itertools.chain(empty, *(by_name.get(gram, ()) for gram in grams))
-            memo[entity] = sorted(hits) if tokens else []
+            normalized = _normalize_entity(entity)
+            by_word, candidates = self._word_index[0], set(by_token.get("", ()) if normalized else ())
+            for token in set(normalized.split()):
+                candidates.update(by_word.get(token, ()), by_token.get(token, ()))
+            padded = f" {normalized} "
+            norms_of = ((i, self._normalized(norms, i)) for i in sorted(candidates))
+            memo[entity] = [i for i, norm in norms_of if norm is not None and (not norm or f" {norm} " in padded)]
         return [self[i] for i in memo[entity]]
 
     @cached_property
-    def _word_index(self) -> tuple[dict[str, list[int]], list[int], list[str], list[re.Pattern | None]]:
+    def _word_index(self) -> tuple[dict[str, list[int]], list[int], list[str], list[re.Pattern | None], list[int]]:
         """First word of each lowered name -> row positions; the rows whose
         name does not start with a word character, checked on every text;
-        each row's lowered name; and each row's whole-word pattern, compiled
-        the first time the row is a candidate."""
+        each row's lowered name; each row's whole-word pattern, compiled
+        the first time the row is a candidate; and the other rows whose
+        first word is followed by "'", or is "st" followed by "."."""
         lowered = [row[0].lower() for row in self._rows]
         by_word: dict[str, list[int]] = {}
         always: list[int] = []
+        odd: list[int] = []
         for i, name in enumerate(lowered):
-            m = _WORD.match(name)
+            m = _LEAD.match(name)
             if m:
-                by_word.setdefault(m.group(0), []).append(i)
+                by_word.setdefault(m[1], []).append(i)
+                if m[2]:
+                    odd.append(i)
             else:
                 always.append(i)
-        return by_word, always, lowered, [None] * len(lowered)
+        return by_word, always, lowered, [None] * len(lowered), odd
 
     def name_matches(self, text: str) -> list[GazetteerEntry]:
         """Rows whose lowered name occurs as whole words in the lowered text,
@@ -471,7 +500,7 @@ class Gazetteer(Sequence):
         occurs in the text as a substring.
         """
         lowered = text.lower()
-        by_word, always, names, patterns = self._word_index
+        by_word, always, names, patterns, _ = self._word_index
         if len(by_word) * 8 < len(lowered):
             hits = (rows for word, rows in by_word.items() if word in lowered)
         else:
@@ -493,13 +522,14 @@ def load_gazetteer(path: str | Path) -> Gazetteer:
     """Gazetteer CSV: ``name,lat,lon,population,feature_class``. A row whose
     coordinate is not a real latitude and longitude, or whose name normalizes
     to empty (and so would match every entity), is MalformedRow."""
-    return Gazetteer._of_rows(read_csv(path, "gazetteer", _gazetteer_row))
+    columns = ["name", "lat", "lon", "population", "feature_class"]
+    return Gazetteer._of_rows(read_csv(path, "gazetteer", _gazetteer_row, columns))
 
 
-def _gazetteer_row(row: dict) -> GazetteerRow:
-    name, lat, lon = row["name"], float(row["lat"]), float(row["lon"])
-    check_coordinate(lat, lon)
-    parsed = name, lat, lon, int(row["population"] or 0), row["feature_class"]
+def _gazetteer_row(name: str, lat: str, lon: str, population: str, feature_class: str) -> GazetteerRow:
+    coordinate = float(lat), float(lon)
+    check_coordinate(*coordinate)
+    parsed = name, *coordinate, int(population or 0), feature_class
     if parsed[3] < 0:
         raise ValueError(f"population {parsed[3]} is negative")
     if not _NOT_S_WORD.search(name) and not _normalize_entity(name):

@@ -9,6 +9,7 @@ import math
 import random
 import re
 from dataclasses import dataclass
+from operator import itemgetter
 from pathlib import Path
 from types import SimpleNamespace
 from typing import Callable, Iterable, Iterator
@@ -41,11 +42,12 @@ def _row_error(where: str, exc: Exception, missing: str) -> MalformedRow:
     return MalformedRow(f"{where} ({why})")
 
 
-def read_csv(path: str | Path, kind: str, parse: Callable[[dict], object], header: list[str] | None = None) -> list:
-    """``parse`` of each nonblank row of a UTF-8 CSV file, as a dict keyed by the file's header,
-    which must equal ``header`` if given; a row wider or narrower than the header is MalformedRow.
-    A leading byte order mark, as Excel writes, is skipped. A row error from
-    ``parse`` is MalformedRow naming the file and the line the row ends on; its own MalformedRow
+def read_csv(path: str | Path, kind: str, parse: Callable, columns: list[str], exact: bool = False) -> list:
+    """``parse`` of each nonblank row of a UTF-8 CSV file, handed the row's fields under ``columns``
+    in that order. The header must equal ``columns`` if ``exact``, else name each of them exactly
+    once among any others; a header that does not, or a row wider or narrower than the header, is
+    MalformedRow naming the line. A leading byte order mark, as Excel writes, is skipped. A row error
+    from ``parse`` is MalformedRow naming the file and the line the row ends on; its own MalformedRow
     or DuplicateId passes unchanged; bad UTF-8 names the file."""
     out = []
     try:
@@ -53,13 +55,22 @@ def read_csv(path: str | Path, kind: str, parse: Callable[[dict], object], heade
             reader = csv.reader(fh)
             rows = filter(None, reader)  # a blank line reads as []
             names = next(rows, None)
-            if header is not None and names != header:
-                raise MalformedRow(f"{path}: bad header {names!r}" if names else f"{path}: empty file, header required")
+            if names is None and not exact:
+                return out  # no header, so no rows
+            if exact and names != columns:
+                why = f":{reader.line_num}: bad header {names!r}" if names else ": empty file, header required"
+                raise MalformedRow(f"{path}{why}")
+            for column in columns:
+                if names.count(column) != 1:
+                    why = f"{'repeated' if column in names else 'missing'} column {column!r}"
+                    raise MalformedRow(f"{path}:{reader.line_num}: not a {kind} header ({why})")
+            at = [names.index(column) for column in columns]
+            pick = itemgetter(*at) if len(at) > 1 else lambda row: (row[at[0]],)
             for row in rows:
                 if len(row) != len(names):
                     raise MalformedRow(f"{path}:{reader.line_num}: expected {len(names)} columns, got {len(row)}")
                 try:
-                    out.append(parse(dict(zip(names, row))))
+                    out.append(parse(*pick(row)))
                 except (MalformedRow, DuplicateId):
                     raise
                 except _ROW_ERRORS as exc:
@@ -171,8 +182,7 @@ def load_ground_truth(path: str | Path) -> list[GrantAbstract]:
     """
     seen: set[str] = set()
 
-    def record(row: dict) -> GrantAbstract:
-        row_id, lat, lon = row["row_id"], row["truth_lat"], row["truth_lon"]
+    def record(row_id, text, stated_count, sha256, lat, lon) -> GrantAbstract:
         if not row_id:
             raise ValueError("empty row_id")
         if row_id in seen:
@@ -180,14 +190,14 @@ def load_ground_truth(path: str | Path) -> list[GrantAbstract]:
         seen.add(row_id)
         if bool(lat) != bool(lon):
             raise ValueError("half-filled ground truth")
-        rec = GrantAbstract.from_text(row_id, row["abstract_text"], Coordinate(float(lat), float(lon)) if lat else None)
-        if row["word_count"] and int(row["word_count"]) != rec.word_count:
-            raise ValueError(f"stated word_count {row['word_count']} != {rec.word_count}")
-        if row["sha256"] and row["sha256"].lower() != rec.fingerprint:
+        rec = GrantAbstract.from_text(row_id, text, Coordinate(float(lat), float(lon)) if lat else None)
+        if stated_count and int(stated_count) != rec.word_count:
+            raise ValueError(f"stated word_count {stated_count} != {rec.word_count}")
+        if sha256 and sha256.lower() != rec.fingerprint:
             raise ValueError("sha256 mismatch")
         return rec
 
-    return read_csv(path, "ground-truth", record, header=GROUND_TRUTH_HEADER)
+    return read_csv(path, "ground-truth", record, GROUND_TRUTH_HEADER, exact=True)
 
 
 def write_ground_truth(path: str | Path, rows: list[GrantAbstract]) -> None:

@@ -35,6 +35,7 @@ from .baselines import (
 )
 from .corpus import (
     GROUND_TRUTH_HEADER,
+    DuplicateId,
     EvalSet,
     GrantAbstract,
     MalformedRow,
@@ -269,7 +270,7 @@ def load_config(path: str | Path) -> HarnessConfig:
             methods=methods,
             output_dir=_resolve(config_dir, doc.get("output_dir"), "output_dir") or config_dir / "runs_out",
         )
-    except (ConfigInvalid, MalformedRow):  # a bad data.county_table row is a data error
+    except (ConfigInvalid, MalformedRow, DuplicateId):  # a bad data.county_table row is a data error
         raise
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigInvalid(str(exc)) from exc
@@ -415,14 +416,13 @@ def ingest_external_predictions(
     """
     known, seen = {g.row_id: g for g in grants}, set()
 
-    def located(row: dict) -> tuple[GrantAbstract, Coordinate]:
-        row_id = row["row_id"]
+    def located(row_id: str, lat: str, lon: str) -> tuple[GrantAbstract, Coordinate]:
         if row_id not in known or row_id in seen:
             raise ValueError(f"{'repeated' if row_id in seen else 'unknown'} row_id {row_id!r}")
         seen.add(row_id)
-        return known[row_id], Coordinate(float(row["lat"]), float(row["lon"]))
+        return known[row_id], Coordinate(float(lat), float(lon))
 
-    rows = read_csv(path, "row_id,lat,lon", located, header=["row_id", "lat", "lon"])
+    rows = read_csv(path, "row_id,lat,lon", located, ["row_id", "lat", "lon"], exact=True)
     accounting = {"latency_s": latency_s_per_grant, "cost_usd": Decimal(total_cost_usd) / (len(rows) or 1)}
     return [Prediction.of(method_id, g, c, raw_response=f"{c.lat}, {c.lon}", **accounting) for g, c in rows]
 

@@ -35,7 +35,7 @@ from grantgeo.baselines import (
     _scan_back,
     _scan_forward,
 )
-from grantgeo.corpus import MalformedRow, write_csv
+from grantgeo.corpus import DuplicateId, MalformedRow, read_csv, write_csv
 from grantgeo.geo import Coordinate, VIRGINIA_BBOX, haversine_km, within_bbox
 
 TABLE = CountyCentroidTable.packaged()
@@ -119,6 +119,25 @@ class TestPredictCountyCentroid:
         # construction enforces it; double-check the packaged file
         assert len(TABLE) > 100
 
+    def test_a_header_naming_a_column_twice_is_malformed_row(self, tmp_path):
+        """Reading fields by position would otherwise read one of the two columns silently."""
+        path = tmp_path / "counties.csv"
+        path.write_text("county,lat,lon,lat\nHenrico,37.5,-77.3,38.9\n", encoding="utf-8")
+        where = rf"^{re.escape(str(path))}:1: not a county,lat,lon header \(repeated column 'lat'\)$"
+        with pytest.raises(MalformedRow, match=where):
+            CountyCentroidTable.from_csv(path)
+
+    def test_a_county_named_twice_is_duplicate_id(self, tmp_path):
+        """Names are compared as ``get`` compares them, so the later row would silently win."""
+        path = tmp_path / "counties.csv"
+        path.write_text("county,lat,lon\nHenrico,37.5,-77.3\nSussex,36.92,-77.28\nhenrico,38.0,-77.0\n", encoding="utf-8")
+        with pytest.raises(DuplicateId, match=rf"^{re.escape(str(path))}: duplicate county 'henrico'$"):
+            CountyCentroidTable.from_csv(path)
+        path.write_text("county,extra,lon,lat\nHenrico,x,-77.3,37.5\nKing & Queen,,-76.9,37.7\n", encoding="utf-8")
+        table = CountyCentroidTable.from_csv(path)
+        assert (table.get("henrico"), table.get("King and Queen")) == (Coordinate(37.5, -77.3), Coordinate(37.7, -76.9))
+        assert len(table) == 2
+
     @given(st.text(st.sampled_from(" \t\n\u00a0\u2003&aAKqQ"), max_size=12) | st.text(max_size=12))
     @settings(max_examples=500, deadline=None)
     @example(" King  &  Queen ")
@@ -192,8 +211,8 @@ class TestLoadAbbreviations:
     @pytest.mark.parametrize(
         "text, where",
         [
-            ("abbrev,expanded\nCr.,Creek\n", ":2: not a abbrev,expansion row (missing column 'expansion')"),
-            ("expansion\nCreek\n", ":2: not a abbrev,expansion row (missing column 'abbrev')"),
+            ("abbrev,expanded\nCr.,Creek\n", ":1: not a abbrev,expansion header (missing column 'expansion')"),
+            ("expansion\nCreek\n", ":1: not a abbrev,expansion header (missing column 'abbrev')"),
             ("abbrev,expansion\nCr.,Creek\nGt.\n", ":3: expected 2 columns, got 1"),
             ("abbrev,expansion\nCr.,Creek\n,Empty\n", ":3: not a abbrev,expansion row (ValueError"),
             ("abbrev,expansion\n.,Period\n", ":2: not a abbrev,expansion row (ValueError"),
@@ -207,6 +226,14 @@ class TestLoadAbbreviations:
         with pytest.raises(MalformedRow) as excinfo:
             load_abbreviations(path)
         assert str(excinfo.value).startswith(f"{path}{where}")
+
+    def test_an_abbreviation_listed_twice_is_duplicate_id(self, tmp_path):
+        path = tmp_path / "abbreviations.csv"
+        path.write_text("abbrev,expansion\nCr.,Creek\nCo.,County\nCr.,Crossing\n", encoding="utf-8")
+        with pytest.raises(DuplicateId, match=rf"^{re.escape(str(path))}: duplicate abbrev 'Cr\.'$"):
+            load_abbreviations(path)
+        path.write_text("abbrev,expansion\nCr.,Creek\nCr,Crossing\n", encoding="utf-8")  # distinct keys
+        assert load_abbreviations(path) == {"Cr.": "Creek", "Cr": "Crossing"}
 
 
 def _resolver_returning(candidates):
@@ -439,13 +466,21 @@ def _joined(fragments):
 
 
 _NAMES = _joined(st.sampled_from(_PIECES))
+# Names whose first normalized token may differ from their first word: led by punctuation, or a
+# first word followed by "'" or "'s", or "St."/"st." forms.
+_ODD_NAMES = st.tuples(
+    st.sampled_from(["", "", "(", "'", "-", "'s ", ". ", "_"]),
+    st.sampled_from(["St", "st", "ST", "John", "O", "Oak", "s", "İvy", "1st", "saint"]),
+    st.sampled_from([".", "'", "'s", "'s ", ". ", ".'s", "'st.", " "]),
+    _NAMES,
+).map("".join)
 
 
 @st.composite
-def _gazetteer_case(draw):
+def _gazetteer_case(draw, names=_NAMES):
     """Rows drawing names from a small pool (so names repeat at other
     places), and texts mixing pool names with fresh ones."""
-    pool = draw(st.lists(_NAMES, min_size=1, max_size=6))
+    pool = draw(st.lists(names, min_size=1, max_size=6))
     rows = draw(
         st.lists(
             st.builds(
@@ -458,7 +493,7 @@ def _gazetteer_case(draw):
             max_size=12,
         )
     )
-    fragment = st.one_of(st.sampled_from(pool), _NAMES)
+    fragment = st.one_of(st.sampled_from(pool), names)
     texts = draw(st.lists(_joined(fragment), min_size=1, max_size=4))
     return rows, texts
 
@@ -492,6 +527,23 @@ class TestGazetteerIndex:
         assert predict_ner_pipeline(text, default_entity_extractor, gazetteer, TABLE) == _reference_ner(
             text, entities, rows
         )
+
+    @given(_gazetteer_case(_ODD_NAMES | _NAMES))
+    @settings(max_examples=300, deadline=None)
+    @example(
+        (
+            [GazetteerEntry(name, _COORDINATES[0], 0, "place") for name in ("St. Paul", "Ab'st. X", "(Old) Mill", "'s")],
+            ["Saint Paul", "abaint x", "the old mill"],
+        )
+    )
+    def test_entity_lookup_of_odd_names_matches_reference_scan(self, case):
+        """Candidates come from the rows filed under the entity's tokens and the odd rows;
+        names whose normalized first token is not their first word must still be found."""
+        rows, texts = case
+        gazetteer = Gazetteer(rows)
+        for entity in texts + [g.name for g in rows]:
+            got = [id(g) for g in gazetteer.entity_matches(entity)]
+            assert got == [id(g) for g in _reference_entity_matches(rows, entity)]
 
     def test_resolver_order_and_repeats(self):
         rows = [
@@ -578,13 +630,41 @@ class TestGazetteerIndex:
         monkeypatch.setattr(baselines, "_normalize_entity", lambda name: normalized.append(name) or real(name))
         entities = ["St. Paul's Parish", "Richmond", "...", "St. Paul's Parish", "Richmond", "..."]
         got = [gazetteer.entity_matches(entity) for entity in entities]
-        in_box = [g.name for g in gazetteer if within_bbox(g.coordinate, VIRGINIA_BBOX)]
-        assert normalized == in_box + entities[:3]
+        # each distinct entity once, then the in-box rows filed under its tokens that no lookup normalized yet
+        assert normalized == [entities[0], "Saint Paul", entities[1], "Richmond", entities[2]]
         for first, again, entity in zip(got, got[3:], entities):
             assert first == again == _reference_entity_matches(gazetteer, entity) and first is not again
         assert got[0] and got[1] and not got[2]
         got[0].clear()  # the caller owns the list it was given
         assert gazetteer.entity_matches(entities[0]) == got[3]
+
+    def test_a_lookup_normalizes_only_the_odd_rows_and_its_candidates(self, monkeypatch):
+        """The odd rows, whose first normalized token may differ from their name's first word,
+        are normalized at the first lookup; after that a lookup normalizes its entity and the
+        in-box rows whose first word is one of the entity's tokens, each row once per gazetteer."""
+        rng = random.Random(5)
+        inside, outside = _COORDINATES[0], _COORDINATES[-1]
+        names = [f"Qz{n} {rng.choice(['Run', 'Hill', 'Swamp'])}" for n in range(2000)]
+        odd = ["St. Paul", "John's Mill", "(Old) Qz7", "'s", "O'Neil Run", "st.Qz9 Hill", "Qz3's Run"]
+        for name in odd:
+            names.insert(rng.randrange(len(names) + 1), name)
+        rows = [GazetteerEntry(name, inside, 0, "place") for name in names]
+        rows.append(GazetteerEntry("Qz7 Swamp", outside, 0, "place"))  # filed under "qz7", but outside the box
+        gazetteer = Gazetteer(rows)
+        normalized = []
+        real = baselines._normalize_entity
+        monkeypatch.setattr(baselines, "_normalize_entity", lambda name: normalized.append(name) or real(name))
+        done = set(odd)
+        entities = ["Qz7 Run at St. Paul's", "qz3 hill", "Qz7 Run at St. Paul's", "St. John's Mill", "O'Neil Qz3 Mill"]
+        for k, entity in enumerate(entities):
+            normalized.clear()
+            assert gazetteer.entity_matches(entity) == _reference_entity_matches(rows, entity)
+            tokens = set(real(entity).split())
+            filed = {g.name for g in rows if g.coordinate == inside and re.match(r"\w*", g.name.lower())[0] in tokens}
+            new = [entity, *(filed - done)] if entity not in entities[:k] else []
+            assert sorted(normalized) == sorted(([] if k else odd) + new)
+            done |= filed
+        assert len(done) == len(odd) + 2  # "Qz7 ..." and "Qz3 ..."
 
     def test_loaded_gazetteer_is_a_read_only_sequence(self):
         gazetteer = packaged_gazetteer()
@@ -692,6 +772,71 @@ def test_row_wider_or_narrower_than_its_header_is_malformed_row(tmp_path, load, 
     path.write_text(text, encoding="utf-8")
     with pytest.raises(MalformedRow, match=rf"^{re.escape(str(path))}:{line}: expected {width} columns, got {got}$"):
         load(path)
+
+
+# Column names with no line break, so the header ends on the line it starts on.
+_COLUMN = st.text(st.sampled_from("ab_ é,\""), max_size=3)
+
+
+@st.composite
+def _columns(draw, min_extra=0):
+    """Needed columns, each once, and extra columns that may repeat among themselves."""
+    needed = draw(st.lists(_COLUMN, min_size=1, max_size=4, unique=True))
+    return needed, draw(st.lists(_COLUMN.filter(lambda c: c not in needed), min_size=min_extra, max_size=3))
+
+
+class TestReadCsvColumns:
+    """The baseline tables' header rule: each needed column exactly once, among any others."""
+
+    @given(_columns(), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_parse_gets_the_fields_a_dict_of_the_row_would_pick(self, tmp_path_factory, columns, data):
+        needed, extra = columns
+        header = data.draw(st.permutations(needed + extra))
+        rows = data.draw(st.lists(st.lists(_TEXT, min_size=len(header), max_size=len(header)), max_size=4))
+        path = tmp_path_factory.mktemp("csv") / "t.csv"
+        write_csv(path, header, rows)
+        path.write_bytes(b"\n" * data.draw(st.integers(0, 2)) + path.read_bytes())
+        picked = [tuple(dict(zip(header, row))[c] for c in needed) for row in rows]
+        assert read_csv(path, "t", lambda *fields: fields, needed) == picked
+
+    @given(_columns(min_extra=1), st.booleans(), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_a_missing_or_repeated_column_is_malformed_row_at_the_header(self, tmp_path_factory, columns, repeated, data):
+        needed, extra = columns
+        column = data.draw(st.sampled_from(needed))
+        header = data.draw(st.permutations([c for c in needed + extra if c != column] + [column] * (2 if repeated else 0)))
+        rows = data.draw(st.lists(st.lists(_TEXT, min_size=len(header), max_size=len(header)), max_size=2))
+        path = tmp_path_factory.mktemp("csv") / "t.csv"
+        write_csv(path, header, rows)
+        blank = data.draw(st.integers(0, 2))
+        path.write_bytes(b"\n" * blank + path.read_bytes())
+        why = f"{'repeated' if repeated else 'missing'} column {column!r}"
+        with pytest.raises(MalformedRow, match=rf"^{re.escape(str(path))}:{blank + 1}: not a t header \({re.escape(why)}\)$"):
+            read_csv(path, "t", lambda *fields: fields, needed)
+
+    @pytest.mark.parametrize(
+        "header, why",
+        [
+            ("name,lat,lon,population,feature_class,lon", "repeated column 'lon'"),
+            ("name,lat,population,feature_class", "missing column 'lon'"),
+        ],
+        ids=["repeated", "missing"],
+    )
+    def test_a_gazetteer_header_missing_or_repeating_a_column_is_malformed_row(self, tmp_path, header, why):
+        path = tmp_path / "gazetteer.csv"
+        row = ["Oak Hill", "37.2", "-77.4", "0", "place", "-70.0"][: header.count(",") + 1]
+        path.write_text(f"\n{header}\n{','.join(row)}\n", encoding="utf-8")
+        with pytest.raises(MalformedRow, match=rf"^{re.escape(str(path))}:2: not a gazetteer header \({why}\)$"):
+            load_gazetteer(path)
+
+    def test_a_gazetteer_may_repeat_names_and_carry_extra_columns(self, tmp_path):
+        path = tmp_path / "gazetteer.csv"
+        path.write_text("note,feature_class,name,lon,lat,population,note\nx,mill,Oak,-77.4,37.2,5,y\n,x,Oak,-78.1,38.9,,\n", encoding="utf-8")
+        assert list(load_gazetteer(path)) == [
+            GazetteerEntry("Oak", Coordinate(37.2, -77.4), 5, "mill"),
+            GazetteerEntry("Oak", Coordinate(38.9, -78.1), 0, "x"),
+        ]
 
 
 _ABBREVIATIONS = load_abbreviations()

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import re
+from functools import partial
 
 import pytest
 from hypothesis import given, settings
@@ -180,21 +181,21 @@ class TestReaders:
     def test_header_checked_only_when_given(self, tmp_path):
         path = tmp_path / "t.csv"
         path.write_text("a,b\n1,2\n", encoding="utf-8")
-        assert read_csv(path, "t", dict) == [{"a": "1", "b": "2"}]
-        with pytest.raises(MalformedRow, match=rf"^{re.escape(str(path))}: bad header \['a', 'b'\]$"):
-            read_csv(path, "t", dict, header=["a", "c"])
+        assert read_csv(path, "t", lambda *fields: fields, ["a", "b"]) == [("1", "2")]
+        with pytest.raises(MalformedRow, match=rf"^{re.escape(str(path))}:1: bad header \['a', 'b'\]$"):
+            read_csv(path, "t", lambda *fields: fields, ["a", "c"], exact=True)
         path.write_text("\n\n", encoding="utf-8")
-        assert read_csv(path, "t", dict) == []
+        assert read_csv(path, "t", lambda *fields: fields, ["a", "b"]) == []
         with pytest.raises(MalformedRow, match="empty file, header required"):
-            read_csv(path, "t", dict, header=["a", "b"])
+            read_csv(path, "t", lambda *fields: fields, ["a", "b"], exact=True)
 
-    @pytest.mark.parametrize("header", [None, ["a", "b"]], ids=["no-header", "header"])
+    @pytest.mark.parametrize("exact", [False, True], ids=["no-header", "header"])
     @pytest.mark.parametrize("text, line, got", [("a,b\n1,2\n1\n", 3, 1), ("a,b\n1,2,3\n", 2, 3)], ids=["short", "long"])
-    def test_row_width_checked_against_the_header(self, tmp_path, header, text, line, got):
+    def test_row_width_checked_against_the_header(self, tmp_path, exact, text, line, got):
         path = tmp_path / "t.csv"
         path.write_text(text, encoding="utf-8")
         with pytest.raises(MalformedRow, match=rf"^{re.escape(str(path))}:{line}: expected 2 columns, got {got}$"):
-            read_csv(path, "t", dict, header=header)
+            read_csv(path, "t", lambda *fields: fields, ["a", "b"], exact=exact)
 
     def test_jsonl_lines_named(self, tmp_path):
         path = tmp_path / "t.jsonl"
@@ -228,12 +229,12 @@ class TestReaders:
 
     @pytest.mark.parametrize("error", [MalformedRow("own message"), DuplicateId("own message")])
     def test_parse_errors_of_the_readers_own_types_pass_unchanged(self, tmp_path, error):
-        def parse(row):
+        def parse(field):
             raise error
 
         (tmp_path / "t.csv").write_text("a\n1\n", encoding="utf-8")
         (tmp_path / "t.jsonl").write_text("1\n", encoding="utf-8")
-        for read, name in ((read_csv, "t.csv"), (read_jsonl, "t.jsonl")):
+        for read, name in ((partial(read_csv, columns=["a"]), "t.csv"), (read_jsonl, "t.jsonl")):
             with pytest.raises(type(error)) as excinfo:
                 list(read(tmp_path / name, "t", parse))
             assert excinfo.value is error
@@ -270,7 +271,7 @@ class TestWriters:
         rows = data.draw(st.lists(st.lists(_FIELDS, min_size=len(header), max_size=len(header)), max_size=5))
         path = tmp_path_factory.mktemp("csv") / "t.csv"
         write_csv(path, header, rows)
-        assert read_csv(path, "t", lambda row: [row[h] for h in header], header=header) == rows
+        assert read_csv(path, "t", lambda *fields: list(fields), header, exact=True) == rows
 
     @given(st.lists(st.dictionaries(_FIELDS, _JSON, max_size=4), max_size=5))
     @settings(max_examples=100, deadline=None)

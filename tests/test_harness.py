@@ -984,13 +984,13 @@ class TestCli:
     @pytest.mark.parametrize(
         "name, text, named",
         [
-            ("gazetteer.csv", "name,lat,population,feature_class\nBlackwater Swamp,37.1,0,swamp\n", ":2: "),
+            ("gazetteer.csv", "name,lat,population,feature_class\nBlackwater Swamp,37.1,0,swamp\n", ":1: "),
             (
                 "gazetteer.csv",
                 "name,lat,lon,population,feature_class\nBlackwater Swamp,37.1,-77.1,0,swamp\nSurry,abc,-76.9,0,x\n",
                 ":3: ",
             ),
-            ("counties.csv", "county,lat\nSussex,36.92\n", ":2: "),
+            ("counties.csv", "county,lat\nSussex,36.92\n", ":1: "),
             ("counties.csv", "county,lat,lon\nSussex,36.92,-77.28\nSurry,abc,-76.9\n", ":3: "),
             ("gazetteer.csv", "name,lat,lon,population,feature_class\nBlackwater Sw\udcffamp,37.1,-77.1,0,x\n", ": "),
             ("counties.csv", "county,lat,lon\nSuss\udcffex,36.92,-77.28\n", ": "),
@@ -1009,6 +1009,23 @@ class TestCli:
         config_path.write_text(yaml.safe_dump(hf.full_config()), encoding="utf-8")
         assert main(["run", "--config", str(config_path), "--method", "H-2"]) == 2
         assert f"{name}{named}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "text, error",
+        [
+            ("county,lat,lon,lat\nHenrico,37.5,-77.3,38.9\n", ":1: not a county,lat,lon header (repeated column 'lat')"),
+            ("county,lat,lon\nHenrico,37.5,-77.3\nhenrico,38.0,-77.0\n", ": duplicate county 'henrico'"),
+        ],
+        ids=["repeated-column", "repeated-county"],
+    )
+    def test_a_county_table_naming_a_column_or_county_twice_exit_two(self, tmp_path, capsys, text, error):
+        """Either would otherwise load one of the two values silently."""
+        config_path = _full_workspace(tmp_path)
+        path = tmp_path / "fixtures" / "counties.csv"
+        path.write_text(text, encoding="utf-8")
+        assert main(["run", "--config", str(config_path), "--method", "H-4"]) == 2
+        assert capsys.readouterr().err == f"data error: {path}{error}\n"
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("method", ["H-2", "H-3"])
     @pytest.mark.parametrize("name", ["", "'s", "..."])

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import random
 import threading
 import time
@@ -173,6 +174,17 @@ class TestBootstrapCIs:
         monkeypatch.setattr(metrics, "_BOOTSTRAP_CHUNK_CELLS", chunk_cells)
         cis = bootstrap_cis(samples, resamples=997, seed=11)
         assert [(ci.lo, ci.hi) for ci in cis] == expected
+
+    def test_numpys_index_stream_is_pinned(self):
+        """Every CI bound in a report comes from numpy's ``Generator.integers`` stream, which numpy
+        does not promise to keep across feature releases: a numpy that draws another stream fails
+        here by name instead of moving the report's digits. Values from numpy 2.4.6."""
+        n, start, stop, idx = next(metrics._index_blocks([43], metrics.RESAMPLES, metrics.SEED))
+        assert (n, start, stop) == (43, 0, 762)
+        digest = hashlib.sha256(idx.astype("<i8").tobytes()).hexdigest()
+        assert digest == "c1d3c1fd37db1f04e819af7296397ba1abc757a45ebd5aeab82e1c209c828005"
+        (ci,) = bootstrap_cis([[(k * k % 97) + 0.25 * k for k in range(43)]])
+        assert (ci.lo.hex(), ci.hi.hex()) == ("0x1.45105f417d060p+5", "0x1.da8346404c346p+5")
 
     @pytest.mark.parametrize("resamples", [0, -5])
     def test_resamples_below_one_raises(self, resamples):

@@ -364,7 +364,8 @@ _SAINT = re.compile(r"\bst\.")
 
 def _normalize_entity(name: str) -> str:
     """Lowered, with "st." at a word start read as "saint" ("St. Paul's" but
-    not "Forest."), "'s" dropped, and punctuation and runs of space as one space."""
+    not "Forest."), "'s" dropped, and punctuation and runs of space as one space.
+    A rule that can change a name's first word must be matched by ``_LEAD`` too."""
     name = name.lower()
     if "st." in name:  # most names hold none, and the regex would slow every one
         name = _SAINT.sub("saint", name)
@@ -395,7 +396,8 @@ class Gazetteer(Sequence):
     word to its rows, serves both lookups, so their cost grows with the
     text (a name lookup's with the smaller of the text and the gazetteer's
     distinct first words), not with the number of rows. An entity lookup
-    normalizes only the rows it can match, each once per gazetteer, and
+    normalizes only the rows filed under its tokens, each once per
+    gazetteer, looks each run of its tokens up among their names, and
     remembers each distinct entity's matches.
     """
 
@@ -424,45 +426,45 @@ class Gazetteer(Sequence):
             entry = self._entries[i] = GazetteerEntry(name, Coordinate(lat, lon), population, feature_class)
         return entry
 
-    def _normalized(self, norms: dict[int, str | None], i: int) -> str | None:
-        """Row ``i``'s normalized name, or None outside the Virginia box (no margin), kept in ``norms``."""
-        if i not in norms:
-            name, lat, lon = self._rows[i][:3]
-            norms[i] = _normalize_entity(name) if within_bbox(Coordinate(lat, lon), VIRGINIA_BBOX) else None
-        return norms[i]
+    def _normalized(self, i: int) -> str | None:
+        """Row ``i``'s normalized name, or None outside the Virginia box (no margin)."""
+        name, lat, lon = self._rows[i][:3]
+        return _normalize_entity(name) if within_bbox(Coordinate(lat, lon), VIRGINIA_BBOX) else None
 
     @cached_property
-    def _entity_index(self) -> tuple[dict[str, list[int]], dict[int, str | None], dict[str, list[int]]]:
-        """The in-box rows whose first normalized token may differ from their
-        name's first word, by that token ("" for a name that normalizes to
-        empty); each row's normalized name, filled in as rows are candidates;
-        and entity -> positions of its matches, filled in as entities are looked up."""
+    def _entity_index(self) -> tuple[dict[str, list[int]], dict[int, str | None], dict[str, tuple[dict, int]], dict]:
+        """The in-box rows whose first normalized token may differ from their first word, by that
+        token ("" for a name that normalizes to empty), with each such row's normalized name; token ->
+        its candidates' normalized names, each to its positions, and the most tokens in one; and
+        entity -> positions of its matches; the last two filled in as tokens and entities are seen."""
         _, always, _, _, odd = self._word_index
-        norms: dict[int, str | None] = {}
+        norms = {i: self._normalized(i) for i in itertools.chain(always, odd)}
         by_token: dict[str, list[int]] = {}
-        for i in itertools.chain(always, odd):
-            if (norm := self._normalized(norms, i)) is not None:
+        for i, norm in norms.items():
+            if norm is not None:
                 by_token.setdefault(norm.partition(" ")[0], []).append(i)
-        return by_token, norms, {}
+        return by_token, norms, {}, {}
 
     def entity_matches(self, entity: str) -> list[GazetteerEntry]:
-        """In-box rows whose normalized name is a run of whole tokens of the
-        normalized entity, in gazetteer order. A name that normalizes to
-        empty matches every entity that does not.
-
-        The candidates are the rows the name index files under the entity's
-        tokens, and the rows whose first normalized token may differ from
-        their first word (see :meth:`_word_index`); only these are normalized.
-        """
-        by_token, norms, memo = self._entity_index
+        """In-box rows whose normalized name is a run of whole tokens of the normalized entity, in
+        gazetteer order. A name that normalizes to empty matches every entity that does not. A token's
+        candidates, the rows whose first normalized token it is or may be (see :meth:`_word_index`),
+        are normalized when the token is first seen."""
+        by_token, norms, led, memo = self._entity_index
         if entity not in memo:
-            normalized = _normalize_entity(entity)
-            by_word, candidates = self._word_index[0], set(by_token.get("", ()) if normalized else ())
-            for token in set(normalized.split()):
-                candidates.update(by_word.get(token, ()), by_token.get(token, ()))
-            padded = f" {normalized} "
-            norms_of = ((i, self._normalized(norms, i)) for i in sorted(candidates))
-            memo[entity] = [i for i, norm in norms_of if norm is not None and (not norm or f" {norm} " in padded)]
+            tokens = _normalize_entity(entity).split()
+            found = set(by_token.get("", ()) if tokens else ())
+            for p, token in enumerate(tokens):
+                if token not in led:
+                    names: dict[str, list[int]] = {}
+                    for i in itertools.chain(self._word_index[0].get(token, ()), by_token.get(token, ())):
+                        if (norm := norms[i] if i in norms else self._normalized(i)) is not None:
+                            names.setdefault(norm, []).append(i)
+                    led[token] = names, max((name.count(" ") + 1 for name in names), default=0)
+                names, longest = led[token]
+                for k in range(p + 1, min(p + longest, len(tokens)) + 1):
+                    found.update(names.get(" ".join(tokens[p:k]), ()))
+            memo[entity] = sorted(found)
         return [self[i] for i in memo[entity]]
 
     @cached_property

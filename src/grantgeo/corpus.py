@@ -32,34 +32,29 @@ class SampleTooLarge(ValueError):
     """Raised when a sample larger than the source set is requested."""
 
 
-# A missing column or field is a KeyError, a JSON value of the wrong type a TypeError, a value
-# that is not a number, a coordinate or JSON a ValueError, and not a decimal an ArithmeticError.
+# A missing JSON field is a KeyError, a JSON value of the wrong type a TypeError, a value that
+# is not a number, a coordinate or JSON a ValueError, and not a decimal an ArithmeticError.
 _ROW_ERRORS = (KeyError, TypeError, ValueError, ArithmeticError)
-
-
-def _row_error(where: str, exc: Exception, missing: str) -> MalformedRow:
-    why = f"missing {missing} {exc}" if isinstance(exc, KeyError) else f"{type(exc).__name__}: {exc}"
-    return MalformedRow(f"{where} ({why})")
 
 
 def read_csv(path: str | Path, kind: str, parse: Callable, columns: list[str], exact: bool = False) -> list:
     """``parse`` of each nonblank row of a UTF-8 CSV file, handed the row's fields under ``columns``
-    in that order. The header must equal ``columns`` if ``exact``, else name each of them exactly
-    once among any others; a header that does not, or a row wider or narrower than the header, is
-    MalformedRow naming the line. A leading byte order mark, as Excel writes, is skipped. A row error
-    from ``parse`` is MalformedRow naming the file and the line the row ends on; its own MalformedRow
-    or DuplicateId passes unchanged; bad UTF-8 names the file."""
+    in that order. The first nonblank row is the header, which every file needs: it must equal
+    ``columns`` if ``exact``, else name each of them exactly once among any others. No header, one that
+    does not, or a row wider or narrower than the header is MalformedRow naming the file and line. A
+    leading byte order mark, as Excel writes, is skipped. A row error from ``parse`` is MalformedRow
+    naming the file and the line the row ends on; its own MalformedRow or DuplicateId passes
+    unchanged; bad UTF-8 names the file."""
     out = []
     try:
         with Path(path).open(newline="", encoding="utf-8-sig") as fh:
             reader = csv.reader(fh)
             rows = filter(None, reader)  # a blank line reads as []
             names = next(rows, None)
-            if names is None and not exact:
-                return out  # no header, so no rows
+            if names is None:
+                raise MalformedRow(f"{path}: empty file, header required")
             if exact and names != columns:
-                why = f":{reader.line_num}: bad header {names!r}" if names else ": empty file, header required"
-                raise MalformedRow(f"{path}{why}")
+                raise MalformedRow(f"{path}:{reader.line_num}: bad header {names!r}")
             for column in columns:
                 if names.count(column) != 1:
                     why = f"{'repeated' if column in names else 'missing'} column {column!r}"
@@ -74,7 +69,8 @@ def read_csv(path: str | Path, kind: str, parse: Callable, columns: list[str], e
                 except (MalformedRow, DuplicateId):
                     raise
                 except _ROW_ERRORS as exc:
-                    raise _row_error(f"{path}:{reader.line_num}: not a {kind} row", exc, "column") from exc
+                    why = f"{type(exc).__name__}: {exc}"
+                    raise MalformedRow(f"{path}:{reader.line_num}: not a {kind} row ({why})") from exc
     except UnicodeDecodeError as exc:  # decoded a block at a time, so no line is named
         raise MalformedRow(f"{path}: not UTF-8 text ({exc})") from exc
     except csv.Error as exc:  # a field over csv's size limit, or a NUL byte before Python 3.11
@@ -95,7 +91,8 @@ def read_jsonl(path: str | Path, kind: str, parse: Callable[[object], object]) -
                 except (MalformedRow, DuplicateId):
                     raise
                 except _ROW_ERRORS as exc:  # bad UTF-8 and JSON are ValueErrors
-                    raise _row_error(f"{path}:{lineno}: not a {kind} record", exc, "field") from exc
+                    why = f"missing field {exc}" if isinstance(exc, KeyError) else f"{type(exc).__name__}: {exc}"
+                    raise MalformedRow(f"{path}:{lineno}: not a {kind} record ({why})") from exc
                 yield record
 
 

@@ -217,8 +217,9 @@ class TestLoadAbbreviations:
             ("abbrev,expansion\nCr.,Creek\n,Empty\n", ":3: not a abbrev,expansion row (ValueError"),
             ("abbrev,expansion\n.,Period\n", ":2: not a abbrev,expansion row (ValueError"),
             ("abbrev,expansion\nCr.,Cr\udcffek\n", ": not UTF-8 text"),
+            ("\n", ": empty file, header required"),
         ],
-        ids=["no-expansion-column", "no-abbrev-column", "short-row", "empty", "bare-period", "not-utf8"],
+        ids=["no-expansion-column", "no-abbrev-column", "short-row", "empty", "bare-period", "not-utf8", "no-header"],
     )
     def test_bad_file_is_malformed_row(self, tmp_path, text, where):
         path = tmp_path / "abbreviations.csv"

@@ -185,9 +185,9 @@ class TestReaders:
         with pytest.raises(MalformedRow, match=rf"^{re.escape(str(path))}:1: bad header \['a', 'b'\]$"):
             read_csv(path, "t", lambda *fields: fields, ["a", "c"], exact=True)
         path.write_text("\n\n", encoding="utf-8")
-        assert read_csv(path, "t", lambda *fields: fields, ["a", "b"]) == []
-        with pytest.raises(MalformedRow, match="empty file, header required"):
-            read_csv(path, "t", lambda *fields: fields, ["a", "b"], exact=True)
+        for exact in (False, True):
+            with pytest.raises(MalformedRow, match=rf"^{re.escape(str(path))}: empty file, header required$"):
+                read_csv(path, "t", lambda *fields: fields, ["a", "b"], exact=exact)
 
     @pytest.mark.parametrize("exact", [False, True], ids=["no-header", "header"])
     @pytest.mark.parametrize("text, line, got", [("a,b\n1,2\n1\n", 3, 1), ("a,b\n1,2,3\n", 2, 3)], ids=["short", "long"])

@@ -996,10 +996,13 @@ class TestCli:
             ("counties.csv", "county,lat,lon\nSuss\udcffex,36.92,-77.28\n", ": "),
             ("counties.csv", "county,lat,lon\nSussex,36.92,-77.28\nFoo,45.0,-77.0\n", ":3: "),
             ("gazetteer.csv", "name,lat,lon,population,feature_class\nOak,37.2,-77.4,9,x\nMill,37.1,-77.1,-500,x\n", ":3: "),
+            ("gazetteer.csv", "", ": empty file, header required"),
+            ("counties.csv", "\n\n", ": empty file, header required"),  # else every grant goes statewide
         ],
         ids=[
             "gazetteer-no-lon", "gazetteer-lat-text", "counties-no-lon", "counties-lat-text",
             "gazetteer-not-utf8", "counties-not-utf8", "counties-outside-virginia", "gazetteer-negative-population",
+            "gazetteer-empty", "counties-empty",
         ],
     )
     def test_bad_baseline_csv_exit_two(self, tmp_path, capsys, name, text, named):

@@ -19,7 +19,6 @@ from __future__ import annotations
 import json
 import re
 import threading
-import time
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable
@@ -193,7 +192,6 @@ class Geocoder:
         self._cache_path = Path(cache_path) if cache_path else None
         self._cache: dict[tuple[str, str], dict | None] = {}
         self._lock = threading.Lock()
-        self.provider_calls = 0
         # (offset, prefix) for the next append when the file does not end in
         # a newline: cut a torn final line off, or terminate an intact one.
         self._tail_fix: tuple[int, bytes] | None = None
@@ -250,7 +248,6 @@ class Geocoder:
             raise NotFound(f"no cached result for {query!r} and no live provider")
 
         with self._lock:
-            self.provider_calls += 1
             candidate = self._provider.geocode(query, strategy)
             result = None
             if candidate is not None:
@@ -407,7 +404,6 @@ def run_tool_chain(
     coordinate: Coordinate | None = None
     raw = ""
     reason: str | None = None
-    start = time.perf_counter()
 
     while True:
         try:
@@ -458,7 +454,6 @@ def run_tool_chain(
         trace.append(record)
         messages.append(ChatMessage("tool", _render_tool_result(record.result)))
 
-    latency = time.perf_counter() - start
     if coordinate is not None:
         _mark_selected(trace, coordinate)
     return Prediction.of(
@@ -466,7 +461,6 @@ def run_tool_chain(
         grant,
         coordinate,
         usage=usage_total,
-        latency_s=latency,
         cost_usd=call_cost(usage_total, *prices.lookup(cfg.model_id)),
         tool_calls=trace,
         raw_response=raw,

@@ -230,13 +230,20 @@ def sample_fixed(evalset: EvalSet, n: int, seed: int) -> EvalSet:
     return EvalSet(f"{evalset.name}-n{n}-s{seed}", tuple(sorted(picked)))
 
 
-# Leading all-caps name segment before the first comma: uppercase words,
-# initials, and ampersands. Abstracts open with the patentee in capitals.
-_PATENTEE_RE = re.compile(r"^(\s*)((?:[A-Z][A-Z'.\-]*|&)(?:\s+(?:[A-Z][A-Z'.\-]*|&))*)\s*,")
+# Leading all-caps name segment before the first comma: uppercase words
+# (a Mc/Mac surname such as McDONALD too), initials, and ampersands, after
+# an optional title that stays unmasked. Abstracts open with the patentee
+# in capitals.
+_NAME_WORD = r"(?:Ma?c)?[A-Z][A-Z'.\-]*|&"
+_PATENTEE_RE = re.compile(
+    rf"^(\s*(?:(?:Capt|Col|Maj|Lt|Mr|Mrs|Dr|Rev)\.\s+)?)((?:{_NAME_WORD})(?:\s+(?:{_NAME_WORD}))*)\s*,"
+)
 
 
 def redact_patentee(text: str) -> str:
     """Mask the patentee's name with ``[NAME]``: the leading all-caps
-    segment before the first comma is replaced. Idempotent."""
+    segment before the first comma is replaced, and a title before it
+    (``Capt.``, ``Col.``, ``Maj.``, ``Lt.``, ``Mr.``, ``Mrs.``, ``Dr.``,
+    ``Rev.``) is kept. Idempotent."""
     m = _PATENTEE_RE.match(text)
     return f"{m.group(1)}[NAME],{text[m.end():]}" if m else text

@@ -11,7 +11,9 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import threading
+import time
 from dataclasses import dataclass
 from decimal import Decimal
 from pathlib import Path
@@ -28,6 +30,12 @@ LIVE_TIMEOUT_S = 120.0
 
 LIVE_MAX_RETRIES = 1
 """Retries after a failed live request, before BackendUnavailable/BackendTimeout."""
+
+LIVE_RETRY_WAIT_S = 2.0
+"""Seconds to wait before retrying a 429 or 5xx reply that gives no numeric Retry-After."""
+
+LIVE_MAX_RETRY_WAIT_S = 60.0
+"""The longest wait a reply's Retry-After can ask for before a retry."""
 
 _MICRO = Decimal(10) ** 6
 _REASONING_EFFORTS = ("low", "medium", "high")
@@ -288,11 +296,21 @@ def write_fixture_script(path: str | Path, turns: list[dict]) -> None:
     write_jsonl(path, turns)
 
 
+def _retry_wait_s(retry_after: str | None) -> float:
+    """Seconds to wait before retrying a reply with this Retry-After header; an HTTP date counts as absent."""
+    if retry_after is not None and re.fullmatch(r"\d+(?:\.\d+)?", retry_after.strip()):
+        return min(float(retry_after), LIVE_MAX_RETRY_WAIT_S)
+    return LIVE_RETRY_WAIT_S
+
+
 class LiveBackend:
     """Minimal chat-completions HTTP client.
 
     Disabled by default in offline runs; exists for the optional live
     mode. ``LIVE_MAX_RETRIES`` retries, then BackendUnavailable/BackendTimeout.
+    A 429 or 5xx reply waits before its retry: the reply's numeric
+    Retry-After, at most ``LIVE_MAX_RETRY_WAIT_S``, else
+    ``LIVE_RETRY_WAIT_S``. A 401 or 403 is not retried.
     """
 
     def __init__(self, endpoint: str, api_key: str | None = None):
@@ -325,7 +343,7 @@ class LiveBackend:
             payload["tools"] = [{"type": "function", "function": t} for t in tools]
 
         last_exc: Exception | None = None
-        for _ in range(LIVE_MAX_RETRIES + 1):
+        for attempt in range(LIVE_MAX_RETRIES + 1):
             try:
                 resp = requests.post(
                     self.endpoint,
@@ -343,6 +361,8 @@ class LiveBackend:
                 last_exc = BackendUnavailable(f"HTTP {resp.status_code}: {resp.text[:200]}")
                 if resp.status_code in (401, 403):
                     break  # credentials will not improve on retry
+                if attempt < LIVE_MAX_RETRIES and (resp.status_code == 429 or resp.status_code >= 500):
+                    time.sleep(_retry_wait_s(resp.headers.get("Retry-After")))
                 continue
             try:
                 return self._parse(resp.json())

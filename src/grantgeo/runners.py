@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import functools
 import json
-import time
 from dataclasses import dataclass, field, replace
 from decimal import Decimal
 
@@ -61,8 +60,8 @@ class ToolCallRecord:
 
 @dataclass(slots=True)
 class RunRecord:
-    """A cell's accounting: what its calls used, took and cost, its tool
-    trace, the model's reply and, when it failed, why."""
+    """A cell's accounting: what its calls used and cost, the run loop's
+    time for it, its tool trace, the model's reply and, when it failed, why."""
 
     usage: TokenUsage = TokenUsage()
     latency_s: float = 0.0
@@ -205,13 +204,9 @@ def run_one_shot(
     Parse failures and backend errors yield a failed Prediction with the
     reason recorded; there is no silent fallback.
     """
-    start = time.perf_counter()
     coordinate, usage, raw, reason = _one_call(backend, cfg, _prompt(grant))
-    latency = time.perf_counter() - start
     cost = call_cost(usage, *prices.lookup(cfg.model_id))
-    return Prediction.of(
-        method_id, grant, coordinate, usage=usage, latency_s=latency, cost_usd=cost, raw_response=raw, reason=reason
-    )
+    return Prediction.of(method_id, grant, coordinate, usage=usage, cost_usd=cost, raw_response=raw, reason=reason)
 
 
 def _centroid(points: list[Coordinate]) -> Coordinate:
@@ -278,11 +273,9 @@ def run_ensemble(
     """k independent one-shot calls with per-member seeds, fused by vote.
 
     Failed member calls are dropped; the vote runs over the survivors.
-    Usage and cost aggregate across all k calls and latency covers the
-    whole ensemble. With zero survivors the Prediction is failed with
-    reason AllCallsFailed.
+    Usage and cost aggregate across all k calls. With zero survivors the
+    Prediction is failed with reason AllCallsFailed.
     """
-    start = time.perf_counter()
     points: list[Coordinate] = []
     raws: list[str] = []
     input_tokens = output_tokens = 0
@@ -297,7 +290,6 @@ def run_ensemble(
         raws.append(raw)
         if coordinate is not None:
             points.append(coordinate)
-    latency = time.perf_counter() - start
 
     coordinate = aggregate_ensemble(points, ens) if points else None
     return Prediction.of(
@@ -305,7 +297,6 @@ def run_ensemble(
         grant,
         coordinate,
         usage=TokenUsage(input_tokens, output_tokens),
-        latency_s=latency,
         cost_usd=cost_total,
         raw_response=json.dumps(raws),
         reason=None if coordinate is not None else "AllCallsFailed",

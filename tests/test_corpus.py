@@ -353,8 +353,18 @@ class TestSampleFixed:
 
 
 class TestRedactPatentee:
-    def test_leading_caps_name(self):
-        assert redact_patentee("WILLIAM WILLIAMS, 400 acs., on S. side") == "[NAME], 400 acs., on S. side"
+    @pytest.mark.parametrize(
+        "text, masked",
+        [
+            ("WILLIAM WILLIAMS, 400 acs., on S. side", "[NAME], 400 acs., on S. side"),
+            ("JOHN McDONALD, 200 acs.", "[NAME], 200 acs."),
+            ("Capt. WILLIAM RANDOLPH, 1000 acs.", "Capt. [NAME], 1000 acs."),
+            ("Rev. ALEXANDER MacKENZIE & JNO. SMITH, 50 acs.", "Rev. [NAME], 50 acs."),
+        ],
+    )
+    def test_leading_caps_name(self, text, masked):
+        assert redact_patentee(text) == masked
+        assert redact_patentee(masked) == masked
 
     def test_empty(self):
         assert redact_patentee("") == ""

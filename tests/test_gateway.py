@@ -14,6 +14,8 @@ from hypothesis import strategies as st
 import harness_fixtures as hf
 
 from grantgeo.gateway import (
+    LIVE_MAX_RETRY_WAIT_S,
+    LIVE_RETRY_WAIT_S,
     ChatMessage,
     DEFAULT_PRICES,
     FixtureBackend,
@@ -288,17 +290,62 @@ class TestLiveBackend:
         with pytest.raises(BackendUnavailable):
             backend.complete(ModelConfig("m"), [ChatMessage("user", "hi")])
 
-    def test_auth_rejection(self, monkeypatch):
+    @staticmethod
+    def _serve(monkeypatch, replies: list[tuple[int, dict]]) -> tuple[list, list]:
+        """Answer successive posts with ``replies``, (status, headers) pairs; the posts made and the sleeps asked for."""
+        import requests
+
+        responses = []
+        for status, headers in replies:
+            resp = requests.Response()
+            resp.status_code, resp._content = status, b'{"choices": [{"message": {"content": "37.0, -77.0"}}]}'
+            resp.headers.update(headers)
+            responses.append(resp)
+        posts, sleeps = [], []
+        monkeypatch.setattr("requests.post", lambda *a, **k: posts.append(a) or responses[len(posts) - 1])
+        monkeypatch.setattr("time.sleep", sleeps.append)
+        return posts, sleeps
+
+    @pytest.mark.parametrize("status", [401, 403])
+    def test_auth_rejection(self, monkeypatch, status):
         from grantgeo.gateway import BackendUnavailable, LiveBackend
 
-        class FakeResponse:
-            status_code = 401
-            text = "bad key"
-
-        monkeypatch.setattr("requests.post", lambda *a, **k: FakeResponse())
+        posts, sleeps = self._serve(monkeypatch, [(status, {"Retry-After": "1"})] * 2)
         backend = LiveBackend("https://example.invalid/v1/chat", api_key="nope")
-        with pytest.raises(BackendUnavailable):
+        with pytest.raises(BackendUnavailable, match=f"HTTP {status}"):
             backend.complete(ModelConfig("m"), [ChatMessage("user", "hi")])
+        assert (len(posts), sleeps) == (1, [])  # credentials will not improve on retry
+
+    @pytest.mark.parametrize(
+        "status, headers, waits",
+        [
+            (429, {"Retry-After": "3"}, [3.0]),
+            (429, {"Retry-After": " 1.5 "}, [1.5]),
+            (429, {"Retry-After": "86400"}, [LIVE_MAX_RETRY_WAIT_S]),
+            (503, {}, [LIVE_RETRY_WAIT_S]),
+            (500, {"Retry-After": "Wed, 21 Oct 2026 07:28:00 GMT"}, [LIVE_RETRY_WAIT_S]),
+            (502, {"Retry-After": "-1"}, [LIVE_RETRY_WAIT_S]),
+            (503, {"Retry-After": "nan"}, [LIVE_RETRY_WAIT_S]),
+            (400, {"Retry-After": "3"}, []),
+        ],
+    )
+    def test_429_or_5xx_waits_before_its_retry(self, monkeypatch, status, headers, waits):
+        from grantgeo.gateway import LiveBackend
+
+        posts, sleeps = self._serve(monkeypatch, [(status, headers), (200, {})])
+        response, _ = LiveBackend("https://example.invalid/v1/chat", api_key="k").complete(
+            ModelConfig("m"), [ChatMessage("user", "hi")]
+        )
+        assert (response.text, len(posts), sleeps) == ("37.0, -77.0", 2, waits)
+
+    def test_no_wait_after_the_last_attempt(self, monkeypatch):
+        from grantgeo.gateway import LIVE_MAX_RETRIES, BackendUnavailable, LiveBackend
+
+        posts, sleeps = self._serve(monkeypatch, [(429, {})] * (LIVE_MAX_RETRIES + 1))
+        backend = LiveBackend("https://example.invalid/v1/chat", api_key="k")
+        with pytest.raises(BackendUnavailable, match="HTTP 429"):
+            backend.complete(ModelConfig("m"), [ChatMessage("user", "hi")])
+        assert (len(posts), sleeps) == (LIVE_MAX_RETRIES + 1, [LIVE_RETRY_WAIT_S] * LIVE_MAX_RETRIES)
 
     def test_parses_text_and_usage(self, monkeypatch):
         from grantgeo.gateway import LiveBackend

@@ -220,6 +220,37 @@ class TestRunEvaluation:
         assert len(records) == 2
         assert all(not r["failed"] for r in records)
 
+    def test_the_run_loop_is_the_only_clock(self, tmp_path, monkeypatch):
+        """Each measured cell's latency_s is one perf_counter pair around its whole predict call."""
+        import sys
+        import time
+
+        callers, ticks = [], []
+
+        def perf_counter():
+            frame = sys._getframe(1)
+            callers.append((frame.f_globals["__name__"], frame.f_code.co_name))
+            ticks.append(float(len(ticks) ** 2))  # every difference of two consecutive ticks is distinct
+            return ticks[-1]
+
+        config_path = _full_workspace(tmp_path, n_grants=2)
+        manifest = build_manifest(load_config(config_path))
+        monkeypatch.setattr(time, "perf_counter", perf_counter)
+        outcome = run_evaluation(manifest)
+        monkeypatch.undo()
+
+        measured = [p for mid, preds in outcome.predictions.items() if mid != "X-1" for p in preds]
+        assert len(measured) == 6 * 2
+        assert set(callers) == {("grantgeo.harness", "run_evaluation")} and len(ticks) == 2 * len(measured)
+        logged = {
+            (r["method_id"], r["row_id"]): r["latency_s"]
+            for mid in outcome.predictions
+            for r in map(json.loads, harness.call_log_path(outcome.run_dir, mid).read_text().splitlines())
+        }
+        for p, start, end in zip(measured, ticks[::2], ticks[1::2]):
+            assert p.run.latency_s == logged[p.method_id, p.row_id] == end - start
+        assert [logged["X-1", p.row_id] for p in outcome.predictions["X-1"]] == [502.0, 502.0]
+
     def test_max_rows_limits_processing(self, tmp_path):
         config_path = hf.build_workspace(tmp_path, n_grants=43)
         manifest, outcome = _run(config_path, methods=["H-4"], max_rows=5)
